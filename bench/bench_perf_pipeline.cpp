@@ -615,7 +615,9 @@ reportIngestThroughput(const Fixture &f, std::uint32_t jobs,
     std::size_t published = 0;
     engine::IngestPipeline pipeline(
         pool, options,
-        [&published](const engine::IngestUpdate &) { ++published; });
+        [&published](std::vector<engine::IngestUpdate> updates) {
+            published += updates.size();
+        });
     pipeline.addSource(path);
 
     const std::size_t chunk =

@@ -11,7 +11,8 @@
 # `trace_check --prom`, correlates a query's X-Lag-Trace-Id with
 # /debugz/requests, and a crash-dump smoke SIGABRTs a second lagd to
 # prove the fatal-signal path leaves a valid .flightrec naming the
-# smoke query's trace id.
+# smoke query's trace id. The tier-1 suite runs at full ctest
+# parallelism in random order, then again from a Release build.
 # Optionally sweep the sanitizer
 # matrix: `ci/check.sh --sanitize TSAN` (or ASAN / UBSAN) builds an
 # instrumented tree in build-<san> and runs the engine label under
@@ -53,8 +54,8 @@ echo "== lag_check (layering + lock discipline)"
 echo "== clang-tidy (new findings vs ci/clang_tidy_baseline)"
 "$root/tools/run_clang_tidy.sh" "$build"
 
-echo "== tier-1 suite"
-(cd "$build" && ctest --output-on-failure -j "$jobs")
+echo "== tier-1 suite (parallel, random order)"
+(cd "$build" && ctest --output-on-failure -j "$jobs" --schedule-random)
 
 echo "== perf smoke (ctest -L perf)"
 (cd "$build" && ctest -L perf --output-on-failure)
@@ -309,6 +310,16 @@ rm -rf "$smoke/session.lag.cache"
     --metrics-out "$smoke/metrics.json" >/dev/null
 "$build/tools/trace_check" --chrome "$smoke/self.json"
 "$build/tools/trace_check" "$smoke/metrics.json"
+
+echo "== release build (CMAKE_BUILD_TYPE=Release, tier-1)"
+# -O3 enables GCC warnings the default RelWithDebInfo (-O2) build
+# never sees; LAG_WERROR keeps them fatal here too.
+release_build="$root/build-release"
+cmake -S "$root" -B "$release_build" \
+    -DCMAKE_BUILD_TYPE=Release -DLAG_WERROR=ON >/dev/null
+cmake --build "$release_build" -j "$jobs"
+(cd "$release_build" &&
+    ctest --output-on-failure -j "$jobs" --schedule-random)
 
 if [ -n "$sanitize" ]; then
     san_lc="$(echo "$sanitize" | tr '[:upper:]' '[:lower:]')"

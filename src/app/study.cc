@@ -176,9 +176,11 @@ Study::simulateMissing(
                 .trace;
     });
     driver.addStage("encode", [&](std::size_t a, std::size_t i) {
-        trace::writeTraceFileAtomic(pending[a][i],
+        // Move the trace out of its slot so its memory is freed as
+        // soon as it is on disk.
+        const trace::Trace written = std::move(pending[a][i]);
+        trace::writeTraceFileAtomic(written,
                                     tracePath(a, missing[a][i]));
-        pending[a][i] = trace::Trace{};
     });
     driver.run(pool);
 }

@@ -35,26 +35,36 @@ MergedPatternSet::recurringAlwaysCount() const
 MergedPatternSet
 mergeAnalyses(const std::vector<PatternSetSummary> &sets)
 {
+    std::vector<const PatternSetSummary *> borrowed;
+    borrowed.reserve(sets.size());
+    for (const PatternSetSummary &set : sets)
+        borrowed.push_back(&set);
+    return mergeAnalyses(borrowed);
+}
+
+MergedPatternSet
+mergeAnalyses(const std::vector<const PatternSetSummary *> &sets)
+{
     MergedPatternSet result;
     if (sets.empty())
         return result;
     result.sessionCount = sets.size();
-    result.perceptibleThreshold = sets.front().perceptibleThreshold;
-    for (const auto &set : sets) {
-        lag_assert(set.perceptibleThreshold ==
+    result.perceptibleThreshold = sets.front()->perceptibleThreshold;
+    for (const PatternSetSummary *set : sets) {
+        lag_assert(set->perceptibleThreshold ==
                        result.perceptibleThreshold,
                    "pattern sets mined with different thresholds");
     }
 
     std::size_t totalPatterns = 0;
-    for (const auto &set : sets)
-        totalPatterns += set.patterns.size();
+    for (const PatternSetSummary *set : sets)
+        totalPatterns += set->patterns.size();
 
     std::unordered_map<std::string, std::size_t> index;
     index.reserve(totalPatterns);
     result.patterns.reserve(totalPatterns);
     for (std::size_t s = 0; s < sets.size(); ++s) {
-        for (const PatternSummary &pattern : sets[s].patterns) {
+        for (const PatternSummary &pattern : sets[s]->patterns) {
             const auto [it, inserted] = index.emplace(
                 pattern.signature, result.patterns.size());
             if (inserted) {

@@ -109,6 +109,15 @@ mergePatternSets(const std::vector<PatternSet> &sets);
 MergedPatternSet
 mergeAnalyses(const std::vector<PatternSetSummary> &sets);
 
+/**
+ * Borrowing form of mergeAnalyses(): @p sets points at summaries
+ * owned elsewhere (each pointer non-null), so callers that already
+ * hold the analyses merge them without copying. Same result, byte
+ * for byte, as merging the pointed-to summaries by value.
+ */
+MergedPatternSet
+mergeAnalyses(const std::vector<const PatternSetSummary *> &sets);
+
 /** Convenience: mine each session and merge. */
 MergedPatternSet
 minePatternsAcrossSessions(const std::vector<Session> &sessions,

@@ -30,6 +30,18 @@ aggregateMetrics()
     return metrics;
 }
 
+/** Borrow each analysis's pattern summary, in session order — what
+ * core::mergeAnalyses merges without copying. */
+std::vector<const core::PatternSetSummary *>
+summariesOf(const std::vector<SessionAnalysis> &sessions)
+{
+    std::vector<const core::PatternSetSummary *> summaries;
+    summaries.reserve(sessions.size());
+    for (const SessionAnalysis &analysis : sessions)
+        summaries.push_back(&analysis.patternSummary);
+    return summaries;
+}
+
 } // namespace
 
 StudyAggregate
@@ -87,11 +99,8 @@ aggregateFromCache(const ResultCache &cache,
     LAG_SPAN_ARG("cache.aggregate.merge", "apps", app_names.size());
     out.merged.reserve(app_names.size());
     for (std::size_t a = 0; a < app_names.size(); ++a) {
-        std::vector<core::PatternSetSummary> summaries;
-        summaries.reserve(sessions_per_app);
-        for (const SessionAnalysis &analysis : out.grid[a])
-            summaries.push_back(analysis.patternSummary);
-        out.merged.push_back(core::mergeAnalyses(summaries));
+        out.merged.push_back(
+            core::mergeAnalyses(summariesOf(out.grid[a])));
     }
     return out;
 }
@@ -130,17 +139,25 @@ aggregateAppFromCache(const ResultCache &cache,
     aggregateMetrics().cached.add(out.sessionsFromCache);
     aggregateMetrics().recomputed.add(out.sessionsRecomputed);
 
-    std::vector<core::PatternSetSummary> summaries;
-    summaries.reserve(out.sessions.size());
-    for (const SessionAnalysis &analysis : out.sessions)
-        summaries.push_back(analysis.patternSummary);
-    out.merged = core::mergeAnalyses(summaries);
+    out.merged = core::mergeAnalyses(summariesOf(out.sessions));
     return out;
 }
 
 core::AppFigureData
 averageSessionAnalyses(std::string name,
                        const std::vector<SessionAnalysis> &sessions)
+{
+    std::vector<const SessionAnalysis *> borrowed;
+    borrowed.reserve(sessions.size());
+    for (const SessionAnalysis &sa : sessions)
+        borrowed.push_back(&sa);
+    return averageSessionAnalyses(std::move(name), borrowed);
+}
+
+core::AppFigureData
+averageSessionAnalyses(
+    std::string name,
+    const std::vector<const SessionAnalysis *> &sessions)
 {
     core::AppFigureData result;
     result.name = std::move(name);
@@ -151,7 +168,8 @@ averageSessionAnalyses(std::string name,
     // figure bytes must not move under this refactor.
     std::vector<core::OverviewRow> rows;
     const auto n = static_cast<double>(sessions.size());
-    for (const SessionAnalysis &sa : sessions) {
+    for (const SessionAnalysis *session : sessions) {
+        const SessionAnalysis &sa = *session;
         rows.push_back(sa.overview);
         const auto cdf = core::resampleCdf(sa.cdf);
 

@@ -140,6 +140,14 @@ core::AppFigureData
 averageSessionAnalyses(std::string name,
                        const std::vector<SessionAnalysis> &sessions);
 
+/** Borrowing form: @p sessions points at analyses owned elsewhere
+ * (each pointer non-null). Byte-identical to averaging the
+ * pointed-to analyses by value. */
+core::AppFigureData
+averageSessionAnalyses(
+    std::string name,
+    const std::vector<const SessionAnalysis *> &sessions);
+
 } // namespace lag::engine
 
 #endif // LAG_ENGINE_INCREMENTAL_HH

@@ -60,15 +60,25 @@ IngestPipeline::IngestPipeline(ThreadPool &pool,
 
 IngestPipeline::~IngestPipeline() { stop(); }
 
+bool
+IngestPipeline::addSourceLocked(const std::string &path)
+{
+    for (const IngestSourceStatus &status : statuses_) {
+        if (status.path == path)
+            return false;
+    }
+    sources_.push_back(std::make_unique<Source>(path));
+    IngestSourceStatus status;
+    status.path = path;
+    statuses_.push_back(std::move(status));
+    return true;
+}
+
 void
 IngestPipeline::addSource(const std::string &path)
 {
     MutexLock lock(mutex_);
-    for (const auto &source : sources_) {
-        if (source->tailer.path() == path)
-            return;
-    }
-    sources_.push_back(std::make_unique<Source>(path));
+    addSourceLocked(path);
 }
 
 void
@@ -99,130 +109,136 @@ IngestPipeline::scanDirectory(const std::string &dir)
     // order, so replays publish in a stable sequence.
     std::sort(found.begin(), found.end());
     std::size_t added = 0;
+    MutexLock lock(mutex_);
     for (const std::string &path : found) {
-        MutexLock lock(mutex_);
-        bool known = false;
-        for (const auto &source : sources_) {
-            if (source->tailer.path() == path) {
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
-            sources_.push_back(std::make_unique<Source>(path));
+        if (addSourceLocked(path))
             ++added;
-        }
     }
     return added;
+}
+
+void
+IngestPipeline::advance(Work &work, std::uint64_t epoch_number)
+{
+    Source &source = *work.source;
+    obs::TraceContextScope scope(source.context);
+
+    trace::Trace snapshot;
+    {
+        LAG_SPAN("ingest.poll");
+        trace::TailStatus status = trace::TailStatus::Waiting;
+        try {
+            status = source.tailer.poll();
+        } catch (const trace::TraceError &e) {
+            // Quarantine: the file can never become valid, but the
+            // other sources keep flowing.
+            source.error = e.what();
+            warn("ingest: source '", source.tailer.path(),
+                 "' is corrupt: ", e.what());
+            return;
+        }
+        if (status == trace::TailStatus::Restarted) {
+            source.lastAnalyzedRecords = 0;
+            source.publishedComplete = false;
+        }
+        const std::uint64_t records = source.tailer.recordsDecoded();
+        const bool fresh = records != source.lastAnalyzedRecords ||
+                           source.tailer.complete();
+        if (!source.tailer.analyzable() || !fresh ||
+            source.publishedComplete)
+            return;
+        work.newRecords =
+            records - std::min(records, source.lastAnalyzedRecords);
+        source.lastAnalyzedRecords = records;
+        snapshot = source.tailer.snapshot();
+    }
+
+    LAG_SPAN_ARG("ingest.analyze", "events", snapshot.events.size());
+    try {
+        const core::Session session =
+            core::Session::fromTrace(std::move(snapshot));
+        IngestUpdate update;
+        update.path = source.tailer.path();
+        update.appName = session.meta().appName;
+        update.sessionIndex = session.meta().sessionIndex;
+        update.complete = source.tailer.complete();
+        update.epoch = epoch_number;
+        update.analysis =
+            analyzeSession(session, options_.perceptibleThreshold);
+        source.publishedComplete = update.complete;
+        ++source.epochsPublished;
+        work.update = std::move(update);
+    } catch (const trace::TraceError &e) {
+        source.error = e.what();
+        warn("ingest: source '", source.tailer.path(),
+             "' failed analysis: ", e.what());
+    }
 }
 
 std::size_t
 IngestPipeline::runEpoch()
 {
+    lag_assert(!epochRunning_.exchange(true),
+               "IngestPipeline epochs must not overlap");
     const std::int64_t epoch_start = processElapsedNs();
     LAG_SPAN("ingest.epoch");
 
-    std::vector<Pending> pending;
+    // Phase 1 — claim the epoch number and this epoch's sources.
+    std::vector<Work> work;
     std::uint64_t epoch_number = 0;
-    std::uint64_t new_records = 0;
-    std::uint64_t backlog = 0;
-
-    // Phase 1 — poll every tailer and snapshot the advanced ones.
     {
         MutexLock lock(mutex_);
         epoch_number = ++epoch_;
-        pending.reserve(sources_.size());
-        for (auto &source : sources_) {
-            if (!source->error.empty())
-                continue;
-            obs::TraceContextScope scope(source->context);
-            trace::TailStatus status = trace::TailStatus::Waiting;
-            try {
-                status = source->tailer.poll();
-            } catch (const trace::TraceError &e) {
-                // Quarantine: the file can never become valid, but
-                // the other sources keep flowing.
-                source->error = e.what();
-                warn("ingest: source '", source->tailer.path(),
-                     "' is corrupt: ", e.what());
-                continue;
-            }
-            if (status == trace::TailStatus::Restarted) {
-                source->lastAnalyzedRecords = 0;
-                source->publishedComplete = false;
-            }
-            backlog += source->tailer.backlogBytes();
-            const std::uint64_t records =
-                source->tailer.recordsDecoded();
-            const bool complete = source->tailer.complete();
-            const bool fresh =
-                records != source->lastAnalyzedRecords ||
-                (complete && !source->publishedComplete);
-            if (!source->tailer.analyzable() || !fresh ||
-                source->publishedComplete)
-                continue;
-            new_records += records - std::min(
-                records, source->lastAnalyzedRecords);
-            Pending item;
-            item.source = source.get();
-            item.snapshot = source->tailer.snapshot();
-            item.complete = complete;
-            item.update.path = source->tailer.path();
-            item.update.complete = complete;
-            item.update.epoch = epoch_number;
-            pending.push_back(std::move(item));
-            source->lastAnalyzedRecords = records;
+        work.reserve(sources_.size());
+        for (std::size_t i = 0; i < sources_.size(); ++i) {
+            if (sources_[i]->error.empty())
+                work.push_back(Work{i, sources_[i].get(), 0, {}});
         }
     }
 
-    // Phase 2 — analyze off-lock, fanned out across the pool. Each
-    // task writes only its own index-addressed slot.
-    parallelFor(pool_, pending.size(), [&](std::size_t i) {
-        Pending &item = pending[i];
-        obs::TraceContextScope scope(item.source->context);
-        LAG_SPAN_ARG("ingest.analyze", "events",
-                     item.snapshot.events.size());
-        try {
-            core::Session session =
-                core::Session::fromTrace(std::move(item.snapshot));
-            item.update.appName = session.meta().appName;
-            item.update.sessionIndex = session.meta().sessionIndex;
-            item.update.analysis = analyzeSession(
-                session, options_.perceptibleThreshold);
-            item.ok = true;
-        } catch (const trace::TraceError &e) {
-            item.error = e.what();
-        }
+    // Phase 2 — one pool task per source, no lock held. Each task
+    // touches only its own source and its own index-addressed slot.
+    parallelFor(pool_, work.size(), [&](std::size_t i) {
+        advance(work[i], epoch_number);
     });
 
-    // Phase 3 — commit per-source bookkeeping under the lock.
+    // Phase 3 — refresh the status copies readers see.
+    std::uint64_t new_records = 0;
+    std::uint64_t backlog = 0;
+    std::vector<IngestUpdate> updates;
     {
         MutexLock lock(mutex_);
-        for (Pending &item : pending) {
-            if (!item.ok) {
-                if (!item.error.empty()) {
-                    item.source->error = item.error;
-                    warn("ingest: source '", item.update.path,
-                         "' failed analysis: ", item.error);
-                }
-                continue;
+        for (Work &item : work) {
+            const Source &source = *item.source;
+            const trace::TraceTailer &tailer = source.tailer;
+            IngestSourceStatus &status = statuses_[item.index];
+            if (tailer.hasMeta()) {
+                status.appName = tailer.meta().appName;
+                status.sessionIndex = tailer.meta().sessionIndex;
             }
-            item.source->publishedComplete = item.complete;
-            ++item.source->epochsPublished;
+            status.analyzable = tailer.analyzable();
+            status.complete = tailer.complete();
+            status.cursorBytes = tailer.cursor();
+            status.knownSizeBytes = tailer.knownSize();
+            status.backlogBytes = tailer.backlogBytes();
+            status.recordsDecoded = tailer.recordsDecoded();
+            status.restarts = tailer.restarts();
+            status.epochsPublished = source.epochsPublished;
+            status.error = source.error;
+            if (source.error.empty())
+                backlog += tailer.backlogBytes();
+            new_records += item.newRecords;
+            if (item.update)
+                updates.push_back(std::move(*item.update));
         }
     }
 
-    // Phase 4 — publish with no pipeline lock held (the callback
-    // may take Serve-ranked locks above ours).
-    std::size_t published = 0;
-    for (Pending &item : pending) {
-        if (!item.ok)
-            continue;
-        obs::TraceContextScope scope(item.source->context);
-        LAG_SPAN("ingest.publish");
-        if (publish_)
-            publish_(item.update);
-        ++published;
+    // Phase 4 — publish the batch with no pipeline lock held (the
+    // callback may take Serve-ranked locks above ours).
+    const std::size_t published = updates.size();
+    if (published > 0 && publish_) {
+        LAG_SPAN_ARG("ingest.publish", "updates", published);
+        publish_(std::move(updates));
     }
 
     const std::int64_t lag_ms =
@@ -237,6 +253,7 @@ IngestPipeline::runEpoch()
     metrics.publishes.add(published);
     metrics.backlogBytes.set(static_cast<std::int64_t>(backlog));
     metrics.lagMs.set(lag_ms);
+    epochRunning_.store(false);
     return published;
 }
 
@@ -271,6 +288,8 @@ void
 IngestPipeline::driverLoop()
 {
     setThreadName("ingest-driver");
+    const std::int64_t period_ns = options_.epochMillis * 1'000'000;
+    std::int64_t next_start = processElapsedNs();
     for (;;) {
         {
             MutexLock lock(driverMutex_);
@@ -285,11 +304,23 @@ IngestPipeline::driverLoop()
         for (const std::string &dir : dirs)
             scanDirectory(dir);
         runEpoch();
+
+        // Start-to-start cadence: the next epoch begins one period
+        // after this one began, or at once if this one overran (no
+        // catch-up burst after a slow epoch).
+        next_start =
+            std::max(next_start + period_ns, processElapsedNs());
         MutexLock lock(driverMutex_);
-        if (stopRequested_)
-            return;
-        driverWake_.wait_for(
-            lock, std::chrono::milliseconds(options_.epochMillis));
+        for (;;) {
+            if (stopRequested_)
+                return;
+            const std::int64_t wait_ns =
+                next_start - processElapsedNs();
+            if (wait_ns <= 0)
+                break;
+            driverWake_.wait_for(lock,
+                                 std::chrono::nanoseconds(wait_ns));
+        }
     }
 }
 
@@ -297,10 +328,10 @@ bool
 IngestPipeline::allComplete() const
 {
     MutexLock lock(mutex_);
-    if (sources_.empty())
+    if (statuses_.empty())
         return false;
-    for (const auto &source : sources_) {
-        if (source->error.empty() && !source->tailer.complete())
+    for (const IngestSourceStatus &status : statuses_) {
+        if (status.error.empty() && !status.complete)
             return false;
     }
     return true;
@@ -317,37 +348,18 @@ std::vector<IngestSourceStatus>
 IngestPipeline::status() const
 {
     MutexLock lock(mutex_);
-    std::vector<IngestSourceStatus> out;
-    out.reserve(sources_.size());
-    for (const auto &source : sources_) {
-        IngestSourceStatus entry;
-        entry.path = source->tailer.path();
-        if (source->tailer.hasMeta()) {
-            entry.appName = source->tailer.meta().appName;
-            entry.sessionIndex = source->tailer.meta().sessionIndex;
-        }
-        entry.analyzable = source->tailer.analyzable();
-        entry.complete = source->tailer.complete();
-        entry.cursorBytes = source->tailer.cursor();
-        entry.knownSizeBytes = source->tailer.knownSize();
-        entry.backlogBytes = source->tailer.backlogBytes();
-        entry.recordsDecoded = source->tailer.recordsDecoded();
-        entry.restarts = source->tailer.restarts();
-        entry.epochsPublished = source->epochsPublished;
-        entry.error = source->error;
-        out.push_back(std::move(entry));
-    }
-    return out;
+    return statuses_;
 }
 
 std::string
 IngestPipeline::statusJson() const
 {
-    const std::vector<IngestSourceStatus> sources = status();
+    std::vector<IngestSourceStatus> sources;
     std::uint64_t epoch_number = 0;
     std::int64_t lag_ms = 0;
     {
         MutexLock lock(mutex_);
+        sources = statuses_;
         epoch_number = epoch_;
         lag_ms = lastEpochLagMs_;
     }

@@ -6,11 +6,12 @@
  * periodically cuts an **epoch**: poll every tailer for newly
  * appended records, rebuild the sessions that advanced, re-run the
  * full per-session analysis (engine::analyzeSession — the same
- * function the batch path uses), and hand each fresh
- * SessionAnalysis to the publish callback. The callback side (for
- * lagd, serve::HotStore::applyIngest) merges the partial-session v2
- * summaries into the hot aggregate with core::mergeAnalyses, so a
- * session is queryable while it is still running.
+ * function the batch path uses), and hand the epoch's fresh
+ * SessionAnalysis values to the publish callback as one batch. The
+ * callback side (for lagd, serve::HotStore::applyIngest) merges the
+ * partial-session v2 summaries into the hot aggregate with
+ * core::mergeAnalyses, once per touched app, so a session is
+ * queryable while it is still running.
  *
  * Batch-equivalence contract: once a source's writer finishes, the
  * tailer's snapshot is byte-for-byte the Trace the batch reader
@@ -21,10 +22,17 @@
  *
  * Epochs run either synchronously (runEpoch(), what the tests and
  * benchmarks drive) or on a driver thread (start()/stop(), what
- * `lagd --follow` uses). Analysis fans out across the provided
- * ThreadPool via parallelFor; the pipeline's own mutex
- * (LockRank::Ingest) is held only while polling tailers and
- * mutating status — never across analysis or publish.
+ * `lagd --follow` uses), never both at once. An epoch fans out one
+ * pool task per source: poll → snapshot → Session::fromTrace →
+ * analyzeSession, with no lock held. Only the epoch touches a
+ * tailer. The pipeline's mutex (LockRank::Ingest) guards the
+ * source list and a per-source IngestSourceStatus copy, which the
+ * epoch refreshes after the fan-out; status(), allComplete() and
+ * `/v1/ingest` read that copy, so they never wait for a poll. The
+ * lock is never held across the fan-out or the publish.
+ *
+ * The driver paces epochs start to start: an epoch begins every
+ * epochMillis, or at once when the previous one overran.
  *
  * A corrupt source (TraceError kind Corrupt) is quarantined: its
  * error is recorded in the status, the tailer is left where it
@@ -34,10 +42,12 @@
 #ifndef LAG_ENGINE_INGEST_HH
 #define LAG_ENGINE_INGEST_HH
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,8 +69,8 @@ struct IngestOptions
      * app::StudyConfig::perceptibleThreshold). */
     DurationNs perceptibleThreshold = 100'000'000;
 
-    /** Driver-thread epoch cadence for start(); runEpoch() callers
-     * pace themselves. */
+    /** Driver-thread epoch period for start(), start to start;
+     * runEpoch() callers pace themselves. */
     std::int64_t epochMillis = 100;
 };
 
@@ -96,11 +106,13 @@ struct IngestUpdate
 class IngestPipeline
 {
   public:
-    using PublishFn = std::function<void(const IngestUpdate &)>;
+    /** Receives one epoch's updates, in source order. */
+    using PublishFn = std::function<void(std::vector<IngestUpdate>)>;
 
     /** @param pool analysis fan-out substrate; @param publish
-     * receives every fresh analysis, called with no pipeline lock
-     * held (it may take higher-ranked locks, e.g. Serve). */
+     * receives each epoch's fresh analyses as one batch, called with
+     * no pipeline lock held (it may take higher-ranked locks, e.g.
+     * Serve) and not at all when nothing advanced. */
     IngestPipeline(ThreadPool &pool, IngestOptions options,
                    PublishFn publish);
 
@@ -121,14 +133,16 @@ class IngestPipeline
     std::size_t scanDirectory(const std::string &dir);
 
     /**
-     * Cut one epoch synchronously: poll every source, analyze the
-     * ones that advanced (in parallel on the pool), publish their
-     * updates. Returns the number of updates published.
+     * Cut one epoch synchronously: poll and analyze every source in
+     * parallel on the pool, refresh the status copies, publish the
+     * updates. Returns the number of updates published. Epochs must
+     * not overlap: call from one thread, and not while the driver
+     * thread runs.
      */
     std::size_t runEpoch();
 
-    /** Launch the driver thread: runEpoch every epochMillis, plus a
-     * directory rescan when follow directories are configured. */
+    /** Launch the driver thread: an epoch every epochMillis (start
+     * to start), each after a rescan of the follow directories. */
     void start();
 
     /** Stop and join the driver thread (idempotent). */
@@ -144,13 +158,17 @@ class IngestPipeline
     /** Epochs cut so far. */
     std::uint64_t epoch() const;
 
-    /** Per-source state snapshot. */
+    /** Per-source state as of the last epoch (a copy; never waits
+     * for a running epoch's polls). */
     std::vector<IngestSourceStatus> status() const;
 
     /** `/v1/ingest` body: epoch, totals and per-source state. */
     std::string statusJson() const;
 
   private:
+    /** One followed file. Everything here is owned by the epoch:
+     * only runEpoch() (and its one pool task for this source)
+     * touches it, so it needs no lock. */
     struct Source
     {
         explicit Source(const std::string &path)
@@ -166,16 +184,21 @@ class IngestPipeline
         std::string error;
     };
 
-    /** Work item carried from the poll phase to the analyze one. */
-    struct Pending
+    /** One source's share of an epoch, filled by its pool task. */
+    struct Work
     {
+        std::size_t index = 0; ///< into sources_ and statuses_
         Source *source = nullptr;
-        trace::Trace snapshot;
-        bool complete = false;
-        IngestUpdate update; ///< analysis filled in by the fan-out
-        bool ok = false;
-        std::string error; ///< analysis failure, if any
+        std::uint64_t newRecords = 0;
+        std::optional<IngestUpdate> update; ///< set when analyzed
     };
+
+    /** The pool task: poll, snapshot, build, analyze. */
+    void advance(Work &work, std::uint64_t epoch_number);
+
+    /** Add a source and its status copy; false if already known. */
+    bool addSourceLocked(const std::string &path)
+        LAG_REQUIRES(mutex_);
 
     void driverLoop();
 
@@ -187,9 +210,15 @@ class IngestPipeline
      * the driver — no lock needed. */
     bool driverRunning_ = false;
 
+    /** Set while an epoch runs; catches overlapping epochs. */
+    std::atomic<bool> epochRunning_{false};
+
     mutable Mutex mutex_{LockRank::Ingest, "engine-ingest"};
+    /** The list is guarded; each Source is epoch-owned (above). */
     std::vector<std::unique_ptr<Source>> sources_
         LAG_GUARDED_BY(mutex_);
+    /** Status copy per source (same index), refreshed per epoch. */
+    std::vector<IngestSourceStatus> statuses_ LAG_GUARDED_BY(mutex_);
     std::vector<std::string> directories_ LAG_GUARDED_BY(mutex_);
     std::uint64_t epoch_ LAG_GUARDED_BY(mutex_) = 0;
     std::int64_t lastEpochLagMs_ LAG_GUARDED_BY(mutex_) = 0;

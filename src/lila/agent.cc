@@ -1,6 +1,7 @@
 #include "agent.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -61,13 +62,16 @@ LilaAgent::beginSession(const std::string &app_name,
 {
     lag_assert(!session_open_, "beginSession with a session open");
     session_open_ = true;
-    trace_ = trace::Trace{};
-    trace_.meta.appName = app_name;
-    trace_.meta.sessionIndex = session_index;
-    trace_.meta.seed = seed;
-    trace_.meta.samplePeriod = sample_period;
-    trace_.meta.startTime = start_time;
-    trace_.meta.filterThreshold = config_.filterThreshold;
+    // Fill a named Trace and move it in: assigning a temporary
+    // `trace::Trace{}` trips GCC 12's -Wmaybe-uninitialized at -O3.
+    trace::Trace fresh;
+    fresh.meta.appName = app_name;
+    fresh.meta.sessionIndex = session_index;
+    fresh.meta.seed = seed;
+    fresh.meta.samplePeriod = sample_period;
+    fresh.meta.startTime = start_time;
+    fresh.meta.filterThreshold = config_.filterThreshold;
+    trace_ = std::move(fresh);
     episodes_seen_ = 0;
     pending_.clear();
     gc_open_outside_ = false;

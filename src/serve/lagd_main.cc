@@ -20,7 +20,8 @@
  *                (rescanned each epoch), publishing partial-session
  *                analyses into the hot store as the files grow;
  *                `/v1/ingest` exposes the per-source state;
- *  --epoch-ms    ingest epoch cadence in follow mode (default 100);
+ *  --epoch-ms    ingest epoch period in follow mode, start to start
+ *                (default 100);
  *  --port        listen port (default 8437, or LAGALYZER_SERVE_PORT;
  *                0 = ephemeral, see the printed line / --port-file);
  *  --port-file   write the bound port to PATH (atomic rename) once
@@ -46,6 +47,8 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "app/params.hh"
 #include "app/study.hh"
@@ -209,8 +212,8 @@ main(int argc, char **argv)
         ingest_options.epochMillis = epoch_ms;
         ingest = std::make_unique<engine::IngestPipeline>(
             pool, ingest_options,
-            [&store](const engine::IngestUpdate &update) {
-                store.applyIngest(update);
+            [&store](std::vector<engine::IngestUpdate> updates) {
+                store.applyIngest(std::move(updates));
             });
         ingest->addDirectory(follow_dir);
         ingest->scanDirectory(follow_dir);

@@ -1,5 +1,6 @@
 #include "store.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <utility>
 
@@ -142,43 +143,52 @@ HotStore::startFollow()
 }
 
 void
-HotStore::applyIngest(const engine::IngestUpdate &update)
+HotStore::applyIngest(std::vector<engine::IngestUpdate> updates)
 {
-    LAG_SPAN_ARG("serve.store.apply_ingest", "epoch", update.epoch);
+    LAG_SPAN_ARG("serve.store.apply_ingest", "updates",
+                 updates.size());
     static obs::Counter &applied =
         obs::metrics().counter("serve.ingest.applied");
+    static obs::Counter &rebuilds =
+        obs::metrics().counter("serve.ingest.app_rebuilds");
 
     MutexLock lock(mutex_);
     lag_assert(followMode_, "applyIngest() outside follow mode");
-    std::size_t a = appNames_.size();
-    for (std::size_t i = 0; i < appNames_.size(); ++i) {
-        if (appNames_[i] == update.appName) {
-            a = i;
-            break;
+    std::vector<std::size_t> touched;
+    for (engine::IngestUpdate &update : updates) {
+        const auto found = std::find(appNames_.begin(),
+                                     appNames_.end(), update.appName);
+        const auto a =
+            static_cast<std::size_t>(found - appNames_.begin());
+        if (found == appNames_.end()) {
+            appNames_.push_back(update.appName);
+            apps_.emplace_back();
+            liveSessions_.emplace_back();
         }
+        liveSessions_[a][update.path] = std::move(update.analysis);
+        if (std::find(touched.begin(), touched.end(), a) ==
+            touched.end())
+            touched.push_back(a);
     }
-    if (a == appNames_.size()) {
-        appNames_.push_back(update.appName);
-        apps_.emplace_back();
-        liveSessions_.emplace_back();
-    }
-    liveSessions_[a][update.path] = update.analysis;
-
-    // Rebuild the app's hot state from every live session's v2
+    // Rebuild each touched app once, from every live session's v2
     // summary — same merge/average functions as the batch path, so
-    // completion implies byte-equal query responses.
-    std::vector<core::PatternSetSummary> summaries;
-    std::vector<engine::SessionAnalysis> sessions;
-    summaries.reserve(liveSessions_[a].size());
-    sessions.reserve(liveSessions_[a].size());
-    for (const auto &[path, analysis] : liveSessions_[a]) {
-        summaries.push_back(analysis.patternSummary);
-        sessions.push_back(analysis);
+    // completion implies byte-equal query responses. The live
+    // analyses are borrowed, not copied.
+    for (const std::size_t a : touched) {
+        std::vector<const core::PatternSetSummary *> summaries;
+        std::vector<const engine::SessionAnalysis *> sessions;
+        summaries.reserve(liveSessions_[a].size());
+        sessions.reserve(liveSessions_[a].size());
+        for (const auto &[path, analysis] : liveSessions_[a]) {
+            summaries.push_back(&analysis.patternSummary);
+            sessions.push_back(&analysis);
+        }
+        apps_[a].merged = core::mergeAnalyses(summaries);
+        apps_[a].figures =
+            engine::averageSessionAnalyses(appNames_[a], sessions);
     }
-    apps_[a].merged = core::mergeAnalyses(summaries);
-    apps_[a].figures =
-        engine::averageSessionAnalyses(appNames_[a], sessions);
-    applied.add(1);
+    applied.add(updates.size());
+    rebuilds.add(touched.size());
 }
 
 RefreshResult

@@ -103,16 +103,19 @@ class HotStore
     void startFollow();
 
     /**
-     * Merge one published (partial- or complete-session) analysis
-     * into the hot state: the update replaces that trace file's
-     * previous contribution, then the app's MergedPatternSet and
-     * figure inputs are rebuilt via core::mergeAnalyses /
-     * engine::averageSessionAnalyses — the exact functions the
-     * batch path uses, which is what makes the served bytes equal
-     * the batch answer once every source completes. Called by the
+     * Merge one epoch's published (partial- or complete-session)
+     * analyses into the hot state: each update's analysis is moved
+     * in and replaces that trace file's previous contribution, then
+     * every touched app's MergedPatternSet and figure inputs are
+     * rebuilt once, from borrowed live analyses, via
+     * core::mergeAnalyses / engine::averageSessionAnalyses — the
+     * exact functions the batch path uses, which is what makes the
+     * served bytes equal the batch answer once every source
+     * completes. Bumps `serve.ingest.applied` per update and
+     * `serve.ingest.app_rebuilds` per rebuilt app. Called by the
      * IngestPipeline's publish callback (no ingest lock held).
      */
-    void applyIngest(const engine::IngestUpdate &update);
+    void applyIngest(std::vector<engine::IngestUpdate> updates);
 
     /** Register every endpoint on @p router:
      * GET /healthz, /metricsz (JSON, or Prometheus text via

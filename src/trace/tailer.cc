@@ -138,20 +138,22 @@ TraceTailer::poll()
 
     bool readAny = false;
     if (size > totalRead_) {
-        const std::uint64_t want = size - totalRead_;
-        std::string chunk(static_cast<std::size_t>(want), '\0');
+        // Read straight onto the end of the carry buffer.
+        const std::size_t base = buffer_.size();
+        buffer_.resize(base +
+                       static_cast<std::size_t>(size - totalRead_));
         in.seekg(static_cast<std::streamoff>(totalRead_));
-        in.read(chunk.data(),
-                static_cast<std::streamsize>(chunk.size()));
-        chunk.resize(static_cast<std::size_t>(in.gcount()));
-        if (!chunk.empty()) {
+        in.read(buffer_.data() + base,
+                static_cast<std::streamsize>(buffer_.size() - base));
+        const auto got = static_cast<std::size_t>(in.gcount());
+        buffer_.resize(base + got);
+        if (got > 0) {
             if (fingerprint_.size() < kFingerprintBytes) {
                 fingerprint_.append(
-                    chunk, 0,
+                    buffer_, base,
                     kFingerprintBytes - fingerprint_.size());
             }
-            totalRead_ += chunk.size();
-            buffer_ += chunk;
+            totalRead_ += got;
             readAny = true;
         }
     }
@@ -167,9 +169,13 @@ TraceTailer::poll()
 bool
 TraceTailer::drive()
 {
+    // Decode by offset and drop the consumed prefix once per call;
+    // erasing each record from the front would make one poll of n
+    // bytes cost O(n^2).
+    std::size_t offset = 0;
     bool any = false;
     while (stage_ != Stage::Complete) {
-        ByteReader r{std::string_view(buffer_)};
+        ByteReader r{std::string_view(buffer_).substr(offset)};
         const Stage before = stage_;
         try {
             if (!step(r))
@@ -177,15 +183,19 @@ TraceTailer::drive()
         } catch (const TraceError &e) {
             if (e.kind() == TraceErrorKind::Truncated)
                 break; // partial record at the tail; retry later
+            // Keep buffer_ in step with consumed_ even on the way
+            // out, so the carry never holds decoded records.
+            buffer_.erase(0, offset);
             throw;
         }
         const std::size_t used = r.position();
         if (before != Stage::FileHeader && used > 0)
-            hasher_.addBytes(buffer_.data(), used);
-        buffer_.erase(0, used);
+            hasher_.addBytes(buffer_.data() + offset, used);
+        offset += used;
         consumed_ += used;
         any = true;
     }
+    buffer_.erase(0, offset);
     return any;
 }
 
@@ -274,7 +284,7 @@ TraceTailer::step(ByteReader &r)
     }
     case Stage::Samples: {
         if (samplesDecoded_ == counts_.sampleCount) {
-            finalize();
+            finalize(r.remaining());
             stage_ = Stage::Complete;
             return true;
         }
@@ -330,18 +340,18 @@ TraceTailer::noteEvent(const TraceEvent &event)
 }
 
 void
-TraceTailer::finalize()
+TraceTailer::finalize(std::size_t unconsumed)
 {
     if (sampleThreadTotal_ != counts_.sampleThreadTotal ||
         frameTotal_ != counts_.frameTotal) {
         throw TraceError(
             "sample totals disagree with the section header");
     }
-    if (!buffer_.empty()) {
+    if (unconsumed > 0) {
         // All declared records are decoded but bytes follow; a
         // valid writer never produces this, so it cannot heal.
         throw TraceError("trailing garbage: " +
-                         std::to_string(buffer_.size()) +
+                         std::to_string(unconsumed) +
                          " bytes after trace payload");
     }
     if (hasher_.digest() != declaredChecksum_)

@@ -152,7 +152,9 @@ class TraceTailer
     bool drive();
     bool step(ByteReader &r);
     void noteEvent(const TraceEvent &event);
-    void finalize();
+    /** Verify the completed trace; @p unconsumed is the carry
+     * left after the last declared record. */
+    void finalize(std::size_t unconsumed);
     Trace makeTrace(bool wholePrefix) const;
 
     std::string path_;

@@ -57,11 +57,11 @@ enum class LockRank : int
     /** Ad-hoc client/test state built on top of the engine. */
     Client = 1000,
 
-    /** IngestPipeline source/status bookkeeping (engine/ingest).
-     * Above the pool ranks because an epoch polls tailers under it
-     * before fanning analysis out to the pool; below Serve because
-     * publish callbacks into serve::HotStore run with no ingest
-     * lock held at all (the pipeline drops it before publishing). */
+    /** IngestPipeline source list and status copies
+     * (engine/ingest). Held only to copy bookkeeping, never across
+     * a tailer poll, the pool fan-out or a publish; below Serve
+     * because publish callbacks into serve::HotStore run with no
+     * ingest lock held at all. */
     Ingest = 700,
 
     /** TaskGraph node bookkeeping (engine/graph). */

@@ -103,9 +103,15 @@ TEST(AggregateTest, EmptyInputMergesToEmptySet)
     EXPECT_EQ(merged.sessionCount, 0u);
     EXPECT_EQ(merged.recurringCount(), 0u);
 
-    const MergedPatternSet from_summaries = mergeAnalyses({});
+    // Both the owning and the borrowing summary forms.
+    const MergedPatternSet from_summaries =
+        mergeAnalyses(std::vector<PatternSetSummary>{});
     EXPECT_TRUE(from_summaries.patterns.empty());
     EXPECT_EQ(from_summaries.sessionCount, 0u);
+    const MergedPatternSet from_borrowed =
+        mergeAnalyses(std::vector<const PatternSetSummary *>{});
+    EXPECT_TRUE(from_borrowed.patterns.empty());
+    EXPECT_EQ(from_borrowed.sessionCount, 0u);
 }
 
 TEST(AggregateTest, MergeAnalysesMatchesMergePatternSets)
@@ -127,6 +133,21 @@ TEST(AggregateTest, MergeAnalysesMatchesMergePatternSets)
 
     const MergedPatternSet full = mergePatternSets(sets);
     const MergedPatternSet incremental = mergeAnalyses(summaries);
+
+    // The borrowing form merges the same summaries in place.
+    std::vector<const PatternSetSummary *> borrowed;
+    for (const PatternSetSummary &summary : summaries)
+        borrowed.push_back(&summary);
+    const MergedPatternSet in_place = mergeAnalyses(borrowed);
+    ASSERT_EQ(in_place.patterns.size(), full.patterns.size());
+    for (std::size_t i = 0; i < full.patterns.size(); ++i) {
+        EXPECT_EQ(in_place.patterns[i].signature,
+                  full.patterns[i].signature);
+        EXPECT_EQ(in_place.patterns[i].sessions,
+                  full.patterns[i].sessions);
+        EXPECT_EQ(in_place.patterns[i].totalLag,
+                  full.patterns[i].totalLag);
+    }
 
     ASSERT_EQ(incremental.patterns.size(), full.patterns.size());
     EXPECT_EQ(incremental.sessionCount, full.sessionCount);

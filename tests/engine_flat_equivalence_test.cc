@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <utility>
@@ -20,30 +19,18 @@
 #include "engine/parallel_analysis.hh"
 #include "engine/pool.hh"
 #include "engine/result_cache.hh"
+#include "scratch_dir.hh"
 
 namespace lag::engine
 {
 namespace
 {
 
-namespace fs = std::filesystem;
-
-/** Scoped cache directory: clean before and after the test. */
-struct CacheDir
-{
-    std::string path;
-
-    explicit CacheDir(std::string p) : path(std::move(p))
-    {
-        fs::remove_all(path);
-    }
-
-    ~CacheDir() { fs::remove_all(path); }
-};
+using test::ScratchDir;
 
 TEST(FlatEquivalence, EveryAppModelAnalyzesByteIdentically)
 {
-    const CacheDir dir("lagalyzer-cache-test-flat-equiv");
+    const ScratchDir dir("lagalyzer-cache-test-flat-equiv");
     app::StudyConfig config = app::StudyConfig::quickStudy(3);
     config.sessionsPerApp = 1;
     config.cacheDir = dir.path;
@@ -78,7 +65,7 @@ TEST(FlatEquivalence, EveryAppModelAnalyzesByteIdentically)
 
 TEST(FlatEquivalence, CacheRoundTripPreservesFlatResults)
 {
-    const CacheDir dir("lagalyzer-cache-test-flat-cache");
+    const ScratchDir dir("lagalyzer-cache-test-flat-cache");
     app::StudyConfig config = app::StudyConfig::quickStudy(3);
     config.apps.resize(1);
     config.sessionsPerApp = 1;

@@ -25,6 +25,7 @@
 #include "engine/pool.hh"
 #include "engine/result_cache.hh"
 #include "obs/metrics.hh"
+#include "scratch_dir.hh"
 
 namespace lag::engine
 {
@@ -32,19 +33,7 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-/** Scoped cache directory: clean before and after the test. */
-struct CacheDir
-{
-    std::string path;
-
-    explicit CacheDir(std::string p) : path(std::move(p))
-    {
-        fs::remove_all(path);
-    }
-
-    ~CacheDir() { fs::remove_all(path); }
-};
+using test::ScratchDir;
 
 /** A tiny quick study (first 2 apps) with a private cache dir. */
 app::StudyConfig
@@ -102,7 +91,7 @@ dumpMerged(const core::MergedPatternSet &set)
 
 TEST(EngineIncremental, MatchesDirectAnalysisAcrossCacheStates)
 {
-    const CacheDir dir("lagalyzer-cache-test-incr-equiv");
+    const ScratchDir dir("lagalyzer-cache-test-incr-equiv");
     app::Study study(tinyStudy(dir.path));
     const app::StudyConfig &config = study.config();
     const DurationNs threshold = config.perceptibleThreshold;
@@ -182,7 +171,7 @@ TEST(EngineIncremental, MatchesDirectAnalysisAcrossCacheStates)
 
 TEST(EngineIncremental, WarmCacheNeverTouchesTheDecoder)
 {
-    const CacheDir dir("lagalyzer-cache-test-incr-decoder");
+    const ScratchDir dir("lagalyzer-cache-test-incr-decoder");
     app::StudyConfig config = tinyStudy(dir.path);
     config.apps.resize(1);
     app::Study study(config);
@@ -217,7 +206,7 @@ TEST(EngineIncremental, WarmCacheNeverTouchesTheDecoder)
 
 TEST(EngineIncremental, OldVersionEntryReadsAsMiss)
 {
-    const CacheDir dir("lagalyzer-cache-test-incr-version");
+    const ScratchDir dir("lagalyzer-cache-test-incr-version");
     const ResultCache cache(dir.path, "fp");
     cache.store("App", 0, sampleAnalysis());
     const std::string path = cache.entryPath("App", 0);
@@ -249,7 +238,7 @@ TEST(EngineIncremental, OldVersionEntryReadsAsMiss)
 
 TEST(EngineIncremental, HostileAppNamesStayInTheAnalysisDir)
 {
-    const CacheDir dir("lagalyzer-cache-test-incr-hostile");
+    const ScratchDir dir("lagalyzer-cache-test-incr-hostile");
     const ResultCache cache(dir.path, "fp");
 
     const std::string hostile = "../../etc/pwn";
@@ -283,7 +272,7 @@ TEST(EngineIncremental, HostileAppNamesStayInTheAnalysisDir)
 
 TEST(EngineIncremental, EvictBooksFailedRemovalsAsKept)
 {
-    const CacheDir dir("lagalyzer-cache-test-incr-rmfail");
+    const ScratchDir dir("lagalyzer-cache-test-incr-rmfail");
     const ResultCache cache(dir.path, "fp");
     for (std::uint32_t s = 0; s < 3; ++s)
         cache.store("App", s, sampleAnalysis());
@@ -318,7 +307,7 @@ TEST(EngineIncremental, EvictBooksFailedRemovalsAsKept)
 
 TEST(EngineIncremental, EvictKeepsEntriesItCannotStat)
 {
-    const CacheDir dir("lagalyzer-cache-test-incr-statfail");
+    const ScratchDir dir("lagalyzer-cache-test-incr-statfail");
     const ResultCache cache(dir.path, "fp");
     cache.store("App", 0, sampleAnalysis());
 

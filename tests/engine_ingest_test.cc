@@ -11,38 +11,28 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "app/study.hh"
 #include "engine/ingest.hh"
 #include "engine/pool.hh"
 #include "engine/result_cache.hh"
+#include "obs/json_check.hh"
+#include "scratch_dir.hh"
+#include "trace/tailer.hh"
 
 namespace lag::engine
 {
 namespace
 {
 
-namespace fs = std::filesystem;
-
-/** Scoped scratch directory: clean before and after the test. */
-struct ScratchDir
-{
-    std::string path;
-
-    explicit ScratchDir(std::string p) : path(std::move(p))
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-
-    ~ScratchDir() { fs::remove_all(path); }
-};
+using test::ScratchDir;
 
 std::string
 slurp(const std::string &path)
@@ -58,14 +48,30 @@ struct Published
 {
     std::map<std::string, IngestUpdate> last;
     std::map<std::string, std::size_t> completeCount;
+    std::map<std::string, std::size_t> publishCount;
 
     void
-    accept(const IngestUpdate &update)
+    accept(std::vector<IngestUpdate> updates)
     {
-        last[update.path] = update;
-        if (update.complete)
-            ++completeCount[update.path];
+        ++batches;
+        for (IngestUpdate &update : updates) {
+            ++publishCount[update.path];
+            if (update.complete)
+                ++completeCount[update.path];
+            last[update.path] = std::move(update);
+        }
     }
+
+    /** Publish hook recording into this object. */
+    IngestPipeline::PublishFn
+    sink()
+    {
+        return [this](std::vector<IngestUpdate> updates) {
+            accept(std::move(updates));
+        };
+    }
+
+    std::size_t batches = 0; ///< publish calls (one per epoch)
 };
 
 /** Study fixture shared by the differential cases: one quick
@@ -121,10 +127,7 @@ runDifferential(std::size_t chunk, std::uint32_t jobs,
     Published published;
     IngestOptions options;
     options.perceptibleThreshold = fix.config.perceptibleThreshold;
-    IngestPipeline pipeline(
-        pool, options, [&published](const IngestUpdate &update) {
-            published.accept(update);
-        });
+    IngestPipeline pipeline(pool, options, published.sink());
 
     struct Stream
     {
@@ -262,11 +265,7 @@ TEST(IngestDifferential, KillAndResumeConvergesToSameBytes)
     // First pipeline sees the first half, then dies mid-follow.
     {
         Published published;
-        IngestPipeline dying(
-            pool, options,
-            [&published](const IngestUpdate &update) {
-                published.accept(update);
-            });
+        IngestPipeline dying(pool, options, published.sink());
         dying.addSource(dest);
         dying.runEpoch();
         EXPECT_FALSE(dying.allComplete());
@@ -281,10 +280,7 @@ TEST(IngestDifferential, KillAndResumeConvergesToSameBytes)
     // The replacement re-tails from byte zero and must converge on
     // exactly the batch analysis.
     Published published;
-    IngestPipeline resumed(
-        pool, options, [&published](const IngestUpdate &update) {
-            published.accept(update);
-        });
+    IngestPipeline resumed(pool, options, published.sink());
     resumed.addSource(dest);
     for (int i = 0; i < 10 && !resumed.allComplete(); ++i)
         resumed.runEpoch();
@@ -322,10 +318,7 @@ TEST(IngestDifferential, CorruptSourceIsQuarantined)
     IngestOptions options;
     options.perceptibleThreshold = fix.config.perceptibleThreshold;
     Published published;
-    IngestPipeline pipeline(
-        pool, options, [&published](const IngestUpdate &update) {
-            published.accept(update);
-        });
+    IngestPipeline pipeline(pool, options, published.sink());
     pipeline.addSource(badDest);
     pipeline.addSource(goodDest);
     for (int i = 0; i < 10 && !pipeline.allComplete(); ++i)
@@ -361,10 +354,7 @@ TEST(IngestDifferential, DirectoryScanPicksUpNewFiles)
     IngestOptions options;
     options.perceptibleThreshold = fix.config.perceptibleThreshold;
     Published published;
-    IngestPipeline pipeline(
-        pool, options, [&published](const IngestUpdate &update) {
-            published.accept(update);
-        });
+    IngestPipeline pipeline(pool, options, published.sink());
 
     EXPECT_EQ(pipeline.scanDirectory(live.path), 0u);
     EXPECT_FALSE(pipeline.allComplete()); // no sources yet
@@ -387,6 +377,115 @@ TEST(IngestDifferential, DirectoryScanPicksUpNewFiles)
     EXPECT_EQ(serializeSessionAnalysis(
                   published.last.at(dest).analysis),
               fix.batchBytes[0]);
+}
+
+TEST(IngestStatus, StatusCopyTracksTailersWhileReadersHammer)
+{
+    // Epochs run on this thread while a reader thread polls the
+    // status surface nonstop. Readers only take the pipeline lock to
+    // copy the per-source status, so they never wait for a poll;
+    // under TSan (engine label) this also proves the copy is the
+    // only state they share with the epoch.
+    StudyFixture &fix = fixture();
+    const ScratchDir live("lagalyzer-ingest-status");
+    std::vector<std::string> bytes = {slurp(fix.tracePaths[0][0]),
+                                      slurp(fix.tracePaths[1][0])};
+    std::vector<std::string> dests = {live.path + "/a.lag",
+                                      live.path + "/b.lag"};
+    std::string corrupt = bytes[0];
+    corrupt[0] = 'X';
+    const std::string badDest = live.path + "/bad.lag";
+    {
+        std::ofstream out(badDest, std::ios::binary | std::ios::trunc);
+        out.write(corrupt.data(),
+                  static_cast<std::streamsize>(corrupt.size()));
+    }
+
+    ThreadPool pool(4);
+    IngestOptions options;
+    options.perceptibleThreshold = fix.config.perceptibleThreshold;
+    Published published;
+    IngestPipeline pipeline(pool, options, published.sink());
+    for (const std::string &dest : dests)
+        pipeline.addSource(dest);
+    pipeline.addSource(badDest);
+
+    std::atomic<bool> done{false};
+    std::atomic<std::size_t> reads{0};
+    std::thread reader([&] {
+        while (!done.load()) {
+            const std::vector<IngestSourceStatus> statuses =
+                pipeline.status();
+            EXPECT_EQ(statuses.size(), 3u);
+            const std::string json = pipeline.statusJson();
+            EXPECT_TRUE(obs::checkJson(json).ok) << json;
+            (void)pipeline.allComplete();
+            (void)pipeline.epoch();
+            reads.fetch_add(1);
+        }
+    });
+
+    // Reference tailers see the same file bytes after each epoch, so
+    // their state is what each status copy must report.
+    std::vector<trace::TraceTailer> reference;
+    for (const std::string &dest : dests)
+        reference.emplace_back(dest);
+    std::vector<std::ofstream> outs;
+    for (const std::string &dest : dests)
+        outs.emplace_back(dest, std::ios::binary | std::ios::trunc);
+
+    constexpr std::size_t kSteps = 16;
+    for (std::size_t step = 1; step <= kSteps + 2; ++step) {
+        for (std::size_t i = 0; i < dests.size(); ++i) {
+            const std::size_t from =
+                std::min(bytes[i].size(),
+                         bytes[i].size() * (step - 1) / kSteps);
+            const std::size_t to = std::min(
+                bytes[i].size(), bytes[i].size() * step / kSteps);
+            outs[i].write(bytes[i].data() + from,
+                          static_cast<std::streamsize>(to - from));
+            outs[i].flush();
+        }
+        pipeline.runEpoch();
+
+        const std::vector<IngestSourceStatus> statuses =
+            pipeline.status();
+        ASSERT_EQ(statuses.size(), 3u);
+        for (std::size_t i = 0; i < dests.size(); ++i) {
+            trace::TraceTailer &ref = reference[i];
+            ref.poll();
+            const IngestSourceStatus &status = statuses[i];
+            EXPECT_EQ(status.path, dests[i]);
+            EXPECT_EQ(status.cursorBytes, ref.cursor()) << step;
+            EXPECT_EQ(status.recordsDecoded, ref.recordsDecoded())
+                << step;
+            EXPECT_EQ(status.complete, ref.complete()) << step;
+            EXPECT_EQ(status.analyzable, ref.analyzable()) << step;
+            EXPECT_EQ(status.epochsPublished,
+                      published.publishCount[dests[i]])
+                << step;
+            EXPECT_TRUE(status.error.empty());
+        }
+        const IngestSourceStatus &bad = statuses[2];
+        EXPECT_EQ(bad.path, badDest);
+        EXPECT_NE(bad.error.find("bad magic"), std::string::npos);
+        EXPECT_FALSE(bad.complete);
+        EXPECT_EQ(bad.epochsPublished, 0u);
+    }
+    done.store(true);
+    reader.join();
+
+    EXPECT_GT(reads.load(), 0u);
+    EXPECT_TRUE(pipeline.allComplete());
+    EXPECT_EQ(published.publishCount.count(badDest), 0u);
+    const std::string json = pipeline.statusJson();
+    EXPECT_NE(json.find("bad magic"), std::string::npos) << json;
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+        EXPECT_EQ(published.completeCount[dests[i]], 1u);
+        EXPECT_EQ(serializeSessionAnalysis(
+                      published.last.at(dests[i]).analysis),
+                  fix.batchBytes[i]);
+    }
 }
 
 } // namespace

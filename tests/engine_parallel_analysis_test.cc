@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,26 +20,14 @@
 #include "engine/pool.hh"
 #include "engine/result_cache.hh"
 #include "trace/io.hh"
+#include "scratch_dir.hh"
 
 namespace lag::engine
 {
 namespace
 {
 
-namespace fs = std::filesystem;
-
-/** Scoped cache directory: clean before and after the test. */
-struct CacheDir
-{
-    std::string path;
-
-    explicit CacheDir(std::string p) : path(std::move(p))
-    {
-        fs::remove_all(path);
-    }
-
-    ~CacheDir() { fs::remove_all(path); }
-};
+using test::ScratchDir;
 
 /** One short quick-study session to analyze. */
 core::Session
@@ -101,7 +88,7 @@ TEST(EpisodeShards, ShardCountScalesWithWorkersAndWork)
 
 TEST(ParallelAnalysis, ByteIdenticalAcrossWorkerCounts)
 {
-    const CacheDir dir("lagalyzer-cache-test-par-analysis");
+    const ScratchDir dir("lagalyzer-cache-test-par-analysis");
     const core::Session session = testSession(dir.path);
     const DurationNs threshold = msToNs(100);
 
@@ -119,7 +106,7 @@ TEST(ParallelAnalysis, ByteIdenticalAcrossWorkerCounts)
 
 TEST(ParallelAnalysis, MinedPatternsMatchSerialMiner)
 {
-    const CacheDir dir("lagalyzer-cache-test-par-mine");
+    const ScratchDir dir("lagalyzer-cache-test-par-mine");
     const core::Session session = testSession(dir.path);
     const DurationNs threshold = msToNs(100);
 
@@ -155,7 +142,7 @@ TEST(ParallelAnalysis, MinedPatternsMatchSerialMiner)
 
 TEST(ParallelAnalysis, MappedAndStreamDecodesAnalyzeIdentically)
 {
-    const CacheDir dir("lagalyzer-cache-test-par-mmap");
+    const ScratchDir dir("lagalyzer-cache-test-par-mmap");
     app::StudyConfig config = app::StudyConfig::quickStudy(5);
     config.apps.resize(1);
     config.cacheDir = dir.path;
@@ -178,7 +165,7 @@ TEST(ParallelAnalysis, MappedAndStreamDecodesAnalyzeIdentically)
 
 TEST(ParallelAnalysis, ArenaAndHeapSessionsAnalyzeIdentically)
 {
-    const CacheDir dir("lagalyzer-cache-test-par-arena");
+    const ScratchDir dir("lagalyzer-cache-test-par-arena");
     app::StudyConfig config = app::StudyConfig::quickStudy(5);
     config.apps.resize(1);
     config.cacheDir = dir.path;

@@ -20,6 +20,7 @@
 #include "app/study.hh"
 #include "engine/result_cache.hh"
 #include "trace/io.hh"
+#include "scratch_dir.hh"
 
 namespace lag::engine
 {
@@ -27,6 +28,7 @@ namespace
 {
 
 namespace fs = std::filesystem;
+using test::ScratchDir;
 
 std::string
 readFileBytes(const std::string &path)
@@ -48,19 +50,6 @@ testStudy(const std::string &cache_dir, std::uint32_t jobs)
     config.jobs = jobs;
     return config;
 }
-
-/** Scoped cache directory: clean before and after the test. */
-struct CacheDir
-{
-    std::string path;
-
-    explicit CacheDir(std::string p) : path(std::move(p))
-    {
-        fs::remove_all(path);
-    }
-
-    ~CacheDir() { fs::remove_all(path); }
-};
 
 /** A hand-built analysis with every field populated. */
 SessionAnalysis
@@ -99,8 +88,8 @@ sampleAnalysis()
 
 TEST(EngineStudy, ParallelOutputMatchesSerialByteForByte)
 {
-    const CacheDir serialDir("lagalyzer-cache-test-serial");
-    const CacheDir parallelDir("lagalyzer-cache-test-parallel");
+    const ScratchDir serialDir("lagalyzer-cache-test-serial");
+    const ScratchDir parallelDir("lagalyzer-cache-test-parallel");
 
     app::Study serial(testStudy(serialDir.path, 1));
     app::Study parallel(testStudy(parallelDir.path, 8));
@@ -157,7 +146,7 @@ TEST(EngineStudy, SessionAnalysisSerializationRoundTrips)
 
 TEST(EngineStudy, ResultCacheRoundTrips)
 {
-    const CacheDir dir("lagalyzer-cache-test-rescache");
+    const ScratchDir dir("lagalyzer-cache-test-rescache");
     const ResultCache cache(dir.path, "fp-1");
 
     EXPECT_FALSE(cache.load("App", 0).has_value()) << "cold miss";
@@ -177,7 +166,7 @@ TEST(EngineStudy, ResultCacheRoundTrips)
 
 TEST(EngineStudy, DamagedCacheEntryReadsAsMiss)
 {
-    const CacheDir dir("lagalyzer-cache-test-damage");
+    const ScratchDir dir("lagalyzer-cache-test-damage");
     const ResultCache cache(dir.path, "fp");
     cache.store("App", 3, sampleAnalysis());
     const std::string path = cache.entryPath("App", 3);
@@ -214,7 +203,7 @@ TEST(EngineStudy, DamagedCacheEntryReadsAsMiss)
 
 TEST(EngineStudy, EvictDropsStaleFingerprintEntries)
 {
-    const CacheDir dir("lagalyzer-cache-test-evict-stale");
+    const ScratchDir dir("lagalyzer-cache-test-evict-stale");
     const ResultCache oldGen(dir.path, "fp-old");
     oldGen.store("App", 0, sampleAnalysis());
     oldGen.store("App", 1, sampleAnalysis());
@@ -242,7 +231,7 @@ TEST(EngineStudy, EvictDropsStaleFingerprintEntries)
 
 TEST(EngineStudy, EvictEnforcesByteAndAgeBudgets)
 {
-    const CacheDir dir("lagalyzer-cache-test-evict-budget");
+    const ScratchDir dir("lagalyzer-cache-test-evict-budget");
     const ResultCache cache(dir.path, "fp");
     for (std::uint32_t s = 0; s < 3; ++s)
         cache.store("App", s, sampleAnalysis());
@@ -281,7 +270,7 @@ TEST(EngineStudy, EvictEnforcesByteAndAgeBudgets)
 
 TEST(EngineStudy, TruncatedTraceIsResimulated)
 {
-    const CacheDir dir("lagalyzer-cache-test-truncated");
+    const ScratchDir dir("lagalyzer-cache-test-truncated");
     app::StudyConfig config = testStudy(dir.path, 2);
     config.apps.resize(1);
     app::Study study(config);
@@ -309,7 +298,7 @@ TEST(EngineStudy, TruncatedTraceIsResimulated)
 
 TEST(EngineStudy, ManifestRewriteLeavesNoTempFile)
 {
-    const CacheDir dir("lagalyzer-cache-test-manifest");
+    const ScratchDir dir("lagalyzer-cache-test-manifest");
     app::StudyConfig config = testStudy(dir.path, 2);
     config.apps.resize(1);
 

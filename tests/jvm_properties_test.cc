@@ -37,8 +37,13 @@ randomTree(Rng &rng, int depth)
         node.kind = ActivityKind::Native;
     else
         node.kind = ActivityKind::Plain;
-    node.frame = Frame{"app.C" + std::to_string(rng.uniformInt(0, 9)),
-                       "m" + std::to_string(rng.uniformInt(0, 4))};
+    // append(), not `"literal" + std::to_string(...)`: GCC 12 at -O3
+    // raises a false -Wrestrict on the latter.
+    node.frame =
+        Frame{std::string("app.C").append(
+                  std::to_string(rng.uniformInt(0, 9))),
+              std::string("m").append(
+                  std::to_string(rng.uniformInt(0, 4)))};
     node.selfCost = rng.uniformInt(usToNs(10), usToNs(800));
     node.allocBytes = static_cast<std::uint64_t>(
         rng.uniformInt(0, 64 << 10));

@@ -10,41 +10,31 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "app/study.hh"
 #include "core/aggregate.hh"
 #include "core/figure_json.hh"
+#include "engine/incremental.hh"
 #include "engine/ingest.hh"
 #include "engine/pool.hh"
 #include "engine/result_cache.hh"
 #include "obs/json_check.hh"
+#include "obs/metrics.hh"
 #include "serve/router.hh"
 #include "serve/store.hh"
+#include "scratch_dir.hh"
 
 namespace lag::serve
 {
 namespace
 {
 
-namespace fs = std::filesystem;
-
-/** Scoped scratch directory: clean before and after the test. */
-struct ScratchDir
-{
-    std::string path;
-
-    explicit ScratchDir(std::string p) : path(std::move(p))
-    {
-        fs::remove_all(path);
-        fs::create_directories(path);
-    }
-
-    ~ScratchDir() { fs::remove_all(path); }
-};
+using test::ScratchDir;
 
 std::string
 slurp(const std::string &path)
@@ -111,8 +101,9 @@ TEST(ServeIngest, FollowModeConvergesToBatchPatterns)
     engine::IngestOptions options;
     options.perceptibleThreshold = config.perceptibleThreshold;
     engine::IngestPipeline pipeline(
-        pool, options, [&store](const engine::IngestUpdate &update) {
-            store.applyIngest(update);
+        pool, options,
+        [&store](std::vector<engine::IngestUpdate> updates) {
+            store.applyIngest(std::move(updates));
         });
 
     Router router;
@@ -209,6 +200,90 @@ TEST(ServeIngest, FollowModeConvergesToBatchPatterns)
     EXPECT_TRUE(obs::checkJson(response.body).ok);
     EXPECT_NE(response.body.find("\"recomputed\""),
               std::string::npos);
+}
+
+TEST(ServeIngest, OneEpochRebuildsEachTouchedAppOnce)
+{
+    // One epoch publishes all four sessions of one app as a single
+    // batch; the store must merge them into that app exactly once
+    // and still serve the batch answer.
+    const ScratchDir cache("lagalyzer-cache-test-serve-batch");
+    const ScratchDir live("lagalyzer-serve-ingest-batch");
+
+    app::StudyConfig config = app::StudyConfig::quickStudy(3);
+    config.apps.resize(1);
+    config.sessionsPerApp = 4;
+    config.cacheDir = cache.path;
+    config.jobs = 2;
+    app::Study study(config);
+    const auto tracePaths = study.ensureTraces();
+
+    // Batch reference over the sessions in index order, which is
+    // also the path order the store merges live sessions in.
+    std::vector<engine::SessionAnalysis> analyses;
+    for (std::uint32_t s = 0; s < config.sessionsPerApp; ++s) {
+        analyses.push_back(engine::analyzeSession(
+            study.loadSession(0, s), config.perceptibleThreshold));
+        const std::string bytes = slurp(tracePaths[0][s]);
+        writeBytes(live.path + "/session" + std::to_string(s) + ".lag",
+                   bytes, bytes.size());
+    }
+    std::vector<core::PatternSetSummary> summaries;
+    for (const engine::SessionAnalysis &analysis : analyses)
+        summaries.push_back(analysis.patternSummary);
+    const std::string name = config.apps[0].name;
+    const std::string expectedPatterns = core::patternsJson(
+        name, core::mergeAnalyses(summaries), "episodes", 0);
+    const std::string expectedCdf = core::cdfJson(
+        name, engine::averageSessionAnalyses(name, analyses)
+                  .cdfEpisodesAtPatternPercent);
+
+    engine::ThreadPool pool(config.jobs);
+    HotStore store(config, pool);
+    store.startFollow();
+    engine::IngestOptions options;
+    options.perceptibleThreshold = config.perceptibleThreshold;
+    std::size_t batches = 0;
+    engine::IngestPipeline pipeline(
+        pool, options,
+        [&store, &batches](std::vector<engine::IngestUpdate> updates) {
+            ++batches;
+            store.applyIngest(std::move(updates));
+        });
+    Router router;
+    store.installRoutes(router);
+
+    const auto counter = [](std::string_view metric) {
+        return obs::metrics().snapshot().counterValue(metric);
+    };
+    const std::uint64_t rebuildsBefore =
+        counter("serve.ingest.app_rebuilds");
+    const std::uint64_t appliedBefore =
+        counter("serve.ingest.applied");
+
+    EXPECT_EQ(pipeline.scanDirectory(live.path), 4u);
+    EXPECT_EQ(pipeline.runEpoch(), 4u);
+    ASSERT_TRUE(pipeline.allComplete());
+    EXPECT_EQ(batches, 1u);
+    EXPECT_EQ(counter("serve.ingest.applied") - appliedBefore, 4u);
+    EXPECT_EQ(counter("serve.ingest.app_rebuilds") - rebuildsBefore,
+              1u)
+        << "one epoch must rebuild its one touched app once";
+
+    const HttpResponse patterns =
+        router.dispatch(getRequest("/v1/patterns", {{"app", name}}));
+    EXPECT_EQ(patterns.status, 200);
+    EXPECT_EQ(patterns.body, expectedPatterns);
+    const HttpResponse cdf =
+        router.dispatch(getRequest("/v1/cdf", {{"app", name}}));
+    EXPECT_EQ(cdf.status, 200);
+    EXPECT_EQ(cdf.body, expectedCdf);
+
+    // Nothing advanced: no publish, no rebuild.
+    EXPECT_EQ(pipeline.runEpoch(), 0u);
+    EXPECT_EQ(batches, 1u);
+    EXPECT_EQ(counter("serve.ingest.app_rebuilds") - rebuildsBefore,
+              1u);
 }
 
 } // namespace

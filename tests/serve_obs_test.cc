@@ -17,7 +17,6 @@
 
 #include <chrono>
 #include <cstddef>
-#include <filesystem>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -38,26 +37,14 @@
 #include "serve/router.hh"
 #include "serve/server.hh"
 #include "serve/store.hh"
+#include "scratch_dir.hh"
 
 namespace lag::serve
 {
 namespace
 {
 
-namespace fs = std::filesystem;
-
-/** Scoped cache directory: clean before and after the test. */
-struct CacheDir
-{
-    std::string path;
-
-    explicit CacheDir(std::string p) : path(std::move(p))
-    {
-        fs::remove_all(path);
-    }
-
-    ~CacheDir() { fs::remove_all(path); }
-};
+using test::ScratchDir;
 
 /** A tiny quick study (first 2 apps, 2 sessions each) with a
  * private cache dir. */
@@ -140,7 +127,7 @@ TEST(ServeObs, ColdLoadStampsEngineSpansWithTheRequestTrace)
 {
     armRecorder();
     const SpansOn on;
-    const CacheDir cache_dir("lagalyzer-cache-serve-obs-trace");
+    const ScratchDir cache_dir("lagalyzer-cache-serve-obs-trace");
     ObsServer live(tinyStudy(cache_dir.path));
     const obs::TraceContext ctx = live.loadTrace;
 
@@ -182,7 +169,7 @@ TEST(ServeObs, ColdLoadStampsEngineSpansWithTheRequestTrace)
 TEST(ServeObs, MetricsEndpointServesPromOnRequest)
 {
     armRecorder();
-    const CacheDir cache_dir("lagalyzer-cache-serve-obs-prom");
+    const ScratchDir cache_dir("lagalyzer-cache-serve-obs-prom");
     ObsServer live(tinyStudy(cache_dir.path));
 
     // Default stays the bespoke JSON dump.
@@ -225,7 +212,7 @@ TEST(ServeObs, MetricsAcceptHeaderNegotiatesProm)
 {
     // Content negotiation is pure dispatch logic — no live server
     // or loaded store needed.
-    const CacheDir cache_dir("lagalyzer-cache-serve-obs-accept");
+    const ScratchDir cache_dir("lagalyzer-cache-serve-obs-accept");
     engine::ThreadPool pool(2);
     HotStore store(tinyStudy(cache_dir.path), pool);
     Router router;
@@ -261,7 +248,7 @@ TEST(ServeObs, TraceHeaderCorrelatesWithDebugRequests)
 {
     armRecorder();
     const SpansOn on;
-    const CacheDir cache_dir("lagalyzer-cache-serve-obs-debug");
+    const ScratchDir cache_dir("lagalyzer-cache-serve-obs-debug");
     ObsServer live(tinyStudy(cache_dir.path));
 
     // Every response names its request's trace id.

@@ -30,6 +30,7 @@
 #include "serve/router.hh"
 #include "serve/server.hh"
 #include "serve/store.hh"
+#include "scratch_dir.hh"
 
 namespace lag::serve
 {
@@ -37,19 +38,7 @@ namespace
 {
 
 namespace fs = std::filesystem;
-
-/** Scoped cache directory: clean before and after the test. */
-struct CacheDir
-{
-    std::string path;
-
-    explicit CacheDir(std::string p) : path(std::move(p))
-    {
-        fs::remove_all(path);
-    }
-
-    ~CacheDir() { fs::remove_all(path); }
-};
+using test::ScratchDir;
 
 /** A tiny quick study (first 2 apps, 2 sessions each) with a
  * private cache dir — small enough that the full load and the cold
@@ -176,7 +165,7 @@ struct LiveServer
 
 TEST(ServeStore, ResponsesByteIdenticalToBatchReference)
 {
-    const CacheDir cache_dir("lagalyzer-cache-serve-equiv-test");
+    const ScratchDir cache_dir("lagalyzer-cache-serve-equiv-test");
     const app::StudyConfig config = tinyStudy(cache_dir.path);
 
     LiveServer live(config);
@@ -295,7 +284,7 @@ TEST(ServeStore, ResponsesByteIdenticalToBatchReference)
 
 TEST(ServeStore, RefreshRecomputesExactlyTheDirtiedApp)
 {
-    const CacheDir cache_dir("lagalyzer-cache-serve-refresh-test");
+    const ScratchDir cache_dir("lagalyzer-cache-serve-refresh-test");
     const app::StudyConfig config = tinyStudy(cache_dir.path);
 
     LiveServer live(config);

@@ -248,11 +248,15 @@ TEST_P(RandomTraceRoundTrip, Stable)
         TimeNs t = begin;
         for (int d = 0; d < depth; ++d) {
             t += rng.uniformInt(1, usToNs(100));
+            // append(), not `"c" + std::to_string(...)`: GCC 12 at
+            // -O3 raises a false -Wrestrict on the latter.
             builder.intervalBegin(
                 t,
                 static_cast<IntervalKind>(rng.uniformInt(0, 3)),
-                "c" + std::to_string(rng.uniformInt(0, 5)),
-                "m" + std::to_string(rng.uniformInt(0, 5)));
+                std::string("c").append(
+                    std::to_string(rng.uniformInt(0, 5))),
+                std::string("m").append(
+                    std::to_string(rng.uniformInt(0, 5))));
         }
         TimeNs end = t + rng.uniformInt(usToNs(100), msToNs(20));
         for (int d = depth - 1; d >= 0; --d) {

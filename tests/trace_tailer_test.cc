@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -145,6 +146,42 @@ TEST(TraceTailerTest, EveryPrefixEitherWaitsOrAdvances)
 
     // Idle polls after completion stay Complete.
     EXPECT_EQ(tailer.poll(), TailStatus::Complete);
+}
+
+TEST(TraceTailerTest, OnePollOverMultiMegabyteTraceMatchesBatch)
+{
+    // One poll decodes a whole multi-MB file from a single carry
+    // buffer. The decoder consumes records by offset and trims the
+    // buffer once per poll; trimming it once per record would make
+    // this poll quadratic in the file size.
+    test::TraceBuilder builder;
+    constexpr int kEpisodes = 40'000;
+    for (int i = 0; i < kEpisodes; ++i) {
+        const TimeNs begin = msToNs(10) * i;
+        builder.listenerEpisode(begin + usToNs(100),
+                                begin + msToNs(5),
+                                "app.Widget" + std::to_string(i % 64));
+        builder.sample(begin + msToNs(2), TraceThreadState::Runnable);
+    }
+    const std::string bytes =
+        serializeTrace(builder.build(msToNs(10) * (kEpisodes + 1)));
+    ASSERT_GT(bytes.size(), std::size_t{4} << 20);
+
+    const TailFile file("tailer_test_multi_mb.lag");
+    file.writePrefix(bytes, bytes.size());
+    TraceTailer tailer(file.path);
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_EQ(tailer.poll(), TailStatus::Complete);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    // Linear decode takes milliseconds here, even instrumented; the
+    // quadratic carry moved gigabytes and took tens of seconds.
+    EXPECT_LT(elapsed, std::chrono::seconds(10));
+
+    EXPECT_EQ(tailer.cursor(), bytes.size());
+    EXPECT_EQ(tailer.backlogBytes(), 0u);
+    const std::string streamed = serializeTrace(tailer.snapshot());
+    EXPECT_EQ(streamed, serializeTrace(readTraceFile(file.path)));
+    EXPECT_EQ(streamed, bytes);
 }
 
 TEST(TraceTailerTest, SnapshotBeforeAnalyzableThrowsTruncated)
