@@ -10,6 +10,7 @@
  * model: the deepest perceptible episode of session 0.
  */
 
+#include <cstdint>
 #include <iostream>
 
 #include "app/catalog.hh"
@@ -37,8 +38,8 @@ main()
     for (const auto &episode : session.episodes()) {
         if (episode.duration() < msToNs(100))
             continue;
-        const std::size_t depth =
-            session.episodeRoot(episode).depth();
+        const std::size_t depth = core::flatDepth(
+            session.episodeTree(episode), session.episodeRoot(episode));
         if (depth > best_depth) {
             best_depth = depth;
             chosen = &episode;
@@ -47,13 +48,15 @@ main()
     if (chosen == nullptr)
         fatal("no perceptible GanttProject episode found");
 
-    const auto &root = session.episodeRoot(*chosen);
+    const core::FlatTree &tree = session.episodeTree(*chosen);
+    const std::uint32_t root = session.episodeRoot(*chosen);
     std::cout << "Figure 2: GanttProject episode sketch (paper: "
                  "average Descs 18, Depth 12 across patterns)\n\n"
               << "Chosen episode: duration "
               << formatDurationNs(chosen->duration())
               << ", interval-tree depth " << best_depth
-              << ", descendants " << root.descendantCount() << "\n";
+              << ", descendants " << core::flatDescendantCount(tree, root)
+              << "\n";
 
     viz::SketchOptions options;
     options.title = "Figure 2: GanttProject deep paint nesting";

@@ -1,32 +1,30 @@
 /**
  * @file
- * Analysis hot-path microbenchmarks: flat layout vs node trees.
+ * Analysis hot-path microbenchmarks on the flat interval layout.
  *
- * Each run prints one JSON line per kernel comparing the node-tree
- * implementation against its flat-slice twin on the same cached
- * 60 s GanttProject session:
+ * Each run prints one JSON line per kernel, measured on the same
+ * cached 60 s GanttProject session:
  *
- *  - `flat_build`            cost of flattenSession itself
- *  - `sig_mpatterns_per_s`   signature hashing (patternSignature +
- *                            fnv1a vs one-pass flatSignatureHash),
- *                            millions of signatures per second
- *  - `walk_mnodes_per_s`     structural walks (descendantCount,
- *                            depth, GC typeTime), millions of
- *                            logical nodes walked per second
+ *  - `sig_mpatterns_per_s`   one-pass signature hashing
+ *                            (flatSignatureHash), millions of
+ *                            signatures per second
+ *  - `walk_mnodes_per_s`     structural walks (descendant count,
+ *                            depth, GC time), millions of logical
+ *                            nodes walked per second
  *  - `classify_mepisodes_per_s`  trigger classification
- *                            (episodeTrigger vs flatEpisodeTrigger,
- *                            SIMD under LAG_SIMD), millions of
- *                            episodes per second
+ *                            (flatEpisodeTrigger, SIMD under
+ *                            LAG_SIMD), millions of episodes per
+ *                            second
  *  - `merge_mepisodes_per_s` the serial shard-merge tail of the
  *                            parallel miner (PatternMiner::merge
- *                            over 8 flat-mined shards)
+ *                            over 8 mined shards)
  *
- * Before timing anything, every kernel's node and flat results are
- * compared on every episode; any mismatch prints to stderr and the
- * process exits nonzero, so `ctest -L perf` doubles as an
- * equivalence smoke. `--smoke` runs few iterations (CI); the full
- * run uses enough repetitions for stable rates. Record full-run
- * lines in EXPERIMENTS.md when the hot path changes.
+ * Before timing anything, every episode's signature string is
+ * checked against its one-pass hash; a mismatch prints to stderr
+ * and the process exits nonzero, so `ctest -L perf` doubles as a
+ * smoke of the hot path. `--smoke` runs few iterations (CI); the
+ * full run uses enough repetitions for stable rates. Record
+ * full-run lines in EXPERIMENTS.md when the hot path changes.
  */
 
 #include <benchmark/benchmark.h>
@@ -43,7 +41,6 @@
 #include "app/session_runner.hh"
 #include "core/flat_simd.hh"
 #include "core/flat_tree.hh"
-#include "core/location.hh"
 #include "core/pattern.hh"
 #include "core/triggers.hh"
 #include "trace/io.hh"
@@ -54,13 +51,12 @@ namespace
 
 using namespace lag;
 
-/** One cached 60 s GanttProject session and its flat layout. */
+/** One cached 60 s GanttProject session. */
 struct Fixture
 {
     core::Session session;
-    core::FlatSession flat;
+    const core::FlatSession &flat;
     std::size_t episodes;
-    std::uint64_t nodes;
 
     Fixture()
         : session([] {
@@ -70,11 +66,8 @@ struct Fixture
               return core::Session::fromTrace(
                   app::runSession(params, 0).trace);
           }()),
-          flat(core::flattenSession(session)),
-          episodes(session.episodes().size()), nodes(0)
+          flat(session.flat()), episodes(session.episodes().size())
     {
-        for (const core::FlatTree &tree : flat.trees())
-            nodes += tree.size();
     }
 
     static const Fixture &
@@ -98,54 +91,28 @@ timedMs(const Fn &fn)
 }
 
 /**
- * Node-vs-flat equivalence over every episode: signature hash and
- * string, structural walks, native/GC times and trigger class must
- * agree exactly. Returns false (after printing the first mismatch)
- * when they do not.
+ * Every episode's one-pass signature hash must equal the FNV-1a of
+ * its materialized signature string. Returns false (after printing
+ * the first mismatch) when they do not.
  */
 bool
-verifyEquivalence(const Fixture &f)
+verifySignatures(const Fixture &f)
 {
-    const auto &episodes = f.session.episodes();
     const auto &strings = f.session.strings();
     const auto &trees = f.flat.trees();
     core::FlatSigStack scratch;
-    std::string flatSig;
+    std::string sig;
     for (std::size_t i = 0; i < f.episodes; ++i) {
-        const core::IntervalNode &root =
-            f.session.episodeRoot(episodes[i]);
         const core::FlatTree &tree = trees[f.flat.episodeTree(i)];
         const std::uint32_t node = f.flat.episodeNode(i);
-
-        const std::string nodeSig =
-            core::patternSignature(root, strings);
-        flatSig.clear();
-        core::flatSignatureString(tree, node, strings, flatSig,
-                                  scratch);
-        const std::uint64_t flatHash =
-            core::flatSignatureHash(tree, node, strings, scratch);
-        if (flatSig != nodeSig || flatHash != fnv1a(nodeSig)) {
+        sig.clear();
+        core::flatSignatureString(tree, node, strings, sig, scratch);
+        if (core::flatSignatureHash(tree, node, strings, scratch) !=
+            fnv1a(sig)) {
             std::fprintf(stderr,
-                         "episode %zu: signature mismatch "
-                         "(node \"%s\", flat \"%s\")\n",
-                         i, nodeSig.c_str(), flatSig.c_str());
-            return false;
-        }
-        if (core::flatDescendantCount(tree, node) !=
-                root.descendantCount() ||
-            core::flatDepth(tree, node) != root.depth() ||
-            core::flatTypeTime(tree, node, core::IntervalType::Gc) !=
-                root.typeTime(core::IntervalType::Gc) ||
-            core::flatNativeTimeExcludingGc(tree, node) !=
-                core::nativeTimeExcludingGc(root)) {
-            std::fprintf(stderr,
-                         "episode %zu: walk mismatch\n", i);
-            return false;
-        }
-        if (core::flatEpisodeTrigger(tree, node) !=
-            core::episodeTrigger(root)) {
-            std::fprintf(stderr,
-                         "episode %zu: trigger mismatch\n", i);
+                         "episode %zu: signature hash mismatch "
+                         "(\"%s\")\n",
+                         i, sig.c_str());
             return false;
         }
     }
@@ -153,42 +120,10 @@ verifyEquivalence(const Fixture &f)
 }
 
 void
-reportFlatBuild(const Fixture &f, int reps)
-{
-    const double ms = timedMs([&] {
-        for (int r = 0; r < reps; ++r) {
-            const core::FlatSession flat =
-                core::flattenSession(f.session);
-            benchmark::DoNotOptimize(flat.trees().data());
-        }
-    }) / reps;
-    std::printf(
-        "{\"bench\":\"flat_build\",\"trees\":%llu,\"nodes\":%llu,"
-        "\"build_ms\":%.3f,\"mnodes_per_s\":%.1f}\n",
-        static_cast<unsigned long long>(f.flat.trees().size()),
-        static_cast<unsigned long long>(f.nodes), ms,
-        ms > 0.0 ? static_cast<double>(f.nodes) / (ms * 1e3) : 0.0);
-    std::fflush(stdout);
-}
-
-void
 reportSignatureHashing(const Fixture &f, int reps)
 {
-    const auto &episodes = f.session.episodes();
     const auto &strings = f.session.strings();
     const auto &trees = f.flat.trees();
-
-    std::uint64_t nodeSum = 0;
-    const double node_ms = timedMs([&] {
-        for (int r = 0; r < reps; ++r) {
-            for (std::size_t i = 0; i < f.episodes; ++i) {
-                const std::string sig = core::patternSignature(
-                    f.session.episodeRoot(episodes[i]), strings);
-                nodeSum += fnv1a(sig);
-            }
-        }
-    }) / reps;
-    benchmark::DoNotOptimize(nodeSum);
 
     std::uint64_t flatSum = 0;
     core::FlatSigStack scratch;
@@ -206,25 +141,21 @@ reportSignatureHashing(const Fixture &f, int reps)
     const double m = static_cast<double>(f.episodes) / 1e6;
     std::printf(
         "{\"bench\":\"sig_mpatterns_per_s\",\"episodes\":%llu,"
-        "\"reps\":%d,\"node\":%.3f,\"flat\":%.3f,"
-        "\"speedup\":%.2f}\n",
+        "\"reps\":%d,\"flat\":%.3f}\n",
         static_cast<unsigned long long>(f.episodes), reps,
-        node_ms > 0.0 ? m / (node_ms / 1e3) : 0.0,
-        flat_ms > 0.0 ? m / (flat_ms / 1e3) : 0.0,
-        flat_ms > 0.0 ? node_ms / flat_ms : 0.0);
+        flat_ms > 0.0 ? m / (flat_ms / 1e3) : 0.0);
     std::fflush(stdout);
 }
 
 void
 reportStructuralWalks(const Fixture &f, int reps)
 {
-    const auto &episodes = f.session.episodes();
     const auto &trees = f.flat.trees();
 
     // Logical work per pass: every episode node visited once per
-    // walk kind (count, depth, GC time). The flat side answers two
-    // of the three in O(1); the rate measures work accomplished,
-    // not instructions retired — that asymmetry is the point.
+    // walk kind (count, depth, GC time). Two of the three are O(1)
+    // on the flat layout; the rate measures work accomplished, not
+    // instructions retired.
     std::uint64_t episodeNodes = 0;
     for (std::size_t i = 0; i < f.episodes; ++i) {
         episodeNodes += core::flatDescendantCount(
@@ -232,20 +163,6 @@ reportStructuralWalks(const Fixture &f, int reps)
                             f.flat.episodeNode(i)) +
                         1;
     }
-
-    std::uint64_t nodeSum = 0;
-    const double node_ms = timedMs([&] {
-        for (int r = 0; r < reps; ++r) {
-            for (std::size_t i = 0; i < f.episodes; ++i) {
-                const core::IntervalNode &root =
-                    f.session.episodeRoot(episodes[i]);
-                nodeSum += root.descendantCount() + root.depth() +
-                           static_cast<std::uint64_t>(
-                               root.typeTime(core::IntervalType::Gc));
-            }
-        }
-    }) / reps;
-    benchmark::DoNotOptimize(nodeSum);
 
     std::uint64_t flatSum = 0;
     const double flat_ms = timedMs([&] {
@@ -268,31 +185,15 @@ reportStructuralWalks(const Fixture &f, int reps)
     const double m = 3.0 * static_cast<double>(episodeNodes) / 1e6;
     std::printf(
         "{\"bench\":\"walk_mnodes_per_s\",\"logical_mnodes\":%.3f,"
-        "\"reps\":%d,\"node\":%.1f,\"flat\":%.1f,"
-        "\"speedup\":%.2f}\n",
-        m, reps, node_ms > 0.0 ? m / (node_ms / 1e3) : 0.0,
-        flat_ms > 0.0 ? m / (flat_ms / 1e3) : 0.0,
-        flat_ms > 0.0 ? node_ms / flat_ms : 0.0);
+        "\"reps\":%d,\"flat\":%.1f}\n",
+        m, reps, flat_ms > 0.0 ? m / (flat_ms / 1e3) : 0.0);
     std::fflush(stdout);
 }
 
 void
 reportClassification(const Fixture &f, int reps)
 {
-    const auto &episodes = f.session.episodes();
     const auto &trees = f.flat.trees();
-
-    std::uint64_t nodeSum = 0;
-    const double node_ms = timedMs([&] {
-        for (int r = 0; r < reps; ++r) {
-            for (std::size_t i = 0; i < f.episodes; ++i) {
-                nodeSum += static_cast<std::uint64_t>(
-                    core::episodeTrigger(
-                        f.session.episodeRoot(episodes[i])));
-            }
-        }
-    }) / reps;
-    benchmark::DoNotOptimize(nodeSum);
 
     std::uint64_t flatSum = 0;
     const double flat_ms = timedMs([&] {
@@ -316,13 +217,10 @@ reportClassification(const Fixture &f, int reps)
     const double m = static_cast<double>(f.episodes) / 1e6;
     std::printf(
         "{\"bench\":\"classify_mepisodes_per_s\",\"episodes\":%llu,"
-        "\"reps\":%d,\"simd\":%s,\"node\":%.3f,\"flat\":%.3f,"
-        "\"speedup\":%.2f}\n",
+        "\"reps\":%d,\"simd\":%s,\"flat\":%.3f}\n",
         static_cast<unsigned long long>(f.episodes), reps,
         simd ? "true" : "false",
-        node_ms > 0.0 ? m / (node_ms / 1e3) : 0.0,
-        flat_ms > 0.0 ? m / (flat_ms / 1e3) : 0.0,
-        flat_ms > 0.0 ? node_ms / flat_ms : 0.0);
+        flat_ms > 0.0 ? m / (flat_ms / 1e3) : 0.0);
     std::fflush(stdout);
 }
 
@@ -330,8 +228,8 @@ void
 reportSummaryMerge(const Fixture &f, int reps)
 {
     // The merge step of the sharded miner: mine 8 shards once (off
-    // the clock, on the flat path), then time reducing copies of
-    // them — the serial tail every parallel mine pays.
+    // the clock), then time reducing copies of them — the serial
+    // tail every parallel mine pays.
     constexpr std::size_t kShards = 8;
     const core::PatternMiner miner(msToNs(100));
     std::vector<core::PatternShard> shards;
@@ -340,7 +238,7 @@ reportSummaryMerge(const Fixture &f, int reps)
         const std::size_t begin = f.episodes * s / kShards;
         const std::size_t end = f.episodes * (s + 1) / kShards;
         shards.push_back(
-            miner.mineRange(f.session, f.flat, begin, end));
+            miner.mineRange(f.session, begin, end));
     }
 
     std::size_t patternSum = 0;
@@ -376,11 +274,10 @@ main(int argc, char **argv)
     }
 
     const Fixture &f = Fixture::get();
-    if (!verifyEquivalence(f))
+    if (!verifySignatures(f))
         return 1;
 
     const int reps = smoke ? 3 : 100;
-    reportFlatBuild(f, smoke ? 3 : 20);
     reportSignatureHashing(f, reps);
     reportStructuralWalks(f, reps);
     reportClassification(f, reps);

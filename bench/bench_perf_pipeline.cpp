@@ -16,10 +16,11 @@
  * comparing serial and parallel wall time. Set
  * LAGALYZER_SKIP_SPEEDUP=1 to skip that (it simulates traces).
  *
- * More JSON lines quantify the zero-copy decode and arena session
+ * More JSON lines quantify the zero-copy decode and the session
  * build: `decode_mb_per_s` (mmap vs stream, with per-decode
  * allocation counts and bytes as the copy proxy), `session_build_ms`
- * (arena vs heap) and `episode_shard_speedup` (within-session
+ * (the one-pass flat build, with its allocations) and
+ * `episode_shard_speedup` (within-session
  * sharded analysis vs serial), plus `obs_pipeline` (pool steal
  * ratio, cache hit rate, queue-depth high-water mark from the
  * always-on metrics registry). `--smoke` prints only those lines
@@ -69,8 +70,8 @@ namespace
 
 /**
  * Process-wide allocation counters. The container runs this bench
- * on a single core, so wall time can't show the zero-copy and arena
- * wins directly; heap traffic (allocation count and bytes, a proxy
+ * on a single core, so wall time can't show the zero-copy wins
+ * directly; heap traffic (allocation count and bytes, a proxy
  * for bytes copied) is the hardware-independent measure the JSON
  * lines report.
  * @{
@@ -371,52 +372,34 @@ reportDecodeThroughput(const Fixture &f, int iterations)
 }
 
 /**
- * Session build time and heap traffic, arena vs plain heap, as one
- * JSON line. `alloc_count_speedup` is the malloc-pressure win of
- * the arena + exact-reserve build.
+ * Session build time and heap traffic as one JSON line: the one-pass
+ * flat build from already decoded traces (decoding stays off the
+ * clock).
  */
 void
 reportSessionBuild(const Fixture &f, int iterations)
 {
-    const auto buildPass = [&](bool use_arena, double &ms,
-                               AllocSnapshot &allocs) {
-        core::SessionBuildOptions options;
-        options.useArena = use_arena;
-        const AllocSnapshot start = allocNow();
-        ms = timedMs([&] {
-            for (int i = 0; i < iterations; ++i) {
-                trace::Trace t = trace::deserializeTrace(f.bytes);
-                core::Session s =
-                    core::Session::fromTrace(std::move(t), options);
-                benchmark::DoNotOptimize(s.episodes().data());
-            }
-        });
-        allocs = allocSince(start);
-        allocs.count /= static_cast<std::uint64_t>(iterations);
-        allocs.bytes /= static_cast<std::uint64_t>(iterations);
-        ms /= iterations;
-    };
+    std::vector<trace::Trace> traces;
+    traces.reserve(static_cast<std::size_t>(iterations));
+    for (int i = 0; i < iterations; ++i)
+        traces.push_back(trace::deserializeTrace(f.bytes));
 
-    double arena_ms = 0.0;
-    double heap_ms = 0.0;
-    AllocSnapshot arena;
-    AllocSnapshot heap;
-    buildPass(true, arena_ms, arena);
-    buildPass(false, heap_ms, heap);
+    const AllocSnapshot start = allocNow();
+    const double ms = timedMs([&] {
+        for (trace::Trace &t : traces) {
+            core::Session s = core::Session::fromTrace(std::move(t));
+            benchmark::DoNotOptimize(s.episodes().data());
+        }
+    }) / iterations;
+    AllocSnapshot allocs = allocSince(start);
+    allocs.count /= static_cast<std::uint64_t>(iterations);
+    allocs.bytes /= static_cast<std::uint64_t>(iterations);
 
     std::printf(
-        "{\"bench\":\"session_build_ms\",\"arena_ms\":%.2f,"
-        "\"heap_ms\":%.2f,\"arena_allocs\":%llu,"
-        "\"heap_allocs\":%llu,\"arena_alloc_bytes\":%llu,"
-        "\"heap_alloc_bytes\":%llu,\"alloc_count_speedup\":%.2f}\n",
-        arena_ms, heap_ms,
-        static_cast<unsigned long long>(arena.count),
-        static_cast<unsigned long long>(heap.count),
-        static_cast<unsigned long long>(arena.bytes),
-        static_cast<unsigned long long>(heap.bytes),
-        arena.count > 0 ? static_cast<double>(heap.count) /
-                              static_cast<double>(arena.count)
-                        : 0.0);
+        "{\"bench\":\"session_build_ms\",\"build_ms\":%.2f,"
+        "\"allocs\":%llu,\"alloc_bytes\":%llu}\n",
+        ms, static_cast<unsigned long long>(allocs.count),
+        static_cast<unsigned long long>(allocs.bytes));
     std::fflush(stdout);
 }
 

@@ -1,8 +1,5 @@
 #include "interval.hh"
 
-#include <algorithm>
-#include <string>
-
 #include "util/logging.hh"
 
 namespace lag::core
@@ -32,75 +29,6 @@ fromTraceKind(trace::IntervalKind kind)
       case trace::IntervalKind::Async:    return IntervalType::Async;
     }
     lag_panic("unknown trace interval kind");
-}
-
-void
-throwIntervalTooDeep()
-{
-    throw trace::TraceError(
-        "interval tree exceeds maximum nesting depth (" +
-        std::to_string(kMaxIntervalDepth) + ")");
-}
-
-namespace
-{
-
-std::size_t
-descendantCountGuarded(const IntervalNode &node, std::size_t depth)
-{
-    if (depth >= kMaxIntervalDepth)
-        throwIntervalTooDeep();
-    std::size_t count = node.children.size();
-    for (const auto &child : node.children)
-        count += descendantCountGuarded(child, depth + 1);
-    return count;
-}
-
-std::size_t
-depthGuarded(const IntervalNode &node, std::size_t depth)
-{
-    if (depth >= kMaxIntervalDepth)
-        throwIntervalTooDeep();
-    std::size_t deepest = 0;
-    for (const auto &child : node.children)
-        deepest = std::max(deepest, depthGuarded(child, depth + 1));
-    return deepest + 1;
-}
-
-DurationNs
-typeTimeGuarded(const IntervalNode &node, IntervalType wanted,
-                std::size_t depth)
-{
-    if (depth >= kMaxIntervalDepth)
-        throwIntervalTooDeep();
-    DurationNs total = 0;
-    for (const auto &child : node.children) {
-        if (child.type == wanted)
-            total += child.duration();
-        else
-            total += typeTimeGuarded(child, wanted, depth + 1);
-    }
-    return total;
-}
-
-} // namespace
-
-std::size_t
-IntervalNode::descendantCount() const
-{
-    return descendantCountGuarded(*this, 0);
-}
-
-std::size_t
-IntervalNode::depth() const
-{
-    return depthGuarded(*this, 0);
-}
-
-DurationNs
-IntervalNode::typeTime(IntervalType wanted) const
-{
-    return typeTimeGuarded(*this, wanted, 0);
 }
 
 } // namespace lag::core

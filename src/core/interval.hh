@@ -1,56 +1,39 @@
 /**
  * @file
- * Interval trees: LagAlyzer's central data structure.
+ * Interval types: LagAlyzer's central vocabulary.
  *
  * The paper's Table I defines six interval types; LagAlyzer
  * represents the activity of each thread as a tree of properly
  * nested intervals of these types (paper §II.A). GC intervals are
  * special: because a collection stops the world, a copy of each GC
- * interval is added to every thread's tree.
+ * interval is added to every thread's tree. The trees themselves are
+ * stored flat, in preorder arrays (flat_tree.hh), built straight
+ * from the trace by Session::fromTrace.
  */
 
 #ifndef LAG_CORE_INTERVAL_HH
 #define LAG_CORE_INTERVAL_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "trace/trace.hh"
-#include "util/arena.hh"
-#include "util/types.hh"
 
 namespace lag::core
 {
 
-struct IntervalNode;
-
-/** Allocator for interval-tree storage; default-constructed = heap. */
-using IntervalAllocator = ArenaAllocator<IntervalNode>;
-
 /**
- * Vector of interval nodes.  A default-constructed IntervalVec
- * allocates from the global heap (hand-built trees in tests and
- * benchmarks need nothing special); Session::fromTrace seeds its
- * builders with an arena-backed allocator, which propagates through
- * container moves so the whole tree lands in the session's arena.
- */
-using IntervalVec = std::vector<IntervalNode, IntervalAllocator>;
-
-/**
- * Hard bound on interval-tree nesting depth.  The node-tree walks
- * (descendantCount, depth, typeTime, signature emission) recurse on
- * the C stack, so a hostile trace nesting millions of intervals
- * would otherwise overflow it — UB instead of an error.
- * Session::fromTrace rejects deeper traces up front with a
- * TraceError, and the walks themselves throw TraceError past this
- * bound as a second line of defense for hand-built trees.  The flat
- * walks (flat_tree.hh) are iterative and take any depth.
+ * Hard bound on interval nesting depth, counted over a thread's
+ * non-GC intervals.  Every walk over the flat layout is iterative,
+ * so the bound no longer guards the C stack; it is an input
+ * contract.  It keeps the set of traces Session::fromTrace accepts
+ * unchanged, and it caps what a hostile trace can make the builder
+ * and the walks hold per thread: the open-interval stack and the
+ * depth-tracking scratch of flatDepth and the signature walk.
+ * Deeper traces are rejected with a TraceError before any other
+ * nesting error is reported.
  */
 inline constexpr std::size_t kMaxIntervalDepth = 1000;
-
-/** Fail a node-tree walk that nests past kMaxIntervalDepth: throws
- * trace::TraceError, which beats silently running off the C stack. */
-[[noreturn]] void throwIntervalTooDeep();
 
 /** The six interval types of Table I. */
 enum class IntervalType : std::uint8_t
@@ -68,43 +51,6 @@ const char *intervalTypeName(IntervalType type);
 
 /** Map a trace interval kind to the core interval type. */
 IntervalType fromTraceKind(trace::IntervalKind kind);
-
-/** One node of a thread's interval tree. */
-struct IntervalNode
-{
-    IntervalType type = IntervalType::Dispatch;
-    TimeNs begin = 0;
-    TimeNs end = 0;
-
-    /** Symbolic information (class, method); 0 for Dispatch/Gc. */
-    SymbolId classSym = 0;
-    SymbolId methodSym = 0;
-
-    /** Minor/major; meaningful for Gc nodes only. */
-    trace::TraceGcKind gcKind = trace::TraceGcKind::Minor;
-
-    IntervalVec children;
-
-    DurationNs duration() const { return end - begin; }
-
-    /** True when [other.begin, other.end] lies within this node. */
-    bool
-    contains(TimeNs b, TimeNs e) const
-    {
-        return begin <= b && e <= end;
-    }
-
-    /** Number of descendants (excluding this node). */
-    std::size_t descendantCount() const;
-
-    /** Depth of the subtree; a leaf has depth 1. */
-    std::size_t depth() const;
-
-    /** Total duration of descendants with the given type.
-     * Nested same-type descendants are not double counted: once a
-     * node of the type is found, its subtree is not descended. */
-    DurationNs typeTime(IntervalType type) const;
-};
 
 } // namespace lag::core
 

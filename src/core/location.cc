@@ -29,26 +29,6 @@ LocationTally::finish() const
 namespace
 {
 
-/** Guarded recursion body of nativeTimeExcludingGc. */
-DurationNs
-nativeTimeExcludingGcGuarded(const IntervalNode &root,
-                             std::size_t nesting)
-{
-    if (nesting >= kMaxIntervalDepth)
-        throwIntervalTooDeep();
-    DurationNs total = 0;
-    for (const auto &child : root.children) {
-        if (child.type == IntervalType::Native) {
-            // The whole native interval counts once; subtract any
-            // collections that ran inside it.
-            total += child.duration() - child.typeTime(IntervalType::Gc);
-        } else if (child.type != IntervalType::Gc) {
-            total += nativeTimeExcludingGcGuarded(child, nesting + 1);
-        }
-    }
-    return total;
-}
-
 /** Sample-based app/library split for one episode: classify the
  * innermost GUI-thread frame of each sample (paper §IV.D). */
 void
@@ -95,12 +75,6 @@ applyEpisode(LocationCounts &counts, const Episode &episode,
 } // namespace
 
 DurationNs
-nativeTimeExcludingGc(const IntervalNode &root)
-{
-    return nativeTimeExcludingGcGuarded(root, 0);
-}
-
-DurationNs
 flatNativeTimeExcludingGc(const FlatTree &tree, std::uint32_t root)
 {
     DurationNs total = 0;
@@ -129,32 +103,7 @@ countLocation(const Session &session, std::size_t begin,
 {
     LocationCounts counts;
     const auto &episodes = session.episodes();
-
-    for (std::size_t i = begin; i < end; ++i) {
-        const Episode &episode = episodes[i];
-        const IntervalNode &root = session.episodeRoot(episode);
-        const bool perceptible =
-            episode.duration() >= perceptible_threshold;
-
-        const DurationNs gc_time = root.typeTime(IntervalType::Gc);
-        const DurationNs native_time = nativeTimeExcludingGc(root);
-
-        std::size_t app = 0;
-        std::size_t lib = 0;
-        countGuiSamples(session, episode, app, lib);
-        applyEpisode(counts, episode, perceptible, app, lib, gc_time,
-                     native_time);
-    }
-    return counts;
-}
-
-LocationCounts
-countLocation(const Session &session, const FlatSession &flat,
-              std::size_t begin, std::size_t end,
-              DurationNs perceptible_threshold)
-{
-    LocationCounts counts;
-    const auto &episodes = session.episodes();
+    const FlatSession &flat = session.flat();
     const auto &trees = flat.trees();
 
     for (std::size_t i = begin; i < end; ++i) {

@@ -45,12 +45,9 @@ struct LocationAnalysisResult
     LocationShares perceptible;
 };
 
-/** Time spent in Native intervals below @p root, excluding any GC
- * time nested inside them. */
-DurationNs nativeTimeExcludingGc(const IntervalNode &root);
-
-/** Flat-layout twin of nativeTimeExcludingGc: one skip-scan over
- * the root's preorder slice, no recursion. */
+/** Time spent in Native intervals below flat node @p root,
+ * excluding any GC time nested inside them: one skip-scan over the
+ * root's preorder slice, no recursion. */
 DurationNs flatNativeTimeExcludingGc(const FlatTree &tree,
                                      std::uint32_t root);
 
@@ -96,17 +93,10 @@ struct LocationCounts
     }
 };
 
-/** Tally location data over episodes [begin, end). */
+/** Tally location data over episodes [begin, end).  The GC and
+ * native interval times come from flat scans of the episode trees;
+ * the app/library split comes from the samples. */
 LocationCounts countLocation(const Session &session, std::size_t begin,
-                             std::size_t end,
-                             DurationNs perceptible_threshold);
-
-/** Flat-tree overload of countLocation; byte-identical counts.  The
- * sample-based app/library split is unchanged (it never walks the
- * trees); the GC and native interval times come from flat scans.
- * @p flat must be flattenSession(session). */
-LocationCounts countLocation(const Session &session,
-                             const FlatSession &flat, std::size_t begin,
                              std::size_t end,
                              DurationNs perceptible_threshold);
 

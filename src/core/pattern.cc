@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace lag::core
@@ -11,76 +10,6 @@ namespace lag::core
 
 namespace
 {
-
-/** Append the signature of @p node (and descendants) to @p out.
- * Guarded against runaway nesting; the flat emission path
- * (flat_tree.hh) is iterative and needs no guard. */
-void
-appendSignature(const IntervalNode &node,
-                const trace::StringTable &strings, std::string &out,
-                std::size_t nesting)
-{
-    if (nesting >= kMaxIntervalDepth)
-        throwIntervalTooDeep();
-    switch (node.type) {
-      case IntervalType::Dispatch: out += 'D'; break;
-      case IntervalType::Listener: out += 'L'; break;
-      case IntervalType::Paint:    out += 'P'; break;
-      case IntervalType::Native:   out += 'N'; break;
-      case IntervalType::Async:    out += 'A'; break;
-      case IntervalType::Gc:
-        lag_panic("GC nodes are excluded before signature emission");
-    }
-    if (node.classSym != 0 || node.methodSym != 0) {
-        out += '[';
-        out += strings.lookup(node.classSym);
-        out += '.';
-        out += strings.lookup(node.methodSym);
-        out += ']';
-    }
-    bool any_child = false;
-    for (const auto &child : node.children) {
-        if (child.type == IntervalType::Gc)
-            continue;
-        if (!any_child) {
-            out += '(';
-            any_child = true;
-        }
-        appendSignature(child, strings, out, nesting + 1);
-    }
-    if (any_child)
-        out += ')';
-}
-
-/** Non-GC descendant count. */
-std::size_t
-nonGcDescendants(const IntervalNode &node, std::size_t nesting)
-{
-    if (nesting >= kMaxIntervalDepth)
-        throwIntervalTooDeep();
-    std::size_t count = 0;
-    for (const auto &child : node.children) {
-        if (child.type == IntervalType::Gc)
-            continue;
-        count += 1 + nonGcDescendants(child, nesting + 1);
-    }
-    return count;
-}
-
-/** Depth of the tree ignoring GC nodes; a leaf counts 1. */
-std::size_t
-nonGcDepth(const IntervalNode &node, std::size_t nesting)
-{
-    if (nesting >= kMaxIntervalDepth)
-        throwIntervalTooDeep();
-    std::size_t deepest = 0;
-    for (const auto &child : node.children) {
-        if (child.type == IntervalType::Gc)
-            continue;
-        deepest = std::max(deepest, nonGcDepth(child, nesting + 1));
-    }
-    return deepest + 1;
-}
 
 OccurrenceClass
 classify(std::size_t perceptible, std::size_t total)
@@ -109,12 +38,12 @@ occurrenceClassName(OccurrenceClass cls)
 }
 
 std::string
-patternSignature(const IntervalNode &root,
-                 const trace::StringTable &strings)
+patternSignature(const Session &session, std::size_t episode)
 {
-    std::string out;
-    appendSignature(root, strings, out, 0);
-    return out;
+    const FlatSession &flat = session.flat();
+    return flatSignatureString(flat.trees()[flat.episodeTree(episode)],
+                               flat.episodeNode(episode),
+                               session.strings());
 }
 
 std::size_t
@@ -166,74 +95,6 @@ PatternMiner::mineRange(const Session &session, std::size_t begin,
     shard.beginEpisode = begin;
     shard.endEpisode = end;
 
-    std::unordered_map<std::string, std::size_t> index;
-
-    for (std::size_t i = begin; i < end; ++i) {
-        const IntervalNode &root = session.episodeRoot(episodes[i]);
-        if (root.children.empty()) {
-            // "We exclude episodes that have no internal structure"
-            // (paper §IV.A).
-            ++shard.structurelessEpisodes;
-            continue;
-        }
-        std::string signature =
-            patternSignature(root, session.strings());
-
-        const auto [it, inserted] =
-            index.emplace(signature, shard.patterns.size());
-        if (inserted) {
-            Pattern pattern;
-            pattern.key = fnv1a(signature);
-            pattern.signature = std::move(signature);
-            pattern.descendants = nonGcDescendants(root, 0);
-            pattern.depth = nonGcDepth(root, 0);
-            // Per-pattern membership is unknowable up front.
-            shard.patterns.push_back(std::move(pattern)); // lag-lint: allow(reserve-loop)
-        }
-        Pattern &pattern = shard.patterns[it->second];
-
-        const DurationNs lag = episodes[i].duration();
-        const bool perceptible = lag >= threshold_;
-        if (pattern.episodes.empty()) {
-            pattern.minLag = lag;
-            pattern.maxLag = lag;
-            pattern.firstPerceptible = perceptible;
-        } else {
-            pattern.minLag = std::min(pattern.minLag, lag);
-            pattern.maxLag = std::max(pattern.maxLag, lag);
-        }
-        pattern.totalLag += lag;
-        if (perceptible)
-            ++pattern.perceptibleCount;
-        pattern.episodes.push_back(i); // lag-lint: allow(reserve-loop)
-        ++shard.coveredEpisodes;
-    }
-    return shard;
-}
-
-PatternSet
-PatternMiner::mine(const Session &session,
-                   const FlatSession &flat) const
-{
-    std::vector<PatternShard> shards;
-    shards.push_back(
-        mineRange(session, flat, 0, session.episodes().size()));
-    return merge(std::move(shards));
-}
-
-PatternShard
-PatternMiner::mineRange(const Session &session,
-                        const FlatSession &flat, std::size_t begin,
-                        std::size_t end) const
-{
-    const auto &episodes = session.episodes();
-    lag_assert(begin <= end && end <= episodes.size(),
-               "episode range out of bounds");
-
-    PatternShard shard;
-    shard.beginEpisode = begin;
-    shard.endEpisode = end;
-
     // Signature hash -> indices into shard.patterns.  A bucket holds
     // more than one entry only when distinct signatures collide on
     // the 64-bit FNV key, which the string fallback below resolves.
@@ -252,6 +113,7 @@ PatternMiner::mineRange(const Session &session,
     FlatSigStack sigStack;
     std::string scratchSig;
 
+    const FlatSession &flat = session.flat();
     const auto &trees = flat.trees();
     for (std::size_t i = begin; i < end; ++i) {
         const std::uint32_t treeIdx = flat.episodeTree(i);
@@ -279,8 +141,7 @@ PatternMiner::mineRange(const Session &session,
             // ids can still join to the same signature bytes (the
             // "[A.B]" text is the canonical form, not the id tuple),
             // and distinct signatures can collide on 64 bits.  The
-            // signature string is the arbiter either way, exactly as
-            // in the node-tree path.
+            // signature string is the arbiter either way.
             scratchSig.clear();
             flatSignatureString(tree, node, session.strings(),
                                 scratchSig, sigStack);

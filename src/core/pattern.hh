@@ -130,12 +130,15 @@ struct PatternShard
 };
 
 /**
- * Compute the canonical structural signature of an interval tree.
- * GC nodes are skipped entirely; timing is not part of the result.
- * Exposed for tests and for cross-session pattern matching.
+ * The canonical structural signature of episode @p episode of
+ * @p session: per node a type letter (D, L, P, N, A), then
+ * "[class.method]" when the node has symbols, then its non-GC
+ * children in parentheses.  GC nodes are skipped entirely; timing is
+ * not part of the result.  Exposed for tests and for cross-session
+ * pattern matching.
  */
-std::string patternSignature(const IntervalNode &root,
-                              const trace::StringTable &strings);
+std::string patternSignature(const Session &session,
+                             std::size_t episode);
 
 /** Mines patterns from a session. */
 class PatternMiner
@@ -145,28 +148,17 @@ class PatternMiner
      *        (paper default: 100 ms). */
     explicit PatternMiner(DurationNs perceptible_threshold = msToNs(100));
 
-    /** Group the session's episodes into patterns. */
+    /**
+     * Group the session's episodes into patterns.  Each episode's
+     * signature is hashed in one pass over its flat slice — no
+     * intermediate string, no recursion — and repeat episodes are
+     * compared against their pattern at the symbol-id level.  A
+     * signature string is materialized only for first-seen patterns.
+     */
     PatternSet mine(const Session &session) const;
 
     /** Mine only episodes [begin, end) into an ordered partial. */
     PatternShard mineRange(const Session &session, std::size_t begin,
-                           std::size_t end) const;
-
-    /**
-     * Flat-tree mining: byte-identical to the node-tree overloads
-     * (same patterns, order, statistics and signature strings), but
-     * hashing each episode's signature in one pass over its flat
-     * slice — no intermediate string, no recursion — and comparing
-     * repeat episodes against their pattern at the symbol-id level.
-     * A signature string is materialized only for first-seen
-     * patterns.  @p flat must be flattenSession(session).
-     */
-    PatternSet mine(const Session &session,
-                    const FlatSession &flat) const;
-
-    /** Flat-tree overload of mineRange; same contract as mine. */
-    PatternShard mineRange(const Session &session,
-                           const FlatSession &flat, std::size_t begin,
                            std::size_t end) const;
 
     /**

@@ -5,48 +5,28 @@
  * "The core of LagAlyzer consists of an in-memory representation of
  * the latency traces [...]. This core provides the basis for the
  * visualizations and analyses" (paper §II.A). A Session owns the
- * per-thread interval trees (built with nesting validation and with
- * GC intervals copied into every thread's tree), the list of
- * episodes on the dispatch thread(s), the stack samples, and the
- * interned symbols.
+ * per-thread interval trees, the list of episodes on the dispatch
+ * thread(s), the stack samples, and the interned symbols.  The trees
+ * have one representation, the flat preorder layout of flat_tree.hh,
+ * which Session::fromTrace builds in a single pass over the events
+ * (with nesting validation and with a copy of every GC interval in
+ * every thread's tree) and which every analysis and renderer reads.
  */
 
 #ifndef LAG_CORE_SESSION_HH
 #define LAG_CORE_SESSION_HH
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "interval.hh"
+#include "flat_tree.hh"
 #include "trace/trace.hh"
-#include "util/arena.hh"
 #include "util/types.hh"
 
 namespace lag::core
 {
-
-/** One thread's interval forest. */
-struct ThreadTree
-{
-    ThreadId id = 0;
-    std::string name;
-    bool isGui = false;
-    IntervalVec roots; ///< time-ordered
-};
-
-/** Knobs for Session::fromTrace. */
-struct SessionBuildOptions
-{
-    /**
-     * Build the interval trees in a session-owned bump arena
-     * (default).  Off, every node vector comes from the global
-     * heap; the resulting session is identical — the switch exists
-     * so benchmarks can compare allocation behaviour.
-     */
-    bool useArena = true;
-};
 
 /**
  * One episode: a Dispatch interval on a dispatch thread, plus the
@@ -55,7 +35,7 @@ struct SessionBuildOptions
 struct Episode
 {
     ThreadId thread = 0;
-    std::size_t treeIndex = 0;   ///< index into the thread's tree list
+    std::size_t treeIndex = 0;   ///< index into Session::threads()
     std::size_t rootIndex = 0;   ///< index into that tree's roots
     TimeNs begin = 0;
     TimeNs end = 0;
@@ -72,27 +52,21 @@ class Session
     /**
      * Build a session from a trace. Validates interval nesting and
      * GC containment; throws trace::TraceError on malformed input.
-     *
-     * Interval trees are stored in a session-owned bump arena (see
-     * SessionBuildOptions), with per-node child vectors reserved
-     * exactly from a counting pre-pass over the event stream.
      */
-    static Session fromTrace(trace::Trace trace,
-                             const SessionBuildOptions &options = {});
-
-    /**
-     * Copies are deep and heap-backed: the arena (if any) stays
-     * with the source, and the copied trees allocate from the
-     * global heap, so a copy is always safe to outlive the
-     * original.
-     */
-    Session(const Session &other);
-    Session &operator=(const Session &other);
-    Session(Session &&) noexcept = default;
-    Session &operator=(Session &&) noexcept = default;
+    static Session fromTrace(trace::Trace trace);
 
     const trace::TraceMeta &meta() const { return meta_; }
-    const std::vector<ThreadTree> &threads() const { return threads_; }
+
+    /** The interval trees, one per trace thread in roster order,
+     * with the episode index. */
+    const FlatSession &flat() const { return flat_; }
+
+    /** Shorthand for flat().trees(). */
+    const std::vector<FlatTree> &threads() const
+    {
+        return flat_.trees();
+    }
+
     const std::vector<Episode> &episodes() const { return episodes_; }
     const std::vector<trace::TraceSample> &samples() const
     {
@@ -107,10 +81,21 @@ class Session
     }
 
     /** The tree of the thread with @p id; throws if unknown. */
-    const ThreadTree &threadTree(ThreadId id) const;
+    const FlatTree &threadTree(ThreadId id) const;
 
-    /** Root interval node of @p episode. */
-    const IntervalNode &episodeRoot(const Episode &episode) const;
+    /** The tree holding @p episode's dispatch interval. */
+    const FlatTree &
+    episodeTree(const Episode &episode) const
+    {
+        return flat_.trees()[episode.treeIndex];
+    }
+
+    /** Flat index of @p episode's dispatch interval in its tree. */
+    std::uint32_t
+    episodeRoot(const Episode &episode) const
+    {
+        return episodeTree(episode).roots[episode.rootIndex];
+    }
 
     /** Id of the (first) GUI thread; throws if there is none. */
     ThreadId guiThread() const;
@@ -124,17 +109,11 @@ class Session
     /** Count of episodes at or above @p threshold. */
     std::size_t perceptibleCount(DurationNs threshold) const;
 
-    /** Arena backing the interval trees; null for heap builds. */
-    const Arena *arena() const { return arena_.get(); }
-
   private:
     Session() = default;
 
-    // The arena must outlive the interval trees that live in it:
-    // declared first so it is destroyed after threads_.
-    std::unique_ptr<Arena> arena_;
     trace::TraceMeta meta_;
-    std::vector<ThreadTree> threads_;
+    FlatSession flat_;
     std::vector<Episode> episodes_;
     std::vector<trace::TraceSample> samples_;
     trace::StringTable strings_;

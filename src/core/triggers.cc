@@ -5,35 +5,6 @@
 namespace lag::core
 {
 
-namespace
-{
-
-/**
- * Preorder search for the first Listener/Paint/Async interval below
- * @p node. Returns nullptr when the subtree has none.
- */
-const IntervalNode *
-firstMarker(const IntervalNode &node, std::size_t nesting = 0)
-{
-    if (nesting >= kMaxIntervalDepth)
-        throwIntervalTooDeep();
-    for (const auto &child : node.children) {
-        if (child.type == IntervalType::Listener ||
-            child.type == IntervalType::Paint ||
-            child.type == IntervalType::Async) {
-            return &child;
-        }
-        // Descend through Native and GC-free structure; GC children
-        // have no descendants relevant here.
-        if (const IntervalNode *found =
-                firstMarker(child, nesting + 1))
-            return found;
-    }
-    return nullptr;
-}
-
-} // namespace
-
 const char *
 triggerKindName(TriggerKind kind)
 {
@@ -47,38 +18,11 @@ triggerKindName(TriggerKind kind)
 }
 
 TriggerKind
-episodeTrigger(const IntervalNode &root)
-{
-    const IntervalNode *marker = firstMarker(root);
-    if (marker == nullptr)
-        return TriggerKind::Unspecified;
-    switch (marker->type) {
-      case IntervalType::Listener:
-        return TriggerKind::Input;
-      case IntervalType::Paint:
-        return TriggerKind::Output;
-      case IntervalType::Async: {
-        // Repaint-manager special case (paper §IV.C footnote): an
-        // async interval that contains a paint as its first nested
-        // marker is really an output episode.
-        const IntervalNode *inner = firstMarker(*marker);
-        if (inner != nullptr && inner->type == IntervalType::Paint)
-            return TriggerKind::Output;
-        return TriggerKind::Async;
-      }
-      default:
-        break;
-    }
-    return TriggerKind::Unspecified;
-}
-
-TriggerKind
 flatEpisodeTrigger(const FlatTree &tree, std::uint32_t root)
 {
-    // The preorder slice of the root's descendants is exactly the
-    // order the node-tree recursion visits, and GC nodes can never
-    // match (their type byte is not a marker), so a flat byte scan
-    // is the same search.
+    // The preorder slice of the root's descendants is the search
+    // order, and GC nodes can never match (their type byte is not a
+    // marker), so the first marker is a plain byte scan.
     const std::uint8_t *types = tree.type.data();
     const std::uint32_t sliceEnd = tree.subtreeEnd[root];
     const std::uint32_t m = findFirstMarker(types, root + 1, sliceEnd);
@@ -113,25 +57,7 @@ countTriggers(const Session &session, std::size_t begin,
 {
     TriggerCounts counts;
     const auto &episodes = session.episodes();
-    for (std::size_t i = begin; i < end; ++i) {
-        const Episode &episode = episodes[i];
-        const TriggerKind kind =
-            episodeTrigger(session.episodeRoot(episode));
-        const auto idx = static_cast<std::size_t>(kind);
-        ++counts.all[idx];
-        if (episode.duration() >= perceptible_threshold)
-            ++counts.perceptible[idx];
-    }
-    return counts;
-}
-
-TriggerCounts
-countTriggers(const Session &session, const FlatSession &flat,
-              std::size_t begin, std::size_t end,
-              DurationNs perceptible_threshold)
-{
-    TriggerCounts counts;
-    const auto &episodes = session.episodes();
+    const FlatSession &flat = session.flat();
     const auto &trees = flat.trees();
     for (std::size_t i = begin; i < end; ++i) {
         const TriggerKind kind = flatEpisodeTrigger(

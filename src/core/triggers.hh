@@ -40,14 +40,10 @@ enum class TriggerKind : std::uint8_t
 /** Human-readable name of a trigger kind. */
 const char *triggerKindName(TriggerKind kind);
 
-/** Classify one episode by its interval tree. */
-TriggerKind episodeTrigger(const IntervalNode &root);
-
 /**
- * Classify one episode on the flat layout; identical to
- * episodeTrigger on the corresponding node tree.  The preorder
- * marker search becomes a byte scan of the type array over the
- * root's slice (SIMD-accelerated under LAG_SIMD, see flat_simd.hh).
+ * Classify the episode rooted at flat node @p root.  The preorder
+ * marker search is a byte scan of the type array over the root's
+ * slice (SIMD-accelerated under LAG_SIMD, see flat_simd.hh).
  */
 TriggerKind flatEpisodeTrigger(const FlatTree &tree,
                                std::uint32_t root);
@@ -92,13 +88,6 @@ struct TriggerCounts
 
 /** Tally triggers over episodes [begin, end). */
 TriggerCounts countTriggers(const Session &session, std::size_t begin,
-                            std::size_t end,
-                            DurationNs perceptible_threshold);
-
-/** Flat-tree overload of countTriggers; byte-identical counts.
- * @p flat must be flattenSession(session). */
-TriggerCounts countTriggers(const Session &session,
-                            const FlatSession &flat, std::size_t begin,
                             std::size_t end,
                             DurationNs perceptible_threshold);
 

@@ -74,14 +74,10 @@ minePatternsParallel(const core::Session &session,
                       shardCountFor(pool.workerCount(),
                                     session.episodes().size()));
 
-    // Flatten once, before the fan-out: the arena fill completes
-    // here, so the shards below share the FlatSession read-only.
-    const core::FlatSession flat = core::flattenSession(session);
-
     std::vector<core::PatternShard> shards(ranges.size());
     parallelFor(pool, ranges.size(), [&](std::size_t k) {
         LAG_SPAN_ARG("mine.shard", "shard", k);
-        shards[k] = miner.mineRange(session, flat, ranges[k].first,
+        shards[k] = miner.mineRange(session, ranges[k].first,
                                     ranges[k].second);
     });
     LAG_SPAN("mine.merge");
@@ -98,20 +94,16 @@ analyzeSessionParallel(const core::Session &session,
     const auto ranges = episodeShards(
         episodeCount, shardCountFor(pool.workerCount(), episodeCount));
 
-    // Flatten once, before the fan-out: the arena fill completes
-    // here, so the shards below share the FlatSession read-only.
-    const core::FlatSession flat = core::flattenSession(session);
-
     std::vector<ShardPartial> partials(ranges.size());
     parallelFor(pool, ranges.size(), [&](std::size_t k) {
         LAG_SPAN_ARG("analysis.shard", "shard", k);
         const auto [begin, end] = ranges[k];
         ShardPartial &partial = partials[k];
-        partial.patterns = miner.mineRange(session, flat, begin, end);
+        partial.patterns = miner.mineRange(session, begin, end);
         partial.triggers = core::countTriggers(
-            session, flat, begin, end, perceptible_threshold);
+            session, begin, end, perceptible_threshold);
         partial.location = core::countLocation(
-            session, flat, begin, end, perceptible_threshold);
+            session, begin, end, perceptible_threshold);
         partial.concurrency = core::countConcurrency(
             session, begin, end, perceptible_threshold);
         partial.states = core::countGuiStates(

@@ -86,22 +86,6 @@ analyzeSession(const core::Session &session,
                DurationNs perceptible_threshold)
 {
     const core::PatternMiner miner(perceptible_threshold);
-    const core::FlatSession flat = core::flattenSession(session);
-    const core::PatternSet patterns = miner.mine(session, flat);
-    const std::size_t n = session.episodes().size();
-    return finishAnalysis(
-        session, patterns, perceptible_threshold,
-        core::finishTriggers(core::countTriggers(
-            session, flat, 0, n, perceptible_threshold)),
-        core::finishLocation(core::countLocation(
-            session, flat, 0, n, perceptible_threshold)));
-}
-
-SessionAnalysis
-analyzeSessionNode(const core::Session &session,
-                   DurationNs perceptible_threshold)
-{
-    const core::PatternMiner miner(perceptible_threshold);
     const core::PatternSet patterns = miner.mine(session);
     return finishAnalysis(
         session, patterns, perceptible_threshold,

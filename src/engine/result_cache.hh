@@ -85,18 +85,11 @@ struct SessionAnalysis
     core::PatternSetSummary patternSummary;
 };
 
-/** Run the full per-session analysis suite.  Internally flattens
- * the session's interval trees once (core::flattenSession) and runs
- * pattern mining, trigger and location analysis on the flat layout;
- * the result is byte-identical to analyzeSessionNode. */
+/** Run the full per-session analysis suite: pattern mining,
+ * trigger and location analysis on the session's flat interval
+ * trees, plus the sample-based analyses. */
 SessionAnalysis analyzeSession(const core::Session &session,
                                DurationNs perceptible_threshold);
-
-/** Reference implementation of analyzeSession on the node trees
- * only.  Kept as the differential baseline
- * (tests/engine_flat_equivalence_test.cc) — not a hot path. */
-SessionAnalysis analyzeSessionNode(const core::Session &session,
-                                   DurationNs perceptible_threshold);
 
 /** Serialize @p analysis (header + checksummed payload). */
 std::string

@@ -106,15 +106,22 @@ Trace::validate() const
     };
 
     TimeNs last = meta.startTime;
+    // Consecutive events mostly share a thread; look each run's
+    // thread up once.
+    const ThreadId *checked = nullptr;
     for (const auto &event : events) {
         if (event.time < last)
             throw TraceError("event stream not time-ordered");
         last = event.time;
         const bool is_gc = event.type == EventType::GcBegin ||
                            event.type == EventType::GcEnd;
-        if (!is_gc && known.find(event.thread) == known.end()) {
-            throw TraceError("event references unknown thread " +
-                             std::to_string(event.thread));
+        if (!is_gc && (checked == nullptr || *checked != event.thread)) {
+            const auto it = known.find(event.thread);
+            if (it == known.end()) {
+                throw TraceError("event references unknown thread " +
+                                 std::to_string(event.thread));
+            }
+            checked = &*it;
         }
         if (event.type == EventType::IntervalBegin) {
             check_symbol(event.classSym);

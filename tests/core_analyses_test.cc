@@ -39,12 +39,20 @@ TEST(ClassifyTest, LibraryPrefixes)
 
 // --- Triggers ---------------------------------------------------------
 
+/** Trigger class of episode @p e of @p s. */
+TriggerKind
+triggerOf(const Session &s, std::size_t e)
+{
+    return flatEpisodeTrigger(s.episodeTree(s.episodes()[e]),
+                              s.episodeRoot(s.episodes()[e]));
+}
+
 TEST(TriggerTest, ListenerMeansInput)
 {
     test::TraceBuilder builder;
     builder.listenerEpisode(0, msToNs(10), "app.A");
     const Session s = builder.buildSession(secToNs(1));
-    EXPECT_EQ(episodeTrigger(s.episodeRoot(s.episodes()[0])),
+    EXPECT_EQ(triggerOf(s, 0),
               TriggerKind::Input);
 }
 
@@ -56,7 +64,7 @@ TEST(TriggerTest, PaintMeansOutput)
         .intervalEnd(msToNs(9), IntervalKind::Paint)
         .dispatchEnd(msToNs(10));
     const Session s = builder.buildSession(secToNs(1));
-    EXPECT_EQ(episodeTrigger(s.episodeRoot(s.episodes()[0])),
+    EXPECT_EQ(triggerOf(s, 0),
               TriggerKind::Output);
 }
 
@@ -69,7 +77,7 @@ TEST(TriggerTest, AsyncMeansAsync)
         .intervalEnd(msToNs(9), IntervalKind::Async)
         .dispatchEnd(msToNs(10));
     const Session s = builder.buildSession(secToNs(1));
-    EXPECT_EQ(episodeTrigger(s.episodeRoot(s.episodes()[0])),
+    EXPECT_EQ(triggerOf(s, 0),
               TriggerKind::Async);
 }
 
@@ -85,7 +93,7 @@ TEST(TriggerTest, RepaintManagerReclassifiedAsOutput)
         .intervalEnd(msToNs(9), IntervalKind::Async)
         .dispatchEnd(msToNs(10));
     const Session s = builder.buildSession(secToNs(1));
-    EXPECT_EQ(episodeTrigger(s.episodeRoot(s.episodes()[0])),
+    EXPECT_EQ(triggerOf(s, 0),
               TriggerKind::Output);
 }
 
@@ -101,7 +109,7 @@ TEST(TriggerTest, AsyncWithListenerStaysAsync)
         .intervalEnd(msToNs(9), IntervalKind::Async)
         .dispatchEnd(msToNs(10));
     const Session s = builder.buildSession(secToNs(1));
-    EXPECT_EQ(episodeTrigger(s.episodeRoot(s.episodes()[0])),
+    EXPECT_EQ(triggerOf(s, 0),
               TriggerKind::Async);
 }
 
@@ -113,9 +121,9 @@ TEST(TriggerTest, EmptyAndGcOnlyAreUnspecified)
         .gc(msToNs(21), msToNs(400))
         .dispatchEnd(msToNs(401));
     const Session s = builder.buildSession(secToNs(1));
-    EXPECT_EQ(episodeTrigger(s.episodeRoot(s.episodes()[0])),
+    EXPECT_EQ(triggerOf(s, 0),
               TriggerKind::Unspecified);
-    EXPECT_EQ(episodeTrigger(s.episodeRoot(s.episodes()[1])),
+    EXPECT_EQ(triggerOf(s, 1),
               TriggerKind::Unspecified);
 }
 
@@ -130,7 +138,7 @@ TEST(TriggerTest, MarkerFoundThroughNativeNesting)
         .intervalEnd(msToNs(9), IntervalKind::Native)
         .dispatchEnd(msToNs(10));
     const Session s = builder.buildSession(secToNs(1));
-    EXPECT_EQ(episodeTrigger(s.episodeRoot(s.episodes()[0])),
+    EXPECT_EQ(triggerOf(s, 0),
               TriggerKind::Output);
 }
 

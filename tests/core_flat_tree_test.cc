@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the flat (structure-of-arrays) interval trees: preorder
- * layout invariants, walk/signature equivalence against the node
- * tree, depth-guard behaviour on hostile nesting, structural
+ * Tests for the flat (structure-of-arrays) interval trees: the
+ * preorder layout Session::fromTrace emits, walks and signatures
+ * against hand-counted values, iteration at any depth, structural
  * equality, and the SIMD/scalar marker-scan contract.
  */
 
@@ -15,7 +15,7 @@
 #include "core/flat_simd.hh"
 #include "core/flat_tree.hh"
 #include "core/location.hh"
-#include "core/pattern.hh"
+#include "core/session.hh"
 #include "core/triggers.hh"
 #include "trace_builder.hh"
 #include "util/hash.hh"
@@ -51,189 +51,141 @@ richSession()
     return builder.buildSession(secToNs(1));
 }
 
-/** Preorder walk of a node tree collecting (type, begin, end). */
-void
-preorder(const IntervalNode &node,
-         std::vector<const IntervalNode *> &out)
-{
-    out.push_back(&node);
-    for (const auto &child : node.children)
-        preorder(child, out);
-}
-
-TEST(FlatTreeTest, PreorderLayoutMatchesNodeTree)
+TEST(FlatTreeTest, PreorderLayoutMatchesEventNesting)
 {
     const Session session = richSession();
-    const FlatSession flat = flattenSession(session);
-    ASSERT_EQ(flat.trees().size(), session.threads().size());
+    ASSERT_EQ(session.threads().size(), 1u);
+    const FlatTree &tree = session.threads()[0];
 
-    for (std::size_t t = 0; t < flat.trees().size(); ++t) {
-        const FlatTree &tree = flat.trees()[t];
-        std::vector<const IntervalNode *> nodes;
-        for (const IntervalNode &root :
-             session.threads()[t].roots)
-            preorder(root, nodes);
-        ASSERT_EQ(tree.size(), nodes.size());
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-            EXPECT_EQ(tree.typeOf(i), nodes[i]->type) << i;
-            EXPECT_EQ(tree.begin[i], nodes[i]->begin) << i;
-            EXPECT_EQ(tree.end[i], nodes[i]->end) << i;
-            EXPECT_EQ(tree.classSym[i], nodes[i]->classSym) << i;
-            EXPECT_EQ(tree.methodSym[i], nodes[i]->methodSym) << i;
-            // Subtree slice = this node plus all descendants.
-            EXPECT_EQ(tree.subtreeSize(static_cast<std::uint32_t>(i)),
-                      nodes[i]->descendantCount() + 1)
-                << i;
-        }
+    using T = IntervalType;
+    const std::vector<T> types = {T::Dispatch, T::Listener, T::Native,
+                                  T::Gc,       T::Paint,    T::Dispatch,
+                                  T::Async,    T::Paint,    T::Dispatch};
+    const std::vector<std::uint32_t> subtreeEnds = {5, 4, 4, 4, 5,
+                                                    8, 8, 8, 9};
+    ASSERT_EQ(tree.size(), types.size());
+    for (std::uint32_t i = 0; i < tree.size(); ++i) {
+        EXPECT_EQ(tree.typeOf(i), types[i]) << i;
+        EXPECT_EQ(tree.subtreeEnd[i], subtreeEnds[i]) << i;
     }
+    EXPECT_EQ(tree.roots, (std::vector<std::uint32_t>{0, 5, 8}));
+    EXPECT_EQ(tree.begin[3], 3000);
+    EXPECT_EQ(tree.end[3], 4000);
+    EXPECT_EQ(session.symbol(tree.classSym[2]), "app.N");
+    EXPECT_EQ(session.symbol(tree.methodSym[2]), "jni");
+    EXPECT_EQ(tree.classSym[0], 0u);
+    EXPECT_EQ(tree.gcCountBefore,
+              (std::vector<std::uint32_t>{0, 0, 0, 0, 1, 1, 1, 1, 1, 1}));
 }
 
 TEST(FlatTreeTest, EpisodeRefsPointAtEpisodeRoots)
 {
     const Session session = richSession();
-    const FlatSession flat = flattenSession(session);
+    const FlatSession &flat = session.flat();
     ASSERT_EQ(session.episodes().size(), 3u);
     for (std::size_t i = 0; i < session.episodes().size(); ++i) {
-        const IntervalNode &root =
-            session.episodeRoot(session.episodes()[i]);
+        const Episode &episode = session.episodes()[i];
         const FlatTree &tree = flat.trees()[flat.episodeTree(i)];
         const std::uint32_t node = flat.episodeNode(i);
-        EXPECT_EQ(tree.begin[node], root.begin);
-        EXPECT_EQ(tree.end[node], root.end);
+        EXPECT_EQ(node, session.episodeRoot(episode));
+        EXPECT_EQ(tree.begin[node], episode.begin);
+        EXPECT_EQ(tree.end[node], episode.end);
         EXPECT_EQ(tree.typeOf(node), IntervalType::Dispatch);
     }
 }
 
-TEST(FlatTreeTest, WalksMatchNodeWalks)
+TEST(FlatTreeTest, WalksMatchHandCountedValues)
 {
     const Session session = richSession();
-    const FlatSession flat = flattenSession(session);
+    struct Expected
+    {
+        std::size_t descendants;
+        std::size_t depth;
+        DurationNs listener, paint, native, async, gc;
+        DurationNs nativeExcludingGc;
+        TriggerKind trigger;
+    };
+    const Expected expected[] = {
+        {4, 4, msToNs(8) - 1000, msToNs(3), msToNs(6) - 2000, 0, 1000,
+         msToNs(6) - 3000, TriggerKind::Input},
+        // Async whose first nested marker is a paint: output.
+        {2, 3, 0, msToNs(1), 0, msToNs(3), 0, 0, TriggerKind::Output},
+        {0, 1, 0, 0, 0, 0, 0, 0, TriggerKind::Unspecified},
+    };
     for (std::size_t i = 0; i < session.episodes().size(); ++i) {
-        const IntervalNode &root =
+        const FlatTree &tree = session.episodeTree(session.episodes()[i]);
+        const std::uint32_t node =
             session.episodeRoot(session.episodes()[i]);
-        const FlatTree &tree = flat.trees()[flat.episodeTree(i)];
-        const std::uint32_t node = flat.episodeNode(i);
-        EXPECT_EQ(flatDescendantCount(tree, node),
-                  root.descendantCount());
-        EXPECT_EQ(flatDepth(tree, node), root.depth());
-        for (const IntervalType type :
-             {IntervalType::Listener, IntervalType::Paint,
-              IntervalType::Native, IntervalType::Async,
-              IntervalType::Gc}) {
-            EXPECT_EQ(flatTypeTime(tree, node, type),
-                      root.typeTime(type))
-                << "type " << static_cast<int>(type);
-        }
+        const Expected &e = expected[i];
+        EXPECT_EQ(flatDescendantCount(tree, node), e.descendants) << i;
+        EXPECT_EQ(flatDepth(tree, node), e.depth) << i;
+        EXPECT_EQ(flatTypeTime(tree, node, IntervalType::Listener),
+                  e.listener)
+            << i;
+        EXPECT_EQ(flatTypeTime(tree, node, IntervalType::Paint), e.paint)
+            << i;
+        EXPECT_EQ(flatTypeTime(tree, node, IntervalType::Native),
+                  e.native)
+            << i;
+        EXPECT_EQ(flatTypeTime(tree, node, IntervalType::Async), e.async)
+            << i;
+        EXPECT_EQ(flatTypeTime(tree, node, IntervalType::Gc), e.gc) << i;
         EXPECT_EQ(flatNativeTimeExcludingGc(tree, node),
-                  nativeTimeExcludingGc(root));
-        EXPECT_EQ(flatEpisodeTrigger(tree, node),
-                  episodeTrigger(root));
+                  e.nativeExcludingGc)
+            << i;
+        EXPECT_EQ(flatEpisodeTrigger(tree, node), e.trigger) << i;
     }
 }
 
-TEST(FlatTreeTest, SignaturesMatchNodeSignatures)
+TEST(FlatTreeTest, SignaturesMatchTheirHashes)
 {
     const Session session = richSession();
-    const FlatSession flat = flattenSession(session);
+    const char *expected[] = {"D(L[app.A.act](N[app.N.jni])P[app.P.p])",
+                              "D(A[app.Q.r](P[app.P.p]))", "D"};
     FlatSigStack scratch;
     for (std::size_t i = 0; i < session.episodes().size(); ++i) {
-        const IntervalNode &root =
+        const FlatTree &tree = session.episodeTree(session.episodes()[i]);
+        const std::uint32_t node =
             session.episodeRoot(session.episodes()[i]);
-        const FlatTree &tree = flat.trees()[flat.episodeTree(i)];
-        const std::uint32_t node = flat.episodeNode(i);
-        const std::string nodeSig =
-            patternSignature(root, session.strings());
         EXPECT_EQ(flatSignatureString(tree, node, session.strings()),
-                  nodeSig);
+                  expected[i]);
         EXPECT_EQ(flatSignatureHash(tree, node, session.strings(),
                                     scratch),
-                  fnv1a(nodeSig));
+                  fnv1a(expected[i]));
     }
 }
 
-TEST(FlatTreeTest, FlatMiningIsByteIdenticalToNodeMining)
+TEST(FlatTreeTest, DeepTreesAreIterative)
 {
+    // Session::fromTrace refuses kMaxIntervalDepth nesting ...
     test::TraceBuilder builder;
-    // Three episodes of one pattern, two of another, one empty.
-    for (int k = 0; k < 3; ++k) {
-        const TimeNs base = msToNs(100 * k);
-        builder.listenerEpisode(base, base + msToNs(50), "app.A");
-    }
-    for (int k = 0; k < 2; ++k) {
-        const TimeNs base = msToNs(400 + 200 * k);
-        builder.listenerEpisode(base, base + msToNs(150), "app.B");
-    }
-    builder.dispatchBegin(msToNs(800)).dispatchEnd(msToNs(801));
-    const Session session = builder.buildSession(secToNs(1));
-    const FlatSession flat = flattenSession(session);
+    for (std::size_t d = 0; d < kMaxIntervalDepth; ++d)
+        builder.intervalBegin(0, IntervalKind::Native, "a.N", "n");
+    EXPECT_THROW(builder.buildSession(secToNs(1)), trace::TraceError);
 
-    const PatternMiner miner(msToNs(100));
-    const PatternSet nodeSet = miner.mine(session);
-    const PatternSet flatSet = miner.mine(session, flat);
+    // ... but no walk relies on that: a hand-laid chain of Native
+    // nodes twice as deep (Native is no trigger marker, so every
+    // walk must reach the bottom) walks without touching the C stack.
+    const std::uint32_t depth = 2 * kMaxIntervalDepth;
+    FlatTree tree;
+    tree.begin.assign(depth, 0);
+    tree.end.assign(depth, 10);
+    tree.subtreeEnd.assign(depth, depth);
+    tree.classSym.assign(depth, 0);
+    tree.methodSym.assign(depth, 0);
+    tree.type.assign(depth,
+                     static_cast<std::uint8_t>(IntervalType::Native));
+    tree.gcKind.assign(depth, 0);
+    tree.roots = {0};
+    tree.gcCountBefore.assign(depth + 1, 0);
+    tree.gcTimeBefore.assign(depth + 1, 0);
 
-    EXPECT_EQ(flatSet.coveredEpisodes, nodeSet.coveredEpisodes);
-    EXPECT_EQ(flatSet.structurelessEpisodes,
-              nodeSet.structurelessEpisodes);
-    ASSERT_EQ(flatSet.patterns.size(), nodeSet.patterns.size());
-    for (std::size_t p = 0; p < nodeSet.patterns.size(); ++p) {
-        const Pattern &a = nodeSet.patterns[p];
-        const Pattern &b = flatSet.patterns[p];
-        EXPECT_EQ(b.signature, a.signature);
-        EXPECT_EQ(b.key, a.key);
-        EXPECT_EQ(b.episodes, a.episodes);
-        EXPECT_EQ(b.minLag, a.minLag);
-        EXPECT_EQ(b.maxLag, a.maxLag);
-        EXPECT_EQ(b.totalLag, a.totalLag);
-        EXPECT_EQ(b.perceptibleCount, a.perceptibleCount);
-        EXPECT_EQ(b.firstPerceptible, a.firstPerceptible);
-        EXPECT_EQ(b.descendants, a.descendants);
-        EXPECT_EQ(b.depth, a.depth);
-        EXPECT_EQ(b.occurrence, a.occurrence);
-    }
-}
-
-/** Hand-built (heap) nesting chain of @p depth Native nodes (Native
- * is no trigger marker, so every walk must reach the bottom). */
-IntervalVec
-deepForest(std::size_t depth)
-{
-    IntervalNode current;
-    current.type = IntervalType::Native;
-    current.begin = 0;
-    current.end = 10;
-    for (std::size_t d = 1; d < depth; ++d) {
-        IntervalNode parent;
-        parent.type = IntervalType::Native;
-        parent.begin = 0;
-        parent.end = 10;
-        parent.children.push_back(std::move(current));
-        current = std::move(parent);
-    }
-    IntervalVec roots;
-    roots.push_back(std::move(current));
-    return roots;
-}
-
-TEST(FlatTreeTest, DeepTreesAreIterativeOnFlatAndGuardedOnNodes)
-{
-    const std::size_t depth = 2 * kMaxIntervalDepth;
-    const IntervalVec roots = deepForest(depth);
-    const IntervalNode &root = roots.front();
-
-    // Node-tree walks must refuse (TraceError), not smash the stack.
-    EXPECT_THROW(root.descendantCount(), trace::TraceError);
-    EXPECT_THROW(root.depth(), trace::TraceError);
-    EXPECT_THROW(root.typeTime(IntervalType::Gc), trace::TraceError);
-    trace::StringTable strings;
-    EXPECT_THROW(patternSignature(root, strings), trace::TraceError);
-    EXPECT_THROW(episodeTrigger(root), trace::TraceError);
-
-    // Flat walks are iterative by construction: any depth works.
-    const FlatTree tree = flattenForest(roots);
-    ASSERT_EQ(tree.size(), depth);
     EXPECT_EQ(flatDescendantCount(tree, 0), depth - 1);
     EXPECT_EQ(flatDepth(tree, 0), depth);
+    EXPECT_EQ(flatNonGcDepth(tree, 0), depth);
     EXPECT_EQ(flatTypeTime(tree, 0, IntervalType::Gc), 0);
+    EXPECT_EQ(flatEpisodeTrigger(tree, 0), TriggerKind::Unspecified);
+    const trace::StringTable strings;
     const std::string sig = flatSignatureString(tree, 0, strings);
     EXPECT_EQ(sig.size(), depth + 2 * (depth - 1));
 }
@@ -260,7 +212,7 @@ TEST(FlatTreeTest, StructureEqualsIsGcBlindAndSymbolSensitive)
         .intervalEnd(msToNs(25), IntervalKind::Listener)
         .dispatchEnd(msToNs(26));
     const Session session = builder.buildSession(secToNs(1));
-    const FlatSession flat = flattenSession(session);
+    const FlatSession &flat = session.flat();
 
     const auto treeOf = [&flat](std::size_t e) -> const FlatTree & {
         return flat.trees()[flat.episodeTree(e)];
@@ -317,10 +269,9 @@ TEST(FlatSimdTest, SimdMatchesScalarOnRandomArrays)
 TEST(FlatTreeTest, GcPrefixSumsAnswerSubtreeQueries)
 {
     const Session session = richSession();
-    const FlatSession flat = flattenSession(session);
+    const FlatSession &flat = session.flat();
     const FlatTree &tree = flat.trees()[flat.episodeTree(0)];
     const std::uint32_t node = flat.episodeNode(0);
-    ASSERT_TRUE(tree.gcLeavesOnly);
     // Episode 0 contains exactly one GC of 1000 ns (inside the
     // native call).
     EXPECT_EQ(tree.gcCountIn(node), 1u);

@@ -31,8 +31,7 @@ TEST(PatternSignatureTest, EncodesTypeAndSymbols)
         .intervalEnd(4, IntervalKind::Listener)
         .dispatchEnd(5);
     const Session session = builder.buildSession(secToNs(1));
-    const std::string sig = patternSignature(
-        session.episodeRoot(session.episodes()[0]), session.strings());
+    const std::string sig = patternSignature(session, 0);
     EXPECT_EQ(sig, "D(L[app.A.act](P[app.B.paint]))");
 }
 
@@ -48,10 +47,8 @@ TEST(PatternSignatureTest, IgnoresTiming)
     };
     const Session fast = make(msToNs(5));
     const Session slow = make(msToNs(500));
-    EXPECT_EQ(patternSignature(fast.episodeRoot(fast.episodes()[0]),
-                               fast.strings()),
-              patternSignature(slow.episodeRoot(slow.episodes()[0]),
-                               slow.strings()));
+    EXPECT_EQ(patternSignature(fast, 0),
+              patternSignature(slow, 0));
 }
 
 TEST(PatternSignatureTest, ExcludesGcNodes)
@@ -69,10 +66,8 @@ TEST(PatternSignatureTest, ExcludesGcNodes)
         .dispatchEnd(msToNs(6));
     const Session a = with_gc.buildSession(secToNs(1));
     const Session b = without_gc.buildSession(secToNs(1));
-    EXPECT_EQ(patternSignature(a.episodeRoot(a.episodes()[0]),
-                               a.strings()),
-              patternSignature(b.episodeRoot(b.episodes()[0]),
-                               b.strings()));
+    EXPECT_EQ(patternSignature(a, 0),
+              patternSignature(b, 0));
 }
 
 TEST(PatternSignatureTest, DistinguishesSymbols)
@@ -81,9 +76,7 @@ TEST(PatternSignatureTest, DistinguishesSymbols)
         test::TraceBuilder builder;
         builder.listenerEpisode(0, msToNs(10), cls);
         const Session session = builder.buildSession(secToNs(1));
-        return patternSignature(
-            session.episodeRoot(session.episodes()[0]),
-            session.strings());
+        return patternSignature(session, 0);
     };
     EXPECT_NE(sig_for("app.A"), sig_for("app.B"));
 }
@@ -107,10 +100,8 @@ TEST(PatternSignatureTest, DistinguishesNestingShape)
         .dispatchEnd(5);
     const Session a = nested.buildSession(secToNs(1));
     const Session b = flat.buildSession(secToNs(1));
-    EXPECT_NE(patternSignature(a.episodeRoot(a.episodes()[0]),
-                               a.strings()),
-              patternSignature(b.episodeRoot(b.episodes()[0]),
-                               b.strings()));
+    EXPECT_NE(patternSignature(a, 0),
+              patternSignature(b, 0));
 }
 
 /** Session with four episodes of pattern "X" at chosen durations and

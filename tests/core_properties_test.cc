@@ -152,15 +152,11 @@ TEST_P(AppPipelineProperties, GcCopiesOnEveryThread)
     std::vector<std::size_t> per_thread;
     for (const auto &tree : session.threads()) {
         std::size_t count = 0;
-        const std::function<void(const IntervalNode &)> walk =
-            [&](const IntervalNode &node) {
-                if (node.type == IntervalType::Gc)
-                    ++count;
-                for (const auto &child : node.children)
-                    walk(child);
-            };
-        for (const auto &root : tree.roots)
-            walk(root);
+        for (std::uint32_t i = 0; i < tree.size(); ++i) {
+            if (tree.typeOf(i) == IntervalType::Gc)
+                ++count;
+        }
+        EXPECT_EQ(count, tree.gcCountBefore.back());
         per_thread.push_back(count);
     }
     for (const std::size_t count : per_thread)

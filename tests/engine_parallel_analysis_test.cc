@@ -2,9 +2,8 @@
  * @file
  * Within-session parallel analysis: sharding math, and the
  * deterministic-merge contract — the sharded analysis serializes
- * byte-identically to the serial path at any worker count, whether
- * the trace was decoded via mmap or a stream and whether the
- * session was built on an arena or the heap.
+ * byte-identically to the serial path at any worker count and
+ * whether the trace was decoded via mmap or a stream.
  */
 
 #include <gtest/gtest.h>
@@ -161,32 +160,6 @@ TEST(ParallelAnalysis, MappedAndStreamDecodesAnalyzeIdentically)
     const std::string b = serializeSessionAnalysis(analyzeSession(
         core::Session::fromTrace(streamed), threshold));
     EXPECT_EQ(a, b);
-}
-
-TEST(ParallelAnalysis, ArenaAndHeapSessionsAnalyzeIdentically)
-{
-    const ScratchDir dir("lagalyzer-cache-test-par-arena");
-    app::StudyConfig config = app::StudyConfig::quickStudy(5);
-    config.apps.resize(1);
-    config.cacheDir = dir.path;
-    app::Study study(config);
-    const auto paths = study.ensureTraces();
-    const trace::Trace traceData = trace::readTraceFile(paths[0][0]);
-
-    core::SessionBuildOptions heap;
-    heap.useArena = false;
-    const core::Session arenaSession =
-        core::Session::fromTrace(traceData);
-    const core::Session heapSession =
-        core::Session::fromTrace(traceData, heap);
-    EXPECT_NE(arenaSession.arena(), nullptr);
-    EXPECT_EQ(heapSession.arena(), nullptr);
-
-    const DurationNs threshold = msToNs(100);
-    EXPECT_EQ(serializeSessionAnalysis(
-                  analyzeSession(arenaSession, threshold)),
-              serializeSessionAnalysis(
-                  analyzeSession(heapSession, threshold)));
 }
 
 } // namespace

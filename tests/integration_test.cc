@@ -92,13 +92,14 @@ TEST(IntegrationTest, EpisodeDurationsConsistentWithTreeSpans)
 {
     const core::Session session = runShort("SwingSet", 30);
     for (const auto &episode : session.episodes()) {
-        const auto &root = session.episodeRoot(episode);
-        EXPECT_EQ(root.begin, episode.begin);
-        EXPECT_EQ(root.end, episode.end);
-        // Children lie within the episode.
-        for (const auto &child : root.children) {
-            EXPECT_GE(child.begin, root.begin);
-            EXPECT_LE(child.end, root.end);
+        const core::FlatTree &tree = session.episodeTree(episode);
+        const std::uint32_t root = session.episodeRoot(episode);
+        EXPECT_EQ(tree.begin[root], episode.begin);
+        EXPECT_EQ(tree.end[root], episode.end);
+        // Descendants lie within the episode.
+        for (std::uint32_t i = root + 1; i < tree.subtreeEnd[root]; ++i) {
+            EXPECT_GE(tree.begin[i], episode.begin);
+            EXPECT_LE(tree.end[i], episode.end);
         }
         // Samples assigned to the episode lie within it.
         for (std::size_t s = episode.firstSample;
