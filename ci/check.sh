@@ -16,7 +16,9 @@
 # Optionally sweep the sanitizer
 # matrix: `ci/check.sh --sanitize TSAN` (or ASAN / UBSAN) builds an
 # instrumented tree in build-<san> and runs the engine label under
-# it. Exits nonzero on the first failure.
+# it (ASAN and UBSAN also the core label: the session builder and
+# the flat-tree walks are index arithmetic over arrays). Exits
+# nonzero on the first failure.
 #
 # Usage:
 #   ci/check.sh                  # static analysis + lint + tier-1
@@ -60,7 +62,7 @@ echo "== tier-1 suite (parallel, random order)"
 echo "== perf smoke (ctest -L perf)"
 (cd "$build" && ctest -L perf --output-on-failure)
 
-echo "== micro smoke (node-vs-flat hot-path equivalence + rates)"
+echo "== micro smoke (flat hot-path signature check + rates)"
 bench_art="$build/bench/BENCH_smoke.json"
 mkdir -p "$build/bench"
 (cd "$build" && bench/bench_micro --smoke) | tee "$bench_art.micro"
@@ -328,7 +330,12 @@ if [ -n "$sanitize" ]; then
     cmake -S "$root" -B "$san_build" \
         -DLAG_SANITIZE="$sanitize" -DLAG_WERROR=ON >/dev/null
     cmake --build "$san_build" -j "$jobs"
-    (cd "$san_build" && ctest -L engine --output-on-failure -j "$jobs")
+    case "$san_lc" in
+      tsan|thread) san_labels="engine" ;;
+      *) san_labels="engine|core" ;;
+    esac
+    (cd "$san_build" &&
+        ctest -L "$san_labels" --output-on-failure -j "$jobs")
 fi
 
 echo "== ci/check.sh: all gates passed"

@@ -3,6 +3,10 @@
  * Adversarial decode tests: every truncation, every single-bit
  * flip, random garbage and forged section counts must surface as a
  * trace::TraceError — never a crash, a hang or a huge allocation.
+ * Structurally mutated event streams (dropped, duplicated or
+ * reordered boundary events, flipped end types, GC bounds moved
+ * across interval edges) must likewise either build a well-formed
+ * session or raise a TraceError.
  *
  * The bit-flip and truncation sweeps rely on the container format:
  * the whole payload is checksummed and the checksum is verified
@@ -19,7 +23,15 @@
 #include <cstring>
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "app/study.hh"
+#include "core/location.hh"
+#include "core/pattern.hh"
+#include "core/session.hh"
+#include "core/triggers.hh"
+#include "scratch_dir.hh"
 #include "trace/io.hh"
 #include "trace_builder.hh"
 #include "util/hash.hh"
@@ -201,6 +213,181 @@ TEST(TraceFuzz, RecordErrorsCarryOffsetAndIndex)
         EXPECT_NE(what.find("payload offset"), std::string::npos)
             << "missing payload offset: " << what;
     }
+}
+
+bool
+isBegin(EventType type)
+{
+    return type == EventType::DispatchBegin ||
+           type == EventType::IntervalBegin;
+}
+
+bool
+isEnd(EventType type)
+{
+    return type == EventType::DispatchEnd ||
+           type == EventType::IntervalEnd;
+}
+
+bool
+isGc(EventType type)
+{
+    return type == EventType::GcBegin || type == EventType::GcEnd;
+}
+
+/**
+ * Apply one random structural mutation to @p events, keeping event
+ * times non-decreasing so the damage reaches the session builder
+ * rather than the time-order check.
+ */
+void
+mutateEvents(std::vector<TraceEvent> &events, std::mt19937_64 &rng)
+{
+    if (events.size() < 2)
+        return;
+    std::uniform_int_distribution<std::size_t> at(0, events.size() - 1);
+    const std::size_t i = at(rng);
+    switch (rng() % 5) {
+      case 0: // drop an event
+        events.erase(events.begin() + static_cast<std::ptrdiff_t>(i));
+        break;
+      case 1: // duplicate an event in place
+        events.insert(events.begin() + static_cast<std::ptrdiff_t>(i),
+                      events[i]);
+        break;
+      case 2: { // swap two nearby events, each keeping its slot's time
+        const std::size_t j =
+            std::min(events.size() - 1, i + 1 + rng() % 4);
+        std::swap(events[i], events[j]);
+        std::swap(events[i].time, events[j].time);
+        break;
+      }
+      case 3: // flip a begin into an end or an end's dispatch type
+        switch (events[i].type) {
+          case EventType::DispatchBegin:
+            events[i].type = EventType::DispatchEnd;
+            break;
+          case EventType::IntervalBegin:
+            events[i].type = EventType::IntervalEnd;
+            break;
+          case EventType::DispatchEnd:
+            events[i].type = EventType::IntervalEnd;
+            break;
+          case EventType::IntervalEnd:
+            events[i].type = EventType::DispatchEnd;
+            break;
+          case EventType::GcBegin:
+          case EventType::GcEnd:
+            break;
+        }
+        break;
+      default: { // move a GC bound onto a nearby interval edge
+        std::size_t g = i;
+        while (g < events.size() && !isGc(events[g].type))
+            ++g;
+        if (g == events.size())
+            break;
+        const std::size_t lo = g >= 6 ? g - 6 : 0;
+        const std::size_t hi = std::min(events.size() - 1, g + 6);
+        std::uniform_int_distribution<std::size_t> near(lo, hi);
+        const std::size_t target = near(rng);
+        if (!isBegin(events[target].type) &&
+            !isEnd(events[target].type))
+            break;
+        TraceEvent bound = events[g];
+        bound.time = events[target].time;
+        events.erase(events.begin() + static_cast<std::ptrdiff_t>(g));
+        const std::size_t slot = target > g ? target - 1 : target;
+        // Land before or after the edge, at the edge's time.
+        const std::size_t pos = slot + rng() % 2;
+        events.insert(events.begin() + static_cast<std::ptrdiff_t>(pos),
+                      bound);
+        break;
+      }
+    }
+}
+
+/** Structural invariants every built session must satisfy. */
+void
+expectWellFormed(const core::Session &session)
+{
+    for (const core::FlatTree &tree : session.threads()) {
+        const auto n = static_cast<std::uint32_t>(tree.size());
+        ASSERT_EQ(tree.end.size(), n);
+        ASSERT_EQ(tree.subtreeEnd.size(), n);
+        ASSERT_EQ(tree.type.size(), n);
+        ASSERT_EQ(tree.gcCountBefore.size(), n + 1u);
+        ASSERT_EQ(tree.gcTimeBefore.size(), n + 1u);
+        std::vector<std::uint32_t> ends; // open ancestors
+        for (std::uint32_t i = 0; i < n; ++i) {
+            ASSERT_GT(tree.subtreeEnd[i], i);
+            ASSERT_LE(tree.subtreeEnd[i], n);
+            ASSERT_LE(tree.begin[i], tree.end[i]);
+            while (!ends.empty() && ends.back() <= i)
+                ends.pop_back();
+            if (!ends.empty()) {
+                ASSERT_LE(tree.subtreeEnd[i], ends.back());
+            }
+            if (tree.typeOf(i) == core::IntervalType::Gc) {
+                ASSERT_EQ(tree.subtreeEnd[i], i + 1); // a leaf
+            }
+            ends.push_back(tree.subtreeEnd[i]);
+        }
+    }
+    const core::FlatSession &flat = session.flat();
+    for (std::size_t e = 0; e < session.episodes().size(); ++e) {
+        ASSERT_LT(flat.episodeTree(e), session.threads().size());
+        const core::FlatTree &tree = flat.trees()[flat.episodeTree(e)];
+        ASSERT_LT(flat.episodeNode(e), tree.size());
+        ASSERT_EQ(tree.typeOf(flat.episodeNode(e)),
+                  core::IntervalType::Dispatch);
+    }
+}
+
+TEST(TraceFuzz, StructuralMutantsBuildOrThrow)
+{
+    const test::ScratchDir dir("lagalyzer-cache-test-fuzz-structure");
+    app::StudyConfig config = app::StudyConfig::quickStudy(3);
+    config.sessionsPerApp = 1;
+    config.cacheDir = dir.path;
+    config.jobs = 2;
+    app::Study study(config);
+    std::vector<Trace> traces;
+    for (const auto &paths : study.ensureTraces())
+        traces.push_back(readTraceFile(paths[0]));
+    ASSERT_FALSE(traces.empty());
+
+    constexpr std::uint64_t kSeeds = 1400;
+    std::size_t built = 0;
+    std::size_t rejected = 0;
+    const core::PatternMiner miner(msToNs(100));
+    for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+        std::mt19937_64 rng(seed);
+        Trace mutant = traces[seed % traces.size()];
+        const int mutations = 1 + static_cast<int>(rng() % 3);
+        for (int m = 0; m < mutations; ++m)
+            mutateEvents(mutant.events, rng);
+        try {
+            const core::Session session =
+                core::Session::fromTrace(std::move(mutant));
+            expectWellFormed(session);
+            // Walk every accepted tree the way the analyses do.
+            const std::size_t n = session.episodes().size();
+            EXPECT_EQ(miner.mine(session).coveredEpisodes +
+                          miner.mine(session).structurelessEpisodes,
+                      n);
+            core::countTriggers(session, 0, n, msToNs(100));
+            core::countLocation(session, 0, n, msToNs(100));
+            ++built;
+        } catch (const TraceError &) {
+            ++rejected;
+        }
+        if (HasFatalFailure())
+            FAIL() << "seed " << seed;
+    }
+    // The mutator must exercise both outcomes.
+    EXPECT_GT(built, kSeeds / 20);
+    EXPECT_GT(rejected, kSeeds / 20);
 }
 
 } // namespace
