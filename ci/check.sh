@@ -307,7 +307,7 @@ mkdir -p "$smoke"
 "$build/examples/record_session" GanttProject 30 0 \
     "$smoke/session.lag" >/dev/null
 rm -rf "$smoke/session.lag.cache"
-"$build/examples/analyze_trace" "$smoke/session.lag" --jobs 4 \
+"$build/examples/analyze_trace" "$smoke/session.lag" \
     --self-trace "$smoke/self.json" \
     --metrics-out "$smoke/metrics.json" >/dev/null
 "$build/tools/trace_check" --chrome "$smoke/self.json"

@@ -5,12 +5,8 @@
  * mining, triggers, location, concurrency and GUI-thread states —
  * then render the slowest perceptible episode as an SVG sketch.
  *
- * Usage: ./analyze_trace <trace.lag> [--threshold-ms N] [--jobs N]
+ * Usage: ./analyze_trace <trace.lag> [--threshold-ms N]
  *                        [--self-trace OUT.json] [--metrics-out OUT]
- *
- * With --jobs > 1 the per-episode analyses shard the episode axis
- * across an engine::ThreadPool; the output is byte-identical to the
- * serial run (see src/engine/parallel_analysis.hh).
  *
  * Results are cached in <trace.lag>.cache keyed by the trace
  * identity and threshold: a re-run of the same analysis renders
@@ -35,8 +31,6 @@
 #include "core/blame.hh"
 #include "core/browser.hh"
 #include "core/session.hh"
-#include "engine/parallel_analysis.hh"
-#include "engine/pool.hh"
 #include "engine/result_cache.hh"
 #include "obs/scope.hh"
 #include "report/table.hh"
@@ -69,10 +63,9 @@ main(int argc, char **argv)
     const obs::ObsOptions obs_options =
         app::parseObsOptions(argc, argv);
     obs::install(obs_options);
-    const std::uint32_t jobs = app::parseJobsOption(argc, argv);
     if (argc < 2) {
         std::cerr << "usage: analyze_trace <trace.lag> "
-                     "[--threshold-ms N] [--jobs N] "
+                     "[--threshold-ms N] "
                      "[--self-trace OUT.json] [--metrics-out OUT]\n";
         return 2;
     }
@@ -107,15 +100,8 @@ main(int argc, char **argv)
     std::optional<engine::SessionAnalysis> analysis =
         cache.load(app_name, session_index);
     if (!analysis) {
-        if (jobs > 1) {
-            engine::ThreadPool pool(jobs);
-            cache.store(app_name, session_index,
-                        engine::analyzeSessionParallel(
-                            session, threshold, pool));
-        } else {
-            cache.store(app_name, session_index,
-                        engine::analyzeSession(session, threshold));
-        }
+        cache.store(app_name, session_index,
+                    engine::analyzeSession(session, threshold));
         analysis = cache.load(app_name, session_index);
     }
     if (!analysis) {

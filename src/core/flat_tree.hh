@@ -8,7 +8,7 @@
  *     begin[] end[] type[] classSym[] methodSym[] gcKind[]
  *     subtreeEnd[]   — one past the last descendant of node i
  *
- * Session::fromTrace emits them in one stack pass over the
+ * SessionBuilder (session.hh) emits them in one stack pass over the
  * time-ordered trace events: a begin event appends a node, its end
  * event sets the node's subtreeEnd, and each collection's copy is
  * attached while the pass runs.  Preorder plus `subtreeEnd` turns
@@ -98,7 +98,7 @@ struct FlatTree
 
 /**
  * All per-thread flat trees of one session plus the episode-to-node
- * index.  Built only by Session::fromTrace.
+ * index.  Built only by SessionBuilder (session.hh).
  */
 class FlatSession
 {
@@ -121,7 +121,7 @@ class FlatSession
     }
 
   private:
-    friend class Session;
+    friend class SessionBuilder;
 
     std::vector<FlatTree> trees_;
     std::vector<std::uint32_t> episodeTree_;

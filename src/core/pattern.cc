@@ -87,12 +87,23 @@ PatternShard
 PatternMiner::mineRange(const Session &session, std::size_t begin,
                         std::size_t end) const
 {
-    const auto &episodes = session.episodes();
-    lag_assert(begin <= end && end <= episodes.size(),
-               "episode range out of bounds");
-
     PatternShard shard;
     shard.beginEpisode = begin;
+    shard.endEpisode = begin;
+    mineInto(shard, session, end);
+    return shard;
+}
+
+void
+PatternMiner::mineInto(PatternShard &shard, const Session &session,
+                       std::size_t end) const
+{
+    const auto &episodes = session.episodes();
+    const std::size_t begin = shard.endEpisode;
+    lag_assert(begin <= end && end <= episodes.size(),
+               "episode range out of bounds");
+    if (begin == end)
+        return;
     shard.endEpisode = end;
 
     // Signature hash -> indices into shard.patterns.  A bucket holds
@@ -110,11 +121,19 @@ PatternMiner::mineRange(const Session &session, std::size_t begin,
     };
     std::vector<FlatRef> firstRef;
 
+    const FlatSession &flat = session.flat();
+    const auto &trees = flat.trees();
+    index.reserve(shard.patterns.size());
+    firstRef.reserve(shard.patterns.size());
+    for (std::size_t p = 0; p < shard.patterns.size(); ++p) {
+        const std::size_t first = shard.patterns[p].episodes.front();
+        index.emplace(shard.patterns[p].key, p);
+        firstRef.push_back({flat.episodeTree(first), flat.episodeNode(first)});
+    }
+
     FlatSigStack sigStack;
     std::string scratchSig;
 
-    const FlatSession &flat = session.flat();
-    const auto &trees = flat.trees();
     for (std::size_t i = begin; i < end; ++i) {
         const std::uint32_t treeIdx = flat.episodeTree(i);
         const std::uint32_t node = flat.episodeNode(i);
@@ -182,7 +201,6 @@ PatternMiner::mineRange(const Session &session, std::size_t begin,
         pattern.episodes.push_back(i); // lag-lint: allow(reserve-loop)
         ++shard.coveredEpisodes;
     }
-    return shard;
 }
 
 PatternSet
@@ -200,8 +218,16 @@ PatternMiner::merge(std::vector<PatternShard> shards) const
         }
         patternUpperBound += shards[k].patterns.size();
     }
-    result.patterns.reserve(patternUpperBound);
 
+    if (shards.size() == 1) {
+        // Within one shard every signature is distinct already.
+        result.patterns = std::move(shards.front().patterns);
+        result.coveredEpisodes = shards.front().coveredEpisodes;
+        result.structurelessEpisodes =
+            shards.front().structurelessEpisodes;
+        shards.clear();
+    }
+    result.patterns.reserve(patternUpperBound);
     std::unordered_map<std::string, std::size_t> index;
     for (auto &shard : shards) {
         for (auto &incoming : shard.patterns) {

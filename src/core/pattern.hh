@@ -112,10 +112,11 @@ struct PatternSet
 /**
  * Partial mining result over a contiguous episode range
  * [beginEpisode, endEpisode).  Patterns appear in first-seen order
- * with statistics covering only the range; PatternMiner::merge
- * reduces adjacent shards into a PatternSet that is byte-identical
- * to a serial mine over the union — the basis of within-session
- * parallel mining.
+ * with statistics covering only the range; PatternMiner::mineInto
+ * grows a shard in place and PatternMiner::merge reduces adjacent
+ * shards into a PatternSet that is byte-identical to a serial mine
+ * over the union — the basis of folding a live session's episodes
+ * as they close.
  */
 struct PatternShard
 {
@@ -160,6 +161,16 @@ class PatternMiner
     /** Mine only episodes [begin, end) into an ordered partial. */
     PatternShard mineRange(const Session &session, std::size_t begin,
                            std::size_t end) const;
+
+    /**
+     * Extend @p shard in place to end at episode @p end: episodes
+     * [shard.endEpisode, end) join its patterns or open new ones
+     * after them, exactly as one mineRange over the whole range
+     * would.  Costs O(new episodes + the shard's patterns); the
+     * shard's episodes must still be those of @p session.
+     */
+    void mineInto(PatternShard &shard, const Session &session,
+                  std::size_t end) const;
 
     /**
      * Reduce shards over adjacent, ascending episode ranges into a

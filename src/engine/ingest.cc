@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <span>
 #include <utility>
 
 #include "core/figure_json.hh"
-#include "core/session.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "study_driver.hh"
@@ -24,6 +24,7 @@ struct IngestMetrics
     obs::Counter &epochs;
     obs::Counter &records;
     obs::Counter &publishes;
+    obs::Counter &recomputedEpisodes;
     obs::Gauge &backlogBytes;
     obs::Gauge &lagMs;
 };
@@ -35,6 +36,7 @@ ingestMetrics()
         obs::metrics().counter("ingest.epochs"),
         obs::metrics().counter("ingest.records"),
         obs::metrics().counter("ingest.publishes"),
+        obs::metrics().counter("ingest.recomputed_episodes"),
         obs::metrics().gauge("ingest.backlog.bytes"),
         obs::metrics().gauge("ingest.lag.ms"),
     };
@@ -122,8 +124,10 @@ IngestPipeline::advance(Work &work, std::uint64_t epoch_number)
 {
     Source &source = *work.source;
     obs::TraceContextScope scope(source.context);
+    const trace::TraceTailer &tailer = source.tailer;
 
-    trace::Trace snapshot;
+    std::span<const trace::TraceEvent> events;
+    std::span<const trace::TraceSample> samples;
     {
         LAG_SPAN("ingest.poll");
         trace::TailStatus status = trace::TailStatus::Waiting;
@@ -133,46 +137,63 @@ IngestPipeline::advance(Work &work, std::uint64_t epoch_number)
             // Quarantine: the file can never become valid, but the
             // other sources keep flowing.
             source.error = e.what();
-            warn("ingest: source '", source.tailer.path(),
+            warn("ingest: source '", tailer.path(),
                  "' is corrupt: ", e.what());
             return;
         }
         if (status == trace::TailStatus::Restarted) {
+            source.live.reset();
             source.lastAnalyzedRecords = 0;
             source.publishedComplete = false;
         }
-        const std::uint64_t records = source.tailer.recordsDecoded();
+        const std::uint64_t records = tailer.recordsDecoded();
         const bool fresh = records != source.lastAnalyzedRecords ||
-                           source.tailer.complete();
-        if (!source.tailer.analyzable() || !fresh ||
-            source.publishedComplete)
+                           tailer.complete();
+        if (!tailer.analyzable() || !fresh || source.publishedComplete)
             return;
         work.newRecords =
             records - std::min(records, source.lastAnalyzedRecords);
         source.lastAnalyzedRecords = records;
-        snapshot = source.tailer.snapshot();
+        if (!source.live)
+            source.live.emplace(tailer, options_.perceptibleThreshold);
+        events = std::span(tailer.events())
+                     .subspan(source.live->events,
+                              tailer.cutEvents() - source.live->events);
+        samples = std::span(tailer.samples()).subspan(source.live->samples);
     }
 
-    LAG_SPAN_ARG("ingest.analyze", "events", snapshot.events.size());
+    LAG_SPAN_ARG("ingest.analyze", "events", events.size());
+    Source::Live &live = *source.live;
     try {
-        const core::Session session =
-            core::Session::fromTrace(std::move(snapshot));
+        const core::Session *session = nullptr;
+        {
+            LAG_SPAN_ARG("session.build", "events", events.size());
+            live.builder.append(events, samples);
+            live.events += events.size();
+            live.samples += samples.size();
+            session = &live.builder.cut(tailer.cutMeta());
+        }
+        live.folded.fold(*session, live.builder.settledEpisodes(),
+                         live.builder.sampledEpisodes());
+        work.recomputedEpisodes =
+            session->episodes().size() - live.folded.treeEnd();
         IngestUpdate update;
-        update.path = source.tailer.path();
-        update.appName = session.meta().appName;
-        update.sessionIndex = session.meta().sessionIndex;
-        update.complete = source.tailer.complete();
+        update.path = tailer.path();
+        update.appName = session->meta().appName;
+        update.sessionIndex = session->meta().sessionIndex;
+        update.complete = tailer.complete();
         update.epoch = epoch_number;
-        update.analysis =
-            analyzeSession(session, options_.perceptibleThreshold);
+        update.analysis = AnalysisPartial(live.folded).finish(*session);
         source.publishedComplete = update.complete;
         ++source.epochsPublished;
         work.update = std::move(update);
     } catch (const trace::TraceError &e) {
         source.error = e.what();
-        warn("ingest: source '", source.tailer.path(),
+        warn("ingest: source '", tailer.path(),
              "' failed analysis: ", e.what());
     }
+    if (source.publishedComplete || !source.error.empty())
+        source.live.reset(); // nothing more will be appended
 }
 
 std::size_t
@@ -192,7 +213,7 @@ IngestPipeline::runEpoch()
         work.reserve(sources_.size());
         for (std::size_t i = 0; i < sources_.size(); ++i) {
             if (sources_[i]->error.empty())
-                work.push_back(Work{i, sources_[i].get(), 0, {}});
+                work.push_back(Work{i, sources_[i].get(), 0, 0, {}});
         }
     }
 
@@ -204,6 +225,7 @@ IngestPipeline::runEpoch()
 
     // Phase 3 — refresh the status copies readers see.
     std::uint64_t new_records = 0;
+    std::uint64_t recomputed = 0;
     std::uint64_t backlog = 0;
     std::vector<IngestUpdate> updates;
     {
@@ -228,6 +250,7 @@ IngestPipeline::runEpoch()
             if (source.error.empty())
                 backlog += tailer.backlogBytes();
             new_records += item.newRecords;
+            recomputed += item.recomputedEpisodes;
             if (item.update)
                 updates.push_back(std::move(*item.update));
         }
@@ -251,6 +274,7 @@ IngestPipeline::runEpoch()
     metrics.epochs.add(1);
     metrics.records.add(new_records);
     metrics.publishes.add(published);
+    metrics.recomputedEpisodes.add(recomputed);
     metrics.backlogBytes.set(static_cast<std::int64_t>(backlog));
     metrics.lagMs.set(lag_ms);
     epochRunning_.store(false);

@@ -4,39 +4,54 @@
  *
  * IngestPipeline owns one trace::TraceTailer per followed file and
  * periodically cuts an **epoch**: poll every tailer for newly
- * appended records, rebuild the sessions that advanced, re-run the
- * full per-session analysis (engine::analyzeSession — the same
- * function the batch path uses), and hand the epoch's fresh
- * SessionAnalysis values to the publish callback as one batch. The
- * callback side (for lagd, serve::HotStore::applyIngest) merges the
- * partial-session v2 summaries into the hot aggregate with
- * core::mergeAnalyses, once per touched app, so a session is
- * queryable while it is still running.
+ * appended records, feed what each tailer decoded since the last
+ * epoch into that source's growing session, fold the episodes that
+ * can no longer change into the source's running analysis partials,
+ * and hand the epoch's fresh SessionAnalysis values to the publish
+ * callback as one batch. The callback side (for lagd,
+ * serve::HotStore::applyIngest) merges the partial-session v2
+ * summaries into the hot aggregate with core::mergeAnalyses, once
+ * per touched app, so a session is queryable while it is still
+ * running.
  *
- * Batch-equivalence contract: once a source's writer finishes, the
- * tailer's snapshot is byte-for-byte the Trace the batch reader
- * produces, analyzeSession is deterministic, and the final
- * published SessionAnalysis serializes to exactly the bytes the
- * batch pipeline caches. tests/engine_ingest_test.cc proves it per
- * example app across chunk sizes and pool widths.
+ * Append and fold: each source keeps a core::SessionBuilder and an
+ * AnalysisPartial (analysis_partial.hh). An epoch appends only the
+ * tailer's new closed events and new samples (by index into the
+ * tailer's own vectors, no copy), cuts the session, folds the
+ * episodes the builder reports settled (tree part) and sampled
+ * (sample part), and finishes a copy of the partial with the few
+ * episodes that are not final yet recomputed (counted by the
+ * `ingest.recomputed_episodes` counter). An epoch thus costs what
+ * its new records add, not what the whole session holds. A tailer
+ * restart drops the session and its partials.
+ *
+ * Batch-equivalence contract: every cut of the live session is the
+ * session Session::fromTrace builds from the tailer's snapshot at
+ * that cut (one build path), the fold is byte-identical to
+ * analyzeSession at any cut sequence, and once a source's writer
+ * finishes the final published SessionAnalysis serializes to
+ * exactly the bytes the batch pipeline caches.
+ * tests/engine_ingest_test.cc proves it at every epoch, per example
+ * app, across chunk sizes and pool widths.
  *
  * Epochs run either synchronously (runEpoch(), what the tests and
  * benchmarks drive) or on a driver thread (start()/stop(), what
  * `lagd --follow` uses), never both at once. An epoch fans out one
- * pool task per source: poll → snapshot → Session::fromTrace →
- * analyzeSession, with no lock held. Only the epoch touches a
- * tailer. The pipeline's mutex (LockRank::Ingest) guards the
- * source list and a per-source IngestSourceStatus copy, which the
- * epoch refreshes after the fan-out; status(), allComplete() and
+ * pool task per source: poll → append → cut → fold → finish, with
+ * no lock held. Only the epoch touches a tailer or a live session.
+ * The pipeline's mutex (LockRank::Ingest) guards the source list
+ * and a per-source IngestSourceStatus copy, which the epoch
+ * refreshes after the fan-out; status(), allComplete() and
  * `/v1/ingest` read that copy, so they never wait for a poll. The
  * lock is never held across the fan-out or the publish.
  *
  * The driver paces epochs start to start: an epoch begins every
  * epochMillis, or at once when the previous one overran.
  *
- * A corrupt source (TraceError kind Corrupt) is quarantined: its
- * error is recorded in the status, the tailer is left where it
- * stopped, and the pipeline keeps serving the other sources.
+ * A corrupt source (TraceError kind Corrupt, from the decode or the
+ * session build) is quarantined: its error is recorded in the
+ * status, the tailer is left where it stopped, and the pipeline
+ * keeps serving the other sources.
  */
 
 #ifndef LAG_ENGINE_INGEST_HH
@@ -52,6 +67,8 @@
 #include <thread>
 #include <vector>
 
+#include "analysis_partial.hh"
+#include "core/session.hh"
 #include "obs/trace_context.hh"
 #include "pool.hh"
 #include "result_cache.hh"
@@ -176,8 +193,28 @@ class IngestPipeline
         {
         }
 
+        /** The growing session and its folded partials; reset
+         * when the tailer restarts and once the complete session is
+         * published. */
+        struct Live
+        {
+            Live(const trace::TraceTailer &tailer,
+                 DurationNs perceptible_threshold)
+                : builder(tailer.meta().startTime, tailer.threads(),
+                          tailer.strings()),
+                  folded(perceptible_threshold)
+            {
+            }
+
+            core::SessionBuilder builder;
+            AnalysisPartial folded;
+            std::size_t events = 0;  ///< tailer events appended
+            std::size_t samples = 0; ///< tailer samples appended
+        };
+
         trace::TraceTailer tailer;
         obs::TraceContext context; ///< spans ingest work per source
+        std::optional<Live> live;
         std::uint64_t lastAnalyzedRecords = 0;
         bool publishedComplete = false;
         std::uint64_t epochsPublished = 0;
@@ -190,10 +227,11 @@ class IngestPipeline
         std::size_t index = 0; ///< into sources_ and statuses_
         Source *source = nullptr;
         std::uint64_t newRecords = 0;
+        std::uint64_t recomputedEpisodes = 0;
         std::optional<IngestUpdate> update; ///< set when analyzed
     };
 
-    /** The pool task: poll, snapshot, build, analyze. */
+    /** The pool task: poll, append, cut, fold, finish. */
     void advance(Work &work, std::uint64_t epoch_number);
 
     /** Add a source and its status copy; false if already known. */

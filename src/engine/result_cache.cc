@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "analysis_partial.hh"
 #include "core/pattern.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
@@ -47,50 +48,11 @@ cacheMetrics()
 
 } // namespace
 
-namespace
-{
-
-/** Everything downstream of the PatternSet is layout-agnostic. */
-SessionAnalysis
-finishAnalysis(const core::Session &session,
-               const core::PatternSet &patterns,
-               DurationNs perceptible_threshold,
-               const core::TriggerAnalysisResult &triggers,
-               const core::LocationAnalysisResult &location)
-{
-    SessionAnalysis out;
-    out.overview = core::computeOverview(session, patterns,
-                                         perceptible_threshold);
-    out.triggers = triggers;
-    out.location = location;
-    out.concurrency =
-        core::analyzeConcurrency(session, perceptible_threshold);
-    out.states =
-        core::analyzeGuiStates(session, perceptible_threshold);
-    out.occurrence = core::occurrenceShares(patterns);
-    out.cdf = core::patternCdf(patterns);
-    out.patternKeys.reserve(patterns.patterns.size());
-    for (const core::Pattern &pattern : patterns.patterns)
-        out.patternKeys.push_back(pattern.key);
-    out.episodeDurations.reserve(session.episodes().size());
-    for (const core::Episode &episode : session.episodes())
-        out.episodeDurations.push_back(episode.duration());
-    out.patternSummary = core::summarizePatterns(patterns);
-    return out;
-}
-
-} // namespace
-
 SessionAnalysis
 analyzeSession(const core::Session &session,
                DurationNs perceptible_threshold)
 {
-    const core::PatternMiner miner(perceptible_threshold);
-    const core::PatternSet patterns = miner.mine(session);
-    return finishAnalysis(
-        session, patterns, perceptible_threshold,
-        core::analyzeTriggers(session, perceptible_threshold),
-        core::analyzeLocation(session, perceptible_threshold));
+    return AnalysisPartial(perceptible_threshold).finish(session);
 }
 
 namespace

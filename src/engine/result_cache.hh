@@ -87,7 +87,8 @@ struct SessionAnalysis
 
 /** Run the full per-session analysis suite: pattern mining,
  * trigger and location analysis on the session's flat interval
- * trees, plus the sample-based analyses. */
+ * trees, plus the sample-based analyses — an AnalysisPartial
+ * (analysis_partial.hh) over every episode, finished. */
 SessionAnalysis analyzeSession(const core::Session &session,
                                DurationNs perceptible_threshold);
 

@@ -356,26 +356,40 @@ TraceTailer::finalize(std::size_t unconsumed)
     }
     if (hasher_.digest() != declaredChecksum_)
         throw TraceError("trace payload checksum mismatch");
-    makeTrace(/*wholePrefix=*/true).validate();
+    // Trace::validate() over the decoded parts, without assembling
+    // a copy of them.
+    TraceValidator::checkMeta(meta_);
+    TraceValidator validator(meta_.startTime, threads_,
+                             stringTable_.size());
+    for (const TraceEvent &event : events_)
+        validator.checkEvent(event);
+    for (const TraceSample &sample : samples_)
+        validator.checkSample(sample);
 }
 
-Trace
-TraceTailer::makeTrace(bool wholePrefix) const
+std::size_t
+TraceTailer::cutEvents() const
 {
-    Trace t;
-    t.meta = meta_;
-    t.threads = threads_;
-    t.strings = stringTable_;
-    if (wholePrefix) {
-        t.events = events_;
-    } else {
-        t.events.assign(events_.begin(),
-                        events_.begin() +
-                            static_cast<std::ptrdiff_t>(
-                                closedEvents_));
+    // Once the event section is complete (Samples/Complete stage)
+    // the whole stream is included; mid-events only the closed
+    // prefix is safe for the session builder.
+    return stage_ >= Stage::Samples
+               ? events_.size()
+               : static_cast<std::size_t>(closedEvents_);
+}
+
+TraceMeta
+TraceTailer::cutMeta() const
+{
+    TraceMeta meta = meta_;
+    if (!complete()) {
+        // The declared endTime is the writer's final value; while
+        // records are still arriving, report only the time span the
+        // decoded prefix actually covers.
+        meta.endTime = std::max(
+            {meta.startTime, closedEndTime_, lastSampleTime_});
     }
-    t.samples = samples_;
-    return t;
+    return meta;
 }
 
 Trace
@@ -387,17 +401,14 @@ TraceTailer::snapshot() const
             "are decoded",
             TraceErrorKind::Truncated);
     }
-    // Once the event section is complete (Samples/Complete stage)
-    // the whole stream is included; mid-events only the closed
-    // prefix is safe for Session::fromTrace.
-    Trace t = makeTrace(stage_ >= Stage::Samples);
-    if (!complete()) {
-        // The declared endTime is the writer's final value; while
-        // records are still arriving, report only the time span the
-        // decoded prefix actually covers.
-        t.meta.endTime = std::max(
-            {t.meta.startTime, closedEndTime_, lastSampleTime_});
-    }
+    Trace t;
+    t.meta = cutMeta();
+    t.threads = threads_;
+    t.strings = stringTable_;
+    t.events.assign(events_.begin(),
+                    events_.begin() +
+                        static_cast<std::ptrdiff_t>(cutEvents()));
+    t.samples = samples_;
     return t;
 }
 

@@ -1,9 +1,11 @@
 /**
  * @file
  * Golden output digests for every quick-study app model: the
- * serialized per-session analysis (serial, and sharded at 1 and 8
- * workers) and the episode-sketch renderings (SVG and ASCII) of each
- * app's longest episode.  The values are committed below, so any
+ * serialized per-session analysis and the episode-sketch renderings
+ * (SVG and ASCII) of each app's longest episode.  The analysis must
+ * also come out byte-identical from AnalysisPartial folded at every
+ * episode cut and at seeded random cuts — the ordered-merge contract
+ * live ingest relies on.  The values are committed below, so any
  * change to how a session is built or analyzed that moves a single
  * output byte fails here.  On a mismatch the test prints the whole
  * table in source form; regenerate it only for an intended output
@@ -15,11 +17,11 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
+#include <random>
 #include <string>
 
 #include "app/study.hh"
-#include "engine/parallel_analysis.hh"
-#include "engine/pool.hh"
+#include "engine/analysis_partial.hh"
 #include "engine/result_cache.hh"
 #include "scratch_dir.hh"
 #include "util/hash.hh"
@@ -59,6 +61,42 @@ constexpr AppDigests kGolden[] = {
 };
 // clang-format on
 
+/**
+ * Fold @p session one episode at a time, finishing a copy at every
+ * cut, and then at seeded random cuts that move the tree and sample
+ * cursors apart: every finish must serialize to @p serial.
+ */
+void
+expectFoldsMatchSerial(const core::Session &session,
+                       DurationNs threshold, const std::string &serial,
+                       const std::string &app)
+{
+    const std::size_t n = session.episodes().size();
+    AnalysisPartial stepwise(threshold);
+    for (std::size_t e = 0; e <= n; ++e) {
+        stepwise.fold(session, e, e);
+        ASSERT_EQ(serializeSessionAnalysis(
+                      AnalysisPartial(stepwise).finish(session)),
+                  serial)
+            << app << " folded to episode " << e;
+    }
+    std::mt19937_64 rng(fnv1a(app));
+    for (int round = 0; round < 8; ++round) {
+        AnalysisPartial partial(threshold);
+        std::size_t tree = 0;
+        std::size_t sample = 0;
+        while (tree < n || sample < n) {
+            tree += rng() % (n - tree + 1);
+            sample += rng() % (n - sample + 1);
+            partial.fold(session, tree, sample);
+        }
+        EXPECT_EQ(serializeSessionAnalysis(
+                      std::move(partial).finish(session)),
+                  serial)
+            << app << " folded at random cuts, round " << round;
+    }
+}
+
 TEST(GoldenDigests, EveryAppModelMatchesCommittedBytes)
 {
     const ScratchDir dir("lagalyzer-cache-test-golden");
@@ -71,8 +109,6 @@ TEST(GoldenDigests, EveryAppModelMatchesCommittedBytes)
     ASSERT_EQ(config.apps.size(), std::size(kGolden))
         << "catalog changed; the table must cover every app model";
 
-    ThreadPool serialPool(1);
-    ThreadPool widePool(8);
     std::string table;
     bool allMatch = true;
     for (std::size_t a = 0; a < config.apps.size(); ++a) {
@@ -80,14 +116,8 @@ TEST(GoldenDigests, EveryAppModelMatchesCommittedBytes)
         const DurationNs threshold = config.perceptibleThreshold;
         const std::string serial =
             serializeSessionAnalysis(analyzeSession(session, threshold));
-        EXPECT_EQ(serializeSessionAnalysis(analyzeSessionParallel(
-                      session, threshold, serialPool)),
-                  serial)
-            << config.apps[a].name << " at jobs=1";
-        EXPECT_EQ(serializeSessionAnalysis(analyzeSessionParallel(
-                      session, threshold, widePool)),
-                  serial)
-            << config.apps[a].name << " at jobs=8";
+        expectFoldsMatchSerial(session, threshold, serial,
+                               config.apps[a].name);
 
         ASSERT_FALSE(session.episodes().empty()) << config.apps[a].name;
         std::size_t longest = 0;
