@@ -12,6 +12,7 @@
 #include "core/pattern.hh"
 #include "core/pattern_stats.hh"
 #include "trace_builder.hh"
+#include "util/hash.hh"
 
 namespace lag::core
 {
@@ -222,6 +223,48 @@ TEST(PatternMinerTest, KeysAreStableHashesOfSignatures)
     ASSERT_EQ(a.patterns.size(), b.patterns.size());
     for (std::size_t i = 0; i < a.patterns.size(); ++i)
         EXPECT_EQ(a.patterns[i].key, b.patterns[i].key);
+}
+
+TEST(PatternMinerTest, JoinedTextNotSymbolIdsDecidesThePattern)
+{
+    // Class "a.b" + method "c" and class "a" + method "b.c" intern
+    // to different symbol ids but print the same "[a.b.c]": the
+    // text is canonical, so all of them are one pattern keyed by the
+    // hash of that text.  The third and fifth episodes repeat the
+    // two id structures with a GC inside, which must not matter;
+    // the fourth repeats the alternate structure alone.
+    test::TraceBuilder builder;
+    TimeNs now = 0;
+    const auto episode = [&](const char *cls, const char *method,
+                             bool with_gc) {
+        builder.dispatchBegin(now).intervalBegin(
+            now + 1, IntervalKind::Listener, cls, method);
+        if (with_gc)
+            builder.gc(now + msToNs(1), now + msToNs(2));
+        builder.intervalEnd(now + msToNs(5), IntervalKind::Listener)
+            .dispatchEnd(now + msToNs(6));
+        now += msToNs(10);
+    };
+    episode("a.b", "c", false);
+    episode("a", "b.c", false);
+    episode("a.b", "c", true);
+    episode("a", "b.c", false);
+    episode("a", "b.c", true);
+    builder.listenerEpisode(now, now + msToNs(5), "a.b", "d");
+    now += msToNs(10);
+    const Session session = builder.buildSession(now + secToNs(1));
+
+    const PatternSet set = PatternMiner(msToNs(100)).mine(session);
+    ASSERT_EQ(set.patterns.size(), 2u);
+    const Pattern &joined = set.patterns[0];
+    EXPECT_EQ(joined.signature, "D(L[a.b.c])");
+    EXPECT_EQ(joined.key, fnv1a(joined.signature));
+    EXPECT_EQ(joined.episodes,
+              (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(joined.descendants, 1u);
+    EXPECT_EQ(set.patterns[1].signature, "D(L[a.b.d])");
+    EXPECT_EQ(set.patterns[1].key, fnv1a(set.patterns[1].signature));
+    EXPECT_EQ(set.coveredEpisodes, 6u);
 }
 
 TEST(PatternStatsTest, CdfMonotoneAndComplete)
