@@ -15,9 +15,6 @@
  *                            (flatEpisodeTrigger, SIMD under
  *                            LAG_SIMD), millions of episodes per
  *                            second
- *  - `merge_mepisodes_per_s` the miner's ordered shard merge
- *                            (PatternMiner::merge over 8 mined
- *                            shards)
  *
  * Before timing anything, every episode's signature string is
  * checked against its one-pass hash; a mismatch prints to stderr
@@ -35,13 +32,11 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "app/catalog.hh"
 #include "app/session_runner.hh"
 #include "core/flat_simd.hh"
 #include "core/flat_tree.hh"
-#include "core/pattern.hh"
 #include "core/triggers.hh"
 #include "trace/io.hh"
 #include "util/hash.hh"
@@ -224,43 +219,6 @@ reportClassification(const Fixture &f, int reps)
     std::fflush(stdout);
 }
 
-void
-reportSummaryMerge(const Fixture &f, int reps)
-{
-    // The miner's ordered merge of adjacent shards: mine 8 shards
-    // once (off the clock), then time reducing copies of them.
-    constexpr std::size_t kShards = 8;
-    const core::PatternMiner miner(msToNs(100));
-    std::vector<core::PatternShard> shards;
-    shards.reserve(kShards);
-    for (std::size_t s = 0; s < kShards; ++s) {
-        const std::size_t begin = f.episodes * s / kShards;
-        const std::size_t end = f.episodes * (s + 1) / kShards;
-        shards.push_back(
-            miner.mineRange(f.session, begin, end));
-    }
-
-    std::size_t patternSum = 0;
-    const double merge_ms = timedMs([&] {
-        for (int r = 0; r < reps; ++r) {
-            patternSum +=
-                miner.merge(shards).patterns.size();
-        }
-    }) / reps;
-    benchmark::DoNotOptimize(patternSum);
-
-    const double m = static_cast<double>(f.episodes) / 1e6;
-    std::printf(
-        "{\"bench\":\"merge_mepisodes_per_s\",\"shards\":%llu,"
-        "\"episodes\":%llu,\"reps\":%d,\"patterns\":%llu,"
-        "\"merged\":%.3f}\n",
-        static_cast<unsigned long long>(kShards),
-        static_cast<unsigned long long>(f.episodes), reps,
-        static_cast<unsigned long long>(patternSum / reps),
-        merge_ms > 0.0 ? m / (merge_ms / 1e3) : 0.0);
-    std::fflush(stdout);
-}
-
 } // namespace
 
 int
@@ -280,6 +238,5 @@ main(int argc, char **argv)
     reportSignatureHashing(f, reps);
     reportStructuralWalks(f, reps);
     reportClassification(f, reps);
-    reportSummaryMerge(f, smoke ? 3 : 50);
     return 0;
 }

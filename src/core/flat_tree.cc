@@ -259,4 +259,30 @@ flatStructureEquals(const FlatTree &a, std::uint32_t ia,
     }
 }
 
+std::uint64_t
+flatStructureHash(const FlatTree &tree, std::uint32_t i)
+{
+    // Two words per node, each folded by one multiply and a shift:
+    // a dependency chain of a few cycles per node, against one
+    // multiply per signature byte for the FNV key.
+    const auto fold = [](std::uint64_t h, std::uint64_t word) {
+        h = (h ^ word) * 0x9E3779B97F4A7C15ULL;
+        return h ^ (h >> 29);
+    };
+    std::uint64_t h = 0;
+    const std::uint32_t limit = tree.subtreeEnd[i];
+    for (std::uint32_t j = i; j < limit;) {
+        if (tree.typeOf(j) == IntervalType::Gc) {
+            j = tree.subtreeEnd[j];
+            continue;
+        }
+        h = fold(h, (std::uint64_t{tree.classSym[j]} << 32) |
+                        tree.methodSym[j]);
+        h = fold(h, (std::uint64_t{nonGcSubtreeSize(tree, j)} << 8) |
+                        tree.type[j]);
+        ++j;
+    }
+    return h;
+}
+
 } // namespace lag::core

@@ -180,10 +180,10 @@ flatForEachInPreorder(const FlatTree &tree, std::uint32_t root,
 
 /** @name Flat signature emission.
  * The canonical structural signature (pattern.hh) emitted straight
- * from the flat slice: hash-only for the per-episode hot path (no
- * intermediate string), string materialization for first-seen
- * patterns, and an id-level structural comparison that decides
- * signature equality without touching either string.
+ * from the flat slice: hash-only (no intermediate string) and string
+ * materialization, both for episodes the id-level lookup misses,
+ * plus an id-level structural hash and comparison that decide
+ * signature equality without touching any string.
  * @{ */
 
 /** One frame of the iterative signature walk (a child range plus
@@ -231,6 +231,15 @@ std::string flatSignatureString(const FlatTree &tree,
  */
 bool flatStructureEquals(const FlatTree &a, std::uint32_t ia,
                          const FlatTree &b, std::uint32_t ib);
+
+/**
+ * 64-bit hash of exactly what flatStructureEquals compares: per
+ * non-GC node in preorder, (type, classSym, methodSym, non-GC
+ * subtree size), folded a word at a time.  Equal structures hash
+ * equal.  The ids are session-local, so the hash is a lookup key
+ * within one session only, never a persistent key.
+ */
+std::uint64_t flatStructureHash(const FlatTree &tree, std::uint32_t i);
 
 /** @} */
 

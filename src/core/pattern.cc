@@ -1,7 +1,7 @@
 #include "pattern.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
 
 #include "util/logging.hh"
 
@@ -68,6 +68,32 @@ PatternSet::perceptiblePatternCount() const
     return count;
 }
 
+void
+PatternIndex::insert(std::uint64_t hash, std::size_t pattern,
+                     std::size_t episode)
+{
+    lag_assert(pattern < kEmpty && episode <= 0xffffffffU,
+               "pattern index entry out of range");
+    if (2 * (used_ + 1) > slots_.size()) {
+        std::vector<Entry> old = std::move(slots_);
+        const std::size_t size = old.empty() ? 16 : 2 * old.size();
+        slots_.assign(size, Entry{});
+        shift_ = static_cast<unsigned>(64 - std::countr_zero(size));
+        used_ = 0;
+        for (const Entry &entry : old) {
+            if (entry.pattern != kEmpty)
+                insert(entry.hash, entry.pattern, entry.episode);
+        }
+    }
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t s = slotOf(hash);
+    while (slots_[s].pattern != kEmpty)
+        s = (s + 1) & mask;
+    slots_[s] = {hash, static_cast<std::uint32_t>(pattern),
+                 static_cast<std::uint32_t>(episode)};
+    ++used_;
+}
+
 PatternMiner::PatternMiner(DurationNs perceptible_threshold)
     : threshold_(perceptible_threshold)
 {
@@ -77,21 +103,9 @@ PatternMiner::PatternMiner(DurationNs perceptible_threshold)
 PatternSet
 PatternMiner::mine(const Session &session) const
 {
-    std::vector<PatternShard> shards;
-    shards.push_back(
-        mineRange(session, 0, session.episodes().size()));
-    return merge(std::move(shards));
-}
-
-PatternShard
-PatternMiner::mineRange(const Session &session, std::size_t begin,
-                        std::size_t end) const
-{
     PatternShard shard;
-    shard.beginEpisode = begin;
-    shard.endEpisode = begin;
-    mineInto(shard, session, end);
-    return shard;
+    mineInto(shard, session, session.episodes().size());
+    return finish(std::move(shard));
 }
 
 void
@@ -106,31 +120,8 @@ PatternMiner::mineInto(PatternShard &shard, const Session &session,
         return;
     shard.endEpisode = end;
 
-    // Signature hash -> indices into shard.patterns.  A bucket holds
-    // more than one entry only when distinct signatures collide on
-    // the 64-bit FNV key, which the string fallback below resolves.
-    std::unordered_multimap<std::uint64_t, std::size_t> index;
-
-    // Flat location of each pattern's first episode, parallel to
-    // shard.patterns: repeat episodes compare against it at the
-    // symbol-id level instead of re-materializing the signature.
-    struct FlatRef
-    {
-        std::uint32_t tree = 0;
-        std::uint32_t node = 0;
-    };
-    std::vector<FlatRef> firstRef;
-
     const FlatSession &flat = session.flat();
     const auto &trees = flat.trees();
-    index.reserve(shard.patterns.size());
-    firstRef.reserve(shard.patterns.size());
-    for (std::size_t p = 0; p < shard.patterns.size(); ++p) {
-        const std::size_t first = shard.patterns[p].episodes.front();
-        index.emplace(shard.patterns[p].key, p);
-        firstRef.push_back({flat.episodeTree(first), flat.episodeNode(first)});
-    }
-
     FlatSigStack sigStack;
     std::string scratchSig;
 
@@ -144,44 +135,44 @@ PatternMiner::mineInto(PatternShard &shard, const Session &session,
             ++shard.structurelessEpisodes;
             continue;
         }
-        const std::uint64_t hash = flatSignatureHash(
-            tree, node, session.strings(), sigStack);
 
-        std::size_t match = shard.patterns.size();
-        const auto [lo, hi] = index.equal_range(hash);
-        for (auto it = lo; it != hi; ++it) {
-            const FlatRef &ref = firstRef[it->second];
-            if (flatStructureEquals(trees[ref.tree], ref.node, tree,
-                                    node)) {
-                match = it->second;
-                break;
-            }
-            // Id-level mismatch under an equal hash: distinct symbol
-            // ids can still join to the same signature bytes (the
-            // "[A.B]" text is the canonical form, not the id tuple),
-            // and distinct signatures can collide on 64 bits.  The
-            // signature string is the arbiter either way.
+        // Fast path: an earlier episode with the same ids.
+        const std::uint64_t structure = flatStructureHash(tree, node);
+        std::size_t match = shard.byStructure.find(
+            structure, [&](const PatternIndex::Entry &entry) {
+                return flatStructureEquals(
+                    trees[flat.episodeTree(entry.episode)],
+                    flat.episodeNode(entry.episode), tree, node);
+            });
+        if (match == PatternIndex::npos) {
+            // A new id structure.  Its signature text decides: ids
+            // that differ can still join to the same "[A.B]" bytes
+            // (the text is the canonical form), and distinct texts
+            // can collide on the 64-bit key.
+            const std::uint64_t key = flatSignatureHash(
+                tree, node, session.strings(), sigStack);
             scratchSig.clear();
             flatSignatureString(tree, node, session.strings(),
                                 scratchSig, sigStack);
-            if (scratchSig == shard.patterns[it->second].signature) {
-                match = it->second;
-                break;
+            match = shard.byKey.find(
+                key, [&](const PatternIndex::Entry &entry) {
+                    return shard.patterns[entry.pattern].signature ==
+                           scratchSig;
+                });
+            if (match == PatternIndex::npos) {
+                match = shard.patterns.size();
+                Pattern pattern;
+                pattern.key = key;
+                pattern.signature = scratchSig;
+                pattern.descendants = flatNonGcDescendants(tree, node);
+                pattern.depth = flatNonGcDepth(tree, node);
+                // Per-pattern membership is unknowable up front.
+                shard.patterns.push_back(std::move(pattern)); // lag-lint: allow(reserve-loop)
+                shard.byKey.insert(key, match, i);
             }
-        }
-        if (match == shard.patterns.size()) {
-            Pattern pattern;
-            pattern.key = hash;
-            scratchSig.clear();
-            flatSignatureString(tree, node, session.strings(),
-                                scratchSig, sigStack);
-            pattern.signature = scratchSig;
-            pattern.descendants = flatNonGcDescendants(tree, node);
-            pattern.depth = flatNonGcDepth(tree, node);
-            index.emplace(hash, match);
-            // Per-pattern membership is unknowable up front.
-            firstRef.push_back({treeIdx, node}); // lag-lint: allow(reserve-loop)
-            shard.patterns.push_back(std::move(pattern)); // lag-lint: allow(reserve-loop)
+            // This episode's own ids, so the next episode spelled
+            // the same way takes the fast path.
+            shard.byStructure.insert(structure, match, i);
         }
         Pattern &pattern = shard.patterns[match];
 
@@ -204,55 +195,13 @@ PatternMiner::mineInto(PatternShard &shard, const Session &session,
 }
 
 PatternSet
-PatternMiner::merge(std::vector<PatternShard> shards) const
+PatternMiner::finish(PatternShard shard) const
 {
     PatternSet result;
     result.perceptibleThreshold = threshold_;
-
-    std::size_t patternUpperBound = 0;
-    for (std::size_t k = 0; k < shards.size(); ++k) {
-        if (k > 0) {
-            lag_assert(shards[k].beginEpisode ==
-                           shards[k - 1].endEpisode,
-                       "pattern shards must cover adjacent ranges");
-        }
-        patternUpperBound += shards[k].patterns.size();
-    }
-
-    if (shards.size() == 1) {
-        // Within one shard every signature is distinct already.
-        result.patterns = std::move(shards.front().patterns);
-        result.coveredEpisodes = shards.front().coveredEpisodes;
-        result.structurelessEpisodes =
-            shards.front().structurelessEpisodes;
-        shards.clear();
-    }
-    result.patterns.reserve(patternUpperBound);
-    std::unordered_map<std::string, std::size_t> index;
-    for (auto &shard : shards) {
-        for (auto &incoming : shard.patterns) {
-            const auto [it, inserted] = index.emplace(
-                incoming.signature, result.patterns.size());
-            if (inserted) {
-                result.patterns.push_back(std::move(incoming));
-                continue;
-            }
-            // Later shards cover later episodes, so the existing
-            // entry keeps first-seen fields (signature, key,
-            // descendants, depth, firstPerceptible) and the member
-            // list simply concatenates in ascending order.
-            Pattern &pattern = result.patterns[it->second];
-            pattern.minLag = std::min(pattern.minLag, incoming.minLag);
-            pattern.maxLag = std::max(pattern.maxLag, incoming.maxLag);
-            pattern.totalLag += incoming.totalLag;
-            pattern.perceptibleCount += incoming.perceptibleCount;
-            pattern.episodes.insert(pattern.episodes.end(),
-                                    incoming.episodes.begin(),
-                                    incoming.episodes.end());
-        }
-        result.coveredEpisodes += shard.coveredEpisodes;
-        result.structurelessEpisodes += shard.structurelessEpisodes;
-    }
+    result.patterns = std::move(shard.patterns);
+    result.coveredEpisodes = shard.coveredEpisodes;
+    result.structurelessEpisodes = shard.structurelessEpisodes;
 
     for (auto &pattern : result.patterns) {
         pattern.occurrence =

@@ -19,6 +19,7 @@
 #ifndef LAG_CORE_PATTERN_HH
 #define LAG_CORE_PATTERN_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -110,24 +111,88 @@ struct PatternSet
 };
 
 /**
- * Partial mining result over a contiguous episode range
- * [beginEpisode, endEpisode).  Patterns appear in first-seen order
- * with statistics covering only the range; PatternMiner::mineInto
- * grows a shard in place and PatternMiner::merge reduces adjacent
- * shards into a PatternSet that is byte-identical to a serial mine
- * over the union — the basis of folding a live session's episodes
- * as they close.
+ * Open-addressing multimap from a 64-bit hash to (pattern, episode)
+ * entries: the miner's lookup tables.  Two flat vectors and no
+ * per-entry allocation, so a shard (and the AnalysisPartial holding
+ * it) copies cheaply.
+ */
+class PatternIndex
+{
+  public:
+    struct Entry
+    {
+        std::uint64_t hash = 0;
+        std::uint32_t pattern = kEmpty; ///< index into the patterns
+        std::uint32_t episode = 0;      ///< the episode it came from
+    };
+
+    static constexpr std::uint32_t kEmpty = 0xffffffffU;
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+    /** The pattern of the first entry under @p hash that
+     * @p matches accepts, or npos. */
+    template <typename Matches>
+    std::size_t
+    find(std::uint64_t hash, Matches &&matches) const
+    {
+        if (slots_.empty())
+            return npos;
+        const std::size_t mask = slots_.size() - 1;
+        // Load stays at most 1/2, so an empty slot ends every probe.
+        for (std::size_t s = slotOf(hash);; s = (s + 1) & mask) {
+            const Entry &entry = slots_[s];
+            if (entry.pattern == kEmpty)
+                return npos;
+            if (entry.hash == hash && matches(entry))
+                return entry.pattern;
+        }
+    }
+
+    /** Add an entry (duplicates of a hash are kept). */
+    void insert(std::uint64_t hash, std::size_t pattern,
+                std::size_t episode);
+
+  private:
+    std::size_t
+    slotOf(std::uint64_t hash) const
+    {
+        // Fibonacci hashing: the top bits of a multiply spread any
+        // key over the power-of-two table.
+        return static_cast<std::size_t>(
+            (hash * 0x9E3779B97F4A7C15ULL) >> shift_);
+    }
+
+    std::vector<Entry> slots_; ///< power-of-two size, or empty
+    std::size_t used_ = 0;
+    unsigned shift_ = 64;
+};
+
+/**
+ * Mining state over the episode prefix [0, endEpisode): patterns in
+ * first-seen order with statistics over that prefix, plus the lookup
+ * indices over them.  PatternMiner::mineInto grows it in place, so a
+ * live session folds each episode once as it closes, and
+ * PatternMiner::finish turns it into a PatternSet.
  */
 struct PatternShard
 {
-    std::size_t beginEpisode = 0;
     std::size_t endEpisode = 0;
 
-    /** Patterns in first-seen (episode) order within the range. */
+    /** Patterns in first-seen (episode) order. */
     std::vector<Pattern> patterns;
 
     std::size_t coveredEpisodes = 0;
     std::size_t structurelessEpisodes = 0;
+
+    /** flatStructureHash -> (pattern, an episode of that exact id
+     * structure).  One entry per distinct id structure seen, so a
+     * pattern whose text is spelled by several id structures has
+     * several entries. */
+    PatternIndex byStructure;
+
+    /** Pattern key (FNV-1a of the signature) -> pattern; consulted
+     * only when byStructure misses. */
+    PatternIndex byKey;
 };
 
 /**
@@ -150,36 +215,31 @@ class PatternMiner
     explicit PatternMiner(DurationNs perceptible_threshold = msToNs(100));
 
     /**
-     * Group the session's episodes into patterns.  Each episode's
-     * signature is hashed in one pass over its flat slice — no
-     * intermediate string, no recursion — and repeat episodes are
-     * compared against their pattern at the symbol-id level.  A
-     * signature string is materialized only for first-seen patterns.
+     * Group the session's episodes into patterns: one mineInto over
+     * every episode, then finish.
      */
     PatternSet mine(const Session &session) const;
-
-    /** Mine only episodes [begin, end) into an ordered partial. */
-    PatternShard mineRange(const Session &session, std::size_t begin,
-                           std::size_t end) const;
 
     /**
      * Extend @p shard in place to end at episode @p end: episodes
      * [shard.endEpisode, end) join its patterns or open new ones
-     * after them, exactly as one mineRange over the whole range
-     * would.  Costs O(new episodes + the shard's patterns); the
-     * shard's episodes must still be those of @p session.
+     * after them.  An episode is first looked up by its nodes'
+     * session-local ids (flatStructureHash, confirmed by
+     * flatStructureEquals), which costs no string work.  Only on a
+     * miss is its signature hashed and compared as text, because
+     * the "[A.B]" text, not the id tuple, is canonical: ids that
+     * differ can still print the same signature.  Costs O(new
+     * episodes); the shard's episodes must still be those of
+     * @p session.
      */
     void mineInto(PatternShard &shard, const Session &session,
                   std::size_t end) const;
 
     /**
-     * Reduce shards over adjacent, ascending episode ranges into a
-     * full PatternSet.  The result is independent of how the
-     * episode axis was cut: mine() is merge({mineRange(all)}) by
-     * definition, and any other contiguous partition merges to the
-     * same bytes.
+     * Classify each pattern of @p shard and order them most
+     * populous first (ties: first-seen order).
      */
-    PatternSet merge(std::vector<PatternShard> shards) const;
+    PatternSet finish(PatternShard shard) const;
 
   private:
     DurationNs threshold_;

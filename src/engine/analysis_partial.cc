@@ -62,10 +62,8 @@ AnalysisPartial::finish(const core::Session &session) &&
     const std::size_t n = session.episodes().size();
     fold(session, n, n);
 
-    const core::PatternMiner miner(threshold_);
-    std::vector<core::PatternShard> shards;
-    shards.push_back(std::move(patterns_));
-    const core::PatternSet patterns = miner.merge(std::move(shards));
+    const core::PatternSet patterns =
+        core::PatternMiner(threshold_).finish(std::move(patterns_));
 
     SessionAnalysis out;
     out.overview =

@@ -3,8 +3,8 @@
  * The per-session analysis as integer partials over the episode axis.
  *
  * Every per-session analysis is a fold over the session's episodes
- * in order — pattern mining (an ordered merge: first-seen order and
- * member lists follow the episode axis), triggers, location,
+ * in order — pattern mining (one growing PatternShard: first-seen
+ * order and member lists follow the episode axis), triggers, location,
  * concurrency and GUI states (integer sums) — followed by a finish
  * step that turns the integers into the doubles of a
  * SessionAnalysis.  AnalysisPartial holds those partials over a

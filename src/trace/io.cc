@@ -75,14 +75,14 @@ serializeTrace(const Trace &trace)
 
     const std::string body = payload.take();
 
-    Fnv1aHasher hasher;
+    Crc32cHasher hasher;
     hasher.addBytes(body.data(), body.size());
 
     ByteWriter out;
     for (char c : kMagic)
         out.u8(static_cast<std::uint8_t>(c));
     out.u32(kFormatVersion);
-    out.u64(hasher.digest());
+    out.u64(hasher.digest()); // zero-extended into the u64 field
     std::string result = out.take();
     result += body;
     return result;
@@ -108,8 +108,9 @@ deserializeTrace(std::string_view data)
     const std::uint64_t checksum = header.u64();
 
     const std::string_view body = data.substr(header.position());
-    Fnv1aHasher hasher;
+    Crc32cHasher hasher;
     hasher.addBytes(body.data(), body.size());
+    // Nonzero high bits in the u64 field can never match.
     if (hasher.digest() != checksum)
         throw TraceError("trace payload checksum mismatch");
 

@@ -6,7 +6,8 @@
  *
  *   magic   "LAGTRC\0\0" (8 bytes)
  *   u32     format version (kFormatVersion)
- *   u64     payload FNV-1a checksum
+ *   u64     payload CRC32C checksum, zero-extended (the high 32
+ *           bits must be zero; anything else is a mismatch)
  *   payload section header, meta, threads, string table, events,
  *           samples
  *
@@ -35,8 +36,12 @@ namespace lag::trace
 /**
  * Current binary format version.  Version 3 added the sectioned
  * count header that enables pre-sized (reserve-exact) decode.
+ * Version 4 replaced the payload checksum, FNV-1a 64, with CRC32C,
+ * which the CPU computes eight bytes per instruction; the field keeps
+ * its offset and width.  Readers accept only the current version: an
+ * older file is unreadable, and a study re-simulates it.
  */
-constexpr std::uint32_t kFormatVersion = 3;
+constexpr std::uint32_t kFormatVersion = 4;
 
 /** Fixed wire size of one encoded TraceEvent, in bytes. */
 constexpr std::size_t kEventWireBytes = 23;

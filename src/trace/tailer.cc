@@ -59,7 +59,7 @@ TraceTailer::reset()
     totalRead_ = 0;
     buffer_.clear();
     fingerprint_.clear();
-    hasher_ = Fnv1aHasher();
+    hasher_ = Crc32cHasher();
     declaredChecksum_ = 0;
     counts_ = wire::SectionHeader();
     meta_ = TraceMeta();

@@ -36,7 +36,7 @@
  * zero and reports Restarted so callers drop derived state.
  *
  * The payload checksum is folded incrementally over consumed bytes,
- * so completion verifies the same FNV-1a digest as the batch reader
+ * so completion verifies the same CRC32C digest as the batch reader
  * without ever holding the whole file in memory.
  */
 
@@ -187,7 +187,7 @@ class TraceTailer
     std::string buffer_; ///< read-but-unconsumed carry (partial tail)
     std::string fingerprint_;
 
-    Fnv1aHasher hasher_; ///< FNV-1a over consumed payload bytes
+    Crc32cHasher hasher_; ///< CRC32C over consumed payload bytes
     std::uint64_t declaredChecksum_ = 0;
     wire::SectionHeader counts_;
 

@@ -1,16 +1,21 @@
 /**
  * @file
- * Stable 64-bit hashing for pattern signatures and cache keys.
+ * Stable hashing: FNV-1a 64 for pattern signatures and cache keys,
+ * CRC32C for trace payload checksums.
  *
  * std::hash is implementation-defined; pattern keys and trace-cache
  * keys must be stable across compilers and runs, so FNV-1a is
- * implemented explicitly.
+ * implemented explicitly.  FNV-1a is serial per byte, which makes it
+ * the wrong tool for megabytes of trace payload: the trace checksum
+ * is CRC32C (Castagnoli), which the CPU computes eight bytes per
+ * instruction where it can.
  */
 
 #ifndef LAG_UTIL_HASH_HH
 #define LAG_UTIL_HASH_HH
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
@@ -87,6 +92,43 @@ class Fnv1aHasher
     static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
 
     std::uint64_t hash_ = kOffset;
+};
+
+/**
+ * @name CRC32C (Castagnoli, reflected polynomial 0x82F63B78).
+ * The functions below advance a raw CRC register (no initial or final
+ * inversion); Crc32cHasher adds both to give the standard digest.
+ * Both implementations are exposed so tests can prove them equal.
+ * @{ */
+
+/** Slicing-by-8 table implementation; available everywhere. */
+std::uint32_t crc32cTable(std::uint32_t crc, const void *data,
+                          std::size_t size);
+
+/** True when this CPU has a CRC32C instruction (SSE4.2 on x86-64,
+ * the CRC extension on ARMv8). Checked once per process. */
+bool crc32cHardwareAvailable();
+
+/** One lane of the CPU's CRC32C instruction, eight bytes per step.
+ * Requires crc32cHardwareAvailable(). */
+std::uint32_t crc32cHardware(std::uint32_t crc, const void *data,
+                             std::size_t size);
+
+/** @} */
+
+/** Incremental CRC32C hasher: the trace payload checksum. */
+class Crc32cHasher
+{
+  public:
+    /** Fold raw bytes through the hardware path when available,
+     * else the table path; any chunking gives the same digest. */
+    void addBytes(const void *data, std::size_t size);
+
+    /** Current digest (the standard CRC32C of the bytes so far). */
+    std::uint32_t digest() const { return ~crc_; }
+
+  private:
+    std::uint32_t crc_ = 0xffffffffU;
 };
 
 /** One-shot hash of a string. */

@@ -94,9 +94,7 @@ TEST(ParallelAnalysis, MinedPatternsMatchSerialMiner)
                        shard.endEpisode +
                            rng() % (n - shard.endEpisode + 1));
     }
-    std::vector<core::PatternShard> shards;
-    shards.push_back(std::move(shard));
-    const core::PatternSet folded = miner.merge(std::move(shards));
+    const core::PatternSet folded = miner.finish(std::move(shard));
 
     ASSERT_EQ(folded.patterns.size(), serial.patterns.size());
     for (std::size_t i = 0; i < serial.patterns.size(); ++i) {

@@ -2,14 +2,15 @@
  * @file
  * End-to-end tests of the parallel study pipeline: parallel output
  * is byte-identical to serial, the result cache round-trips and
- * rejects damage, truncated traces are regenerated, and manifest
- * writes never leave a torn file behind.
+ * rejects damage, truncated and old-format traces are regenerated,
+ * and manifest writes never leave a torn file behind.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -20,6 +21,8 @@
 #include "app/study.hh"
 #include "engine/result_cache.hh"
 #include "trace/io.hh"
+#include "trace/tailer.hh"
+#include "util/hash.hh"
 #include "scratch_dir.hh"
 
 namespace lag::engine
@@ -293,6 +296,57 @@ TEST(EngineStudy, TruncatedTraceIsResimulated)
     // simulation is a pure function of the config and seed).
     const core::Session session = study.loadSession(0, 1);
     EXPECT_FALSE(session.episodes().empty());
+    EXPECT_EQ(readFileBytes(victim), original);
+}
+
+TEST(EngineStudy, OldFormatTraceIsResimulated)
+{
+    const ScratchDir dir("lagalyzer-cache-test-old-format");
+    app::StudyConfig config = testStudy(dir.path, 2);
+    config.apps.resize(1);
+    app::Study study(config);
+
+    const auto paths = study.ensureTraces();
+    const std::string &victim = paths[0][0];
+    const std::string original = readFileBytes(victim);
+    const std::string fresh = serializeSessionAnalysis(analyzeSession(
+        study.loadSession(0, 0), config.perceptibleThreshold));
+
+    // The same payload under a format-3 header, as a build from
+    // before the CRC32C checksum wrote it: version 3 and the
+    // payload's FNV-1a 64 in the checksum field.
+    constexpr std::size_t kPayload = 20;
+    std::string old = original;
+    const std::uint32_t version = 3;
+    std::memcpy(old.data() + 8, &version, sizeof(version));
+    Fnv1aHasher fnv;
+    fnv.addBytes(old.data() + kPayload, old.size() - kPayload);
+    const std::uint64_t checksum = fnv.digest();
+    std::memcpy(old.data() + 12, &checksum, sizeof(checksum));
+    {
+        std::ofstream out(victim, std::ios::binary | std::ios::trunc);
+        out.write(old.data(), static_cast<std::streamsize>(old.size()));
+    }
+    EXPECT_THROW(trace::readTraceFile(victim), trace::TraceError);
+
+    // The follow-mode reader rejects it with a typed error.
+    trace::TraceTailer tailer(victim);
+    try {
+        (void)tailer.poll();
+        FAIL() << "a format-3 trace must not tail";
+    } catch (const trace::TraceError &e) {
+        EXPECT_EQ(e.kind(), trace::TraceErrorKind::Corrupt);
+        EXPECT_NE(std::string(e.what()).find("version 3"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // loadSession takes the unreadable path: it re-simulates, gives
+    // the session a fresh run gives and rewrites the current format.
+    const core::Session session = study.loadSession(0, 0);
+    EXPECT_EQ(serializeSessionAnalysis(analyzeSession(
+                  session, config.perceptibleThreshold)),
+              fresh);
     EXPECT_EQ(readFileBytes(victim), original);
 }
 

@@ -84,10 +84,10 @@ void
 resealChecksum(std::string &file)
 {
     ASSERT_GE(file.size(), kPayloadOffset);
-    Fnv1aHasher hasher;
+    Crc32cHasher hasher;
     hasher.addBytes(file.data() + kPayloadOffset,
                     file.size() - kPayloadOffset);
-    const std::uint64_t digest = hasher.digest();
+    const std::uint64_t digest = hasher.digest(); // zero-extended
     std::memcpy(file.data() + kChecksumOffset, &digest,
                 sizeof(digest));
 }

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "trace/io.hh"
 #include "trace_builder.hh"
+#include "util/hash.hh"
 #include "util/random.hh"
 
 namespace lag::trace
@@ -123,6 +126,28 @@ TEST(TraceIoTest, WrongVersionRejected)
     std::string bytes = serializeTrace(sampleTrace());
     bytes[8] = static_cast<char>(kFormatVersion + 1);
     EXPECT_THROW(deserializeTrace(bytes), TraceError);
+}
+
+TEST(TraceIoTest, ChecksumIsZeroExtendedCrc32c)
+{
+    // The u64 checksum field at offset 12 holds the payload's CRC32C
+    // in its low half; its high half is zero, and a nonzero high
+    // half is a mismatch even when the low half is right.
+    std::string bytes = serializeTrace(sampleTrace());
+    Crc32cHasher hasher;
+    hasher.addBytes(bytes.data() + 20, bytes.size() - 20);
+    std::uint64_t field = 0;
+    std::memcpy(&field, bytes.data() + 12, sizeof(field));
+    EXPECT_EQ(field, hasher.digest());
+    bytes[19] = 0x01;
+    try {
+        (void)deserializeTrace(bytes);
+        FAIL() << "nonzero high checksum bits must not decode";
+    } catch (const TraceError &e) {
+        EXPECT_NE(std::string(e.what()).find("checksum mismatch"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(TraceIoTest, FlippedPayloadByteDetectedByChecksum)

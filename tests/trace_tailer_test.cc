@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -226,7 +227,7 @@ TEST(TraceTailerTest, CorruptPayloadFailsChecksumAtCompletion)
     std::string bytes = serializeTrace(sampleTrace());
     // Flip one bit near the end of the payload. Record-level checks
     // may or may not notice (time fields accept anything), but the
-    // incremental FNV fold must reject the file at completion.
+    // incremental CRC32C fold must reject the file at completion.
     bytes[bytes.size() - 2] ^= 0x01;
     const TailFile file("tailer_test_corrupt.lag");
     file.writePrefix(bytes, bytes.size());
@@ -237,6 +238,42 @@ TEST(TraceTailerTest, CorruptPayloadFailsChecksumAtCompletion)
         FAIL() << "corrupt payload must not complete";
     } catch (const TraceError &e) {
         EXPECT_EQ(e.kind(), TraceErrorKind::Corrupt);
+    }
+}
+
+TEST(TraceTailerTest, ChecksumPassesAtEveryChunking)
+{
+    // The tailer folds the CRC32C per consumed record, in whatever
+    // pieces the bytes arrive; the completion check must pass
+    // whether they land one byte, seven bytes or 4 KiB at a time.
+    test::TraceBuilder builder;
+    for (int i = 0; i < 120; ++i) {
+        const TimeNs begin = msToNs(10) * i;
+        builder.listenerEpisode(begin, begin + msToNs(4),
+                                "app.C" + std::to_string(i % 7));
+        builder.sample(begin + msToNs(1), TraceThreadState::Runnable);
+    }
+    const std::string bytes = serializeTrace(builder.build(secToNs(2)));
+    ASSERT_GT(bytes.size(), 8192u);
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{4096}}) {
+        const TailFile file("tailer_test_chunk_" +
+                            std::to_string(chunk) + ".lag");
+        TraceTailer tailer(file.path);
+        for (std::size_t at = 0; at < bytes.size(); at += chunk) {
+            {
+                std::ofstream out(file.path,
+                                  std::ios::binary | std::ios::app);
+                out.write(bytes.data() + at,
+                          static_cast<std::streamsize>(std::min(
+                              chunk, bytes.size() - at)));
+            }
+            ASSERT_NO_THROW(tailer.poll())
+                << "chunk " << chunk << " at byte " << at;
+        }
+        EXPECT_TRUE(tailer.complete()) << "chunk " << chunk;
+        EXPECT_EQ(serializeTrace(tailer.snapshot()), bytes)
+            << "chunk " << chunk;
     }
 }
 

@@ -1,12 +1,15 @@
 /**
  * @file
- * Tests for the stable FNV-1a hashing.
+ * Tests for the stable FNV-1a hashing and the CRC32C trace checksum.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/hash.hh"
 
@@ -107,6 +110,93 @@ TEST(HashTest, StableAcrossRuns)
     // The pattern keys and cache keys depend on this exact value
     // never changing.
     EXPECT_EQ(fnv1a("LagAlyzer"), 0x7c79b209367a9126ULL);
+}
+
+/** Standard CRC32C digest of @p bytes through one path. */
+template <typename Update>
+std::uint32_t
+crc32cWith(Update update, const void *bytes, std::size_t size)
+{
+    return ~update(0xffffffffU, bytes, size);
+}
+
+std::uint32_t
+crc32cOf(std::string_view s)
+{
+    Crc32cHasher h;
+    h.addBytes(s.data(), s.size());
+    return h.digest();
+}
+
+TEST(Crc32cTest, Rfc3720CheckValues)
+{
+    // RFC 3720 (iSCSI) appendix B.4 and the common check value.
+    EXPECT_EQ(crc32cOf("123456789"), 0xE3069283U);
+    EXPECT_EQ(crc32cOf(std::string(32, '\0')), 0x8A9136AAU);
+    EXPECT_EQ(crc32cOf(std::string(32, '\xff')), 0x62A8AB43U);
+    std::string ascending;
+    for (int i = 0; i < 32; ++i)
+        ascending += static_cast<char>(i);
+    EXPECT_EQ(crc32cOf(ascending), 0x46DD794EU);
+    EXPECT_EQ(crc32cOf(""), 0x00000000U);
+    for (const auto update : {crc32cTable, crc32cHardware}) {
+        if (update == crc32cHardware && !crc32cHardwareAvailable())
+            continue;
+        EXPECT_EQ(crc32cWith(update, "123456789", 9), 0xE3069283U);
+        const std::string zeros(32, '\0');
+        EXPECT_EQ(crc32cWith(update, zeros.data(), zeros.size()),
+                  0x8A9136AAU);
+    }
+}
+
+TEST(Crc32cTest, HardwareAndTablePathsAgreeAtEveryLength)
+{
+    if (!crc32cHardwareAvailable())
+        GTEST_SKIP() << "no CRC32C instruction on this CPU";
+    unsigned char bytes[64];
+    for (std::size_t i = 0; i < sizeof(bytes); ++i)
+        bytes[i] = static_cast<unsigned char>(i * 37 + 11);
+    // Every length 0-64 from every start offset 0-7, so unaligned
+    // heads, whole words and every tail length are all covered.
+    for (std::size_t start = 0; start < 8; ++start) {
+        for (std::size_t len = 0; start + len <= sizeof(bytes); ++len) {
+            EXPECT_EQ(crc32cHardware(0xffffffffU, bytes + start, len),
+                      crc32cTable(0xffffffffU, bytes + start, len))
+                << "start " << start << " length " << len;
+        }
+    }
+}
+
+TEST(Crc32cTest, EveryChunkingGivesTheSameDigest)
+{
+    std::vector<unsigned char> bytes(300);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<unsigned char>(i * 131 + 7);
+    const std::uint32_t expected =
+        crc32cWith(crc32cTable, bytes.data(), bytes.size());
+    for (const auto update : {crc32cTable, crc32cHardware}) {
+        if (update == crc32cHardware && !crc32cHardwareAvailable())
+            continue;
+        // Two pieces cut anywhere.
+        for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+            std::uint32_t crc = update(0xffffffffU, bytes.data(), cut);
+            crc = update(crc, bytes.data() + cut, bytes.size() - cut);
+            EXPECT_EQ(~crc, expected) << "cut " << cut;
+        }
+        // Fixed-size chunks of every width 1-17.
+        for (std::size_t width = 1; width <= 17; ++width) {
+            std::uint32_t crc = 0xffffffffU;
+            for (std::size_t at = 0; at < bytes.size(); at += width) {
+                crc = update(crc, bytes.data() + at,
+                             std::min(width, bytes.size() - at));
+            }
+            EXPECT_EQ(~crc, expected) << "width " << width;
+        }
+    }
+    Crc32cHasher h;
+    for (const unsigned char byte : bytes)
+        h.addBytes(&byte, 1);
+    EXPECT_EQ(h.digest(), expected);
 }
 
 } // namespace
