@@ -6,7 +6,10 @@
 # bytes), then an obs smoke run that records a session, analyzes it
 # with --self-trace / --metrics-out, and strict-validates both files
 # with trace_check. The bench smokes are collected into a
-# schema-checked bench/BENCH_smoke.json artifact; the serve smoke
+# schema-checked bench/BENCH_smoke.json artifact, and stages more
+# than 10 % slower than the newest committed BENCH_<n>.json are
+# printed (never fatal: numbers from different hosts do not
+# compare); the serve smoke
 # additionally scrapes /metricsz?format=prom through
 # `trace_check --prom`, correlates a query's X-Lag-Trace-Id with
 # /debugz/requests, and a crash-dump smoke SIGABRTs a second lagd to
@@ -75,6 +78,9 @@ echo "== bench artifact (BENCH_smoke.json, schema-checked)"
 grep -h '^{' "$bench_art.micro" "$bench_art.pipeline" > "$bench_art"
 rm -f "$bench_art.micro" "$bench_art.pipeline"
 "$build/tools/trace_check" --jsonl "$bench_art"
+
+echo "== bench trajectory (smoke vs the newest BENCH_*.json; report only)"
+python3 "$root/ci/bench_diff.py" "$bench_art" --root "$root" || true
 
 echo "== incremental smoke (warm cache must not touch the decoder)"
 (cd "$build" && bench/bench_perf_pipeline --incremental-smoke --jobs 4)
