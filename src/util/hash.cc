@@ -2,7 +2,7 @@
 
 #include <array>
 
-#if defined(__x86_64__) || defined(_M_X64)
+#if defined(__x86_64__)
 #include <nmmintrin.h>
 #define LAG_CRC32C_X86 1
 #elif defined(__aarch64__) && defined(__linux__)
