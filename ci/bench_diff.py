@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Report smoke stages that got slower than the committed trajectory.
 
-    python3 ci/bench_diff.py SMOKE_JSONL [--root DIR] [--threshold PCT]
+    python3 ci/bench_diff.py SMOKE_JSONL
 
 SMOKE_JSONL holds one JSON object per line, as bench_perf_pipeline
 --smoke prints them. The reference is the "change" side of the
@@ -9,21 +9,23 @@ SMOKE_JSONL holds one JSON object per line, as bench_perf_pipeline
 (largest n); where it holds several runs of a line, each field's
 median over them. Every numeric field whose name ends in _ms or _us
 (lower is better) or _per_s (higher is better) is compared between
-lines with the same "bench" name; a field more than PCT percent
-(default 10) worse is printed.
+lines with the same "bench" name; a field more than 10 percent
+worse is printed.
 
 The script only reports and always exits 0: the committed numbers
 come from whichever host measured them, so a difference is a prompt
 to look, not a verdict.
 """
 
-import argparse
 import glob
 import json
 import os
 import re
 import statistics
 import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+THRESHOLD_PCT = 10.0
 
 
 def direction(field):
@@ -64,21 +66,19 @@ def newest_bench_file(root):
 
 
 def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("smoke")
-    parser.add_argument("--root", default=os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__))))
-    parser.add_argument("--threshold", type=float, default=10.0)
-    args = parser.parse_args()
+    if len(sys.argv) != 2:
+        print("usage: ci/bench_diff.py SMOKE_JSONL", file=sys.stderr)
+        return 2
+    smoke_path = sys.argv[1]
 
-    ref_path = newest_bench_file(args.root)
+    ref_path = newest_bench_file(ROOT)
     if ref_path is None:
         print("bench-diff: no BENCH_*.json committed; nothing to compare")
         return 0
     try:
         with open(ref_path) as f:
             reference = by_bench(json.load(f)["smoke"]["change"])
-        with open(args.smoke) as f:
+        with open(smoke_path) as f:
             current = by_bench(json.loads(line) for line in f
                                if line.startswith("{"))
     except (OSError, ValueError, KeyError, TypeError) as e:
@@ -100,13 +100,13 @@ def main():
             # Percent slower, whichever way the unit points.
             worse = (value / old - 1.0 if better == "lower"
                      else old / value - 1.0) * 100.0
-            if worse > args.threshold:
+            if worse > THRESHOLD_PCT:
                 slower += 1
                 print(f"bench-diff: {bench}.{field}: {old:g} -> "
                       f"{value:g} ({worse:.0f}% slower)")
     print(f"bench-diff: {compared} stage metrics vs "
           f"{os.path.basename(ref_path)}, {slower} over "
-          f"{args.threshold:g}% slower (report only; hosts differ)")
+          f"{THRESHOLD_PCT:g}% slower (report only; hosts differ)")
     return 0
 
 

@@ -80,7 +80,7 @@ rm -f "$bench_art.micro" "$bench_art.pipeline"
 "$build/tools/trace_check" --jsonl "$bench_art"
 
 echo "== bench trajectory (smoke vs the newest BENCH_*.json; report only)"
-python3 "$root/ci/bench_diff.py" "$bench_art" --root "$root" || true
+python3 "$root/ci/bench_diff.py" "$bench_art" || true
 
 echo "== incremental smoke (warm cache must not touch the decoder)"
 (cd "$build" && bench/bench_perf_pipeline --incremental-smoke --jobs 4)

@@ -1,7 +1,6 @@
 #include "pattern.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/logging.hh"
 
@@ -68,32 +67,6 @@ PatternSet::perceptiblePatternCount() const
     return count;
 }
 
-void
-PatternIndex::insert(std::uint64_t hash, std::size_t pattern,
-                     std::size_t episode)
-{
-    lag_assert(pattern < kEmpty && episode <= 0xffffffffU,
-               "pattern index entry out of range");
-    if (2 * (used_ + 1) > slots_.size()) {
-        std::vector<Entry> old = std::move(slots_);
-        const std::size_t size = old.empty() ? 16 : 2 * old.size();
-        slots_.assign(size, Entry{});
-        shift_ = static_cast<unsigned>(64 - std::countr_zero(size));
-        used_ = 0;
-        for (const Entry &entry : old) {
-            if (entry.pattern != kEmpty)
-                insert(entry.hash, entry.pattern, entry.episode);
-        }
-    }
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t s = slotOf(hash);
-    while (slots_[s].pattern != kEmpty)
-        s = (s + 1) & mask;
-    slots_[s] = {hash, static_cast<std::uint32_t>(pattern),
-                 static_cast<std::uint32_t>(episode)};
-    ++used_;
-}
-
 PatternMiner::PatternMiner(DurationNs perceptible_threshold)
     : threshold_(perceptible_threshold)
 {
@@ -138,13 +111,18 @@ PatternMiner::mineInto(PatternShard &shard, const Session &session,
 
         // Fast path: an earlier episode with the same ids.
         const std::uint64_t structure = flatStructureHash(tree, node);
-        std::size_t match = shard.byStructure.find(
-            structure, [&](const PatternIndex::Entry &entry) {
-                return flatStructureEquals(
-                    trees[flat.episodeTree(entry.episode)],
-                    flat.episodeNode(entry.episode), tree, node);
-            });
-        if (match == PatternIndex::npos) {
+        std::size_t match = shard.patterns.size();
+        const auto [lo, hi] = shard.byStructure.equal_range(structure);
+        for (auto it = lo; it != hi; ++it) {
+            const auto [pattern, episode] = it->second;
+            if (flatStructureEquals(trees[flat.episodeTree(episode)],
+                                    flat.episodeNode(episode), tree,
+                                    node)) {
+                match = pattern;
+                break;
+            }
+        }
+        if (match == shard.patterns.size()) {
             // A new id structure.  Its signature text decides: ids
             // that differ can still join to the same "[A.B]" bytes
             // (the text is the canonical form), and distinct texts
@@ -154,13 +132,14 @@ PatternMiner::mineInto(PatternShard &shard, const Session &session,
             scratchSig.clear();
             flatSignatureString(tree, node, session.strings(),
                                 scratchSig, sigStack);
-            match = shard.byKey.find(
-                key, [&](const PatternIndex::Entry &entry) {
-                    return shard.patterns[entry.pattern].signature ==
-                           scratchSig;
-                });
-            if (match == PatternIndex::npos) {
-                match = shard.patterns.size();
+            const auto [klo, khi] = shard.byKey.equal_range(key);
+            for (auto it = klo; it != khi; ++it) {
+                if (shard.patterns[it->second].signature == scratchSig) {
+                    match = it->second;
+                    break;
+                }
+            }
+            if (match == shard.patterns.size()) {
                 Pattern pattern;
                 pattern.key = key;
                 pattern.signature = scratchSig;
@@ -168,11 +147,12 @@ PatternMiner::mineInto(PatternShard &shard, const Session &session,
                 pattern.depth = flatNonGcDepth(tree, node);
                 // Per-pattern membership is unknowable up front.
                 shard.patterns.push_back(std::move(pattern)); // lag-lint: allow(reserve-loop)
-                shard.byKey.insert(key, match, i);
+                shard.byKey.emplace(key, match);
             }
             // This episode's own ids, so the next episode spelled
             // the same way takes the fast path.
-            shard.byStructure.insert(structure, match, i);
+            shard.byStructure.emplace(structure,
+                                      std::make_pair(match, i));
         }
         Pattern &pattern = shard.patterns[match];
 

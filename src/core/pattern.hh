@@ -22,6 +22,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "flat_tree.hh"
@@ -111,63 +113,6 @@ struct PatternSet
 };
 
 /**
- * Open-addressing multimap from a 64-bit hash to (pattern, episode)
- * entries: the miner's lookup tables.  Two flat vectors and no
- * per-entry allocation, so a shard (and the AnalysisPartial holding
- * it) copies cheaply.
- */
-class PatternIndex
-{
-  public:
-    struct Entry
-    {
-        std::uint64_t hash = 0;
-        std::uint32_t pattern = kEmpty; ///< index into the patterns
-        std::uint32_t episode = 0;      ///< the episode it came from
-    };
-
-    static constexpr std::uint32_t kEmpty = 0xffffffffU;
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-    /** The pattern of the first entry under @p hash that
-     * @p matches accepts, or npos. */
-    template <typename Matches>
-    std::size_t
-    find(std::uint64_t hash, Matches &&matches) const
-    {
-        if (slots_.empty())
-            return npos;
-        const std::size_t mask = slots_.size() - 1;
-        // Load stays at most 1/2, so an empty slot ends every probe.
-        for (std::size_t s = slotOf(hash);; s = (s + 1) & mask) {
-            const Entry &entry = slots_[s];
-            if (entry.pattern == kEmpty)
-                return npos;
-            if (entry.hash == hash && matches(entry))
-                return entry.pattern;
-        }
-    }
-
-    /** Add an entry (duplicates of a hash are kept). */
-    void insert(std::uint64_t hash, std::size_t pattern,
-                std::size_t episode);
-
-  private:
-    std::size_t
-    slotOf(std::uint64_t hash) const
-    {
-        // Fibonacci hashing: the top bits of a multiply spread any
-        // key over the power-of-two table.
-        return static_cast<std::size_t>(
-            (hash * 0x9E3779B97F4A7C15ULL) >> shift_);
-    }
-
-    std::vector<Entry> slots_; ///< power-of-two size, or empty
-    std::size_t used_ = 0;
-    unsigned shift_ = 64;
-};
-
-/**
  * Mining state over the episode prefix [0, endEpisode): patterns in
  * first-seen order with statistics over that prefix, plus the lookup
  * indices over them.  PatternMiner::mineInto grows it in place, so a
@@ -188,11 +133,13 @@ struct PatternShard
      * structure).  One entry per distinct id structure seen, so a
      * pattern whose text is spelled by several id structures has
      * several entries. */
-    PatternIndex byStructure;
+    std::unordered_multimap<std::uint64_t,
+                            std::pair<std::size_t, std::size_t>>
+        byStructure;
 
     /** Pattern key (FNV-1a of the signature) -> pattern; consulted
      * only when byStructure misses. */
-    PatternIndex byKey;
+    std::unordered_multimap<std::uint64_t, std::size_t> byKey;
 };
 
 /**

@@ -5,13 +5,6 @@
 #if defined(__x86_64__)
 #include <nmmintrin.h>
 #define LAG_CRC32C_X86 1
-#elif defined(__aarch64__) && defined(__linux__)
-#include <arm_acle.h>
-#include <sys/auxv.h>
-#ifndef HWCAP_CRC32
-#define HWCAP_CRC32 (1 << 7)
-#endif
-#define LAG_CRC32C_ARM 1
 #endif
 
 namespace lag
@@ -67,34 +60,6 @@ cpuHasCrc32c()
     return __builtin_cpu_supports("sse4.2");
 }
 
-#elif defined(LAG_CRC32C_ARM)
-
-#if defined(__clang__)
-#define LAG_CRC_TARGET __attribute__((target("crc")))
-#else
-#define LAG_CRC_TARGET __attribute__((target("+crc")))
-#endif
-
-LAG_CRC_TARGET std::uint32_t
-crc32cInstruction(std::uint32_t crc, const unsigned char *bytes,
-                  std::size_t size)
-{
-    for (; size >= 8; bytes += 8, size -= 8) {
-        std::uint64_t word;
-        std::memcpy(&word, bytes, 8);
-        crc = __crc32cd(crc, word);
-    }
-    for (; size > 0; ++bytes, --size)
-        crc = __crc32cb(crc, *bytes);
-    return crc;
-}
-
-bool
-cpuHasCrc32c()
-{
-    return (getauxval(AT_HWCAP) & HWCAP_CRC32) != 0;
-}
-
 #endif
 
 } // namespace
@@ -126,7 +91,7 @@ crc32cTable(std::uint32_t crc, const void *data, std::size_t size)
 bool
 crc32cHardwareAvailable()
 {
-#if defined(LAG_CRC32C_X86) || defined(LAG_CRC32C_ARM)
+#if defined(LAG_CRC32C_X86)
     static const bool available = cpuHasCrc32c();
     return available;
 #else
@@ -137,7 +102,7 @@ crc32cHardwareAvailable()
 std::uint32_t
 crc32cHardware(std::uint32_t crc, const void *data, std::size_t size)
 {
-#if defined(LAG_CRC32C_X86) || defined(LAG_CRC32C_ARM)
+#if defined(LAG_CRC32C_X86)
     return crc32cInstruction(
         crc, static_cast<const unsigned char *>(data), size);
 #else

@@ -105,8 +105,8 @@ class Fnv1aHasher
 std::uint32_t crc32cTable(std::uint32_t crc, const void *data,
                           std::size_t size);
 
-/** True when this CPU has a CRC32C instruction (SSE4.2 on x86-64,
- * the CRC extension on ARMv8). Checked once per process. */
+/** True when this CPU has a CRC32C instruction (SSE4.2 on x86-64).
+ * Checked once per process. */
 bool crc32cHardwareAvailable();
 
 /** One lane of the CPU's CRC32C instruction, eight bytes per step.
