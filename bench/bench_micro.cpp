@@ -12,9 +12,8 @@
  *                            depth, GC time), millions of logical
  *                            nodes walked per second
  *  - `classify_mepisodes_per_s`  trigger classification
- *                            (flatEpisodeTrigger, SIMD under
- *                            LAG_SIMD), millions of episodes per
- *                            second
+ *                            (flatEpisodeTrigger), millions of
+ *                            episodes per second
  *
  * Before timing anything, every episode's signature string is
  * checked against its one-pass hash; a mismatch prints to stderr
@@ -35,7 +34,6 @@
 
 #include "app/catalog.hh"
 #include "app/session_runner.hh"
-#include "core/flat_simd.hh"
 #include "core/flat_tree.hh"
 #include "core/triggers.hh"
 #include "trace/io.hh"
@@ -203,18 +201,11 @@ reportClassification(const Fixture &f, int reps)
     }) / reps;
     benchmark::DoNotOptimize(flatSum);
 
-#if defined(LAG_SIMD) && \
-    (defined(LAG_HAS_SSE2) || defined(LAG_HAS_NEON))
-    const bool simd = true;
-#else
-    const bool simd = false;
-#endif
     const double m = static_cast<double>(f.episodes) / 1e6;
     std::printf(
         "{\"bench\":\"classify_mepisodes_per_s\",\"episodes\":%llu,"
-        "\"reps\":%d,\"simd\":%s,\"flat\":%.3f}\n",
+        "\"reps\":%d,\"flat\":%.3f}\n",
         static_cast<unsigned long long>(f.episodes), reps,
-        simd ? "true" : "false",
         flat_ms > 0.0 ? m / (flat_ms / 1e3) : 0.0);
     std::fflush(stdout);
 }

@@ -17,8 +17,8 @@
  * LAGALYZER_SKIP_SPEEDUP=1 to skip that (it simulates traces).
  *
  * More JSON lines quantify the zero-copy decode and the session
- * build: `decode_mb_per_s` (mmap vs stream, with per-decode
- * allocation counts and bytes as the copy proxy), `session_build_ms`
+ * build: `decode_mb_per_s` (readTraceFile's mmap path, with
+ * per-decode allocation counts and bytes), `session_build_ms`
  * (the one-pass flat build, with its allocations) and `ingest`
  * (live-ingest throughput and per-epoch cost), plus `obs_pipeline`
  * (pool steal
@@ -310,11 +310,9 @@ timedMs(const Fn &fn)
 }
 
 /**
- * Trace decode throughput, mapped vs stream, as one JSON line.
- * Heap traffic per decode is the copy proxy: the stream path pays
- * for the whole file buffer, the mmap path only for the decoded
- * structures, so `alloc_bytes_speedup` is the zero-copy win
- * independent of the machine's memory bandwidth.
+ * Trace decode throughput of readTraceFile (the mmap zero-copy
+ * path) as one JSON line, with heap traffic per decode: only the
+ * decoded structures are allocated, never a copy of the file.
  */
 void
 reportDecodeThroughput(const Fixture &f, int iterations)
@@ -328,45 +326,25 @@ reportDecodeThroughput(const Fixture &f, int iterations)
 
     const double mb =
         static_cast<double>(f.bytes.size()) / (1024.0 * 1024.0);
-    const auto decodePass = [&](trace::TraceReadMode mode,
-                                double &ms, AllocSnapshot &allocs) {
-        const AllocSnapshot start = allocNow();
-        ms = timedMs([&] {
-            for (int i = 0; i < iterations; ++i) {
-                trace::Trace t = trace::readTraceFile(path, mode);
-                benchmark::DoNotOptimize(t.events.data());
-            }
-        });
-        allocs = allocSince(start);
-        allocs.count /= static_cast<std::uint64_t>(iterations);
-        allocs.bytes /= static_cast<std::uint64_t>(iterations);
-        ms /= iterations;
-    };
-
-    double mapped_ms = 0.0;
-    double stream_ms = 0.0;
-    AllocSnapshot mapped;
-    AllocSnapshot stream;
-    decodePass(trace::TraceReadMode::Mapped, mapped_ms, mapped);
-    decodePass(trace::TraceReadMode::Stream, stream_ms, stream);
+    const AllocSnapshot start = allocNow();
+    const double ms = timedMs([&] {
+        for (int i = 0; i < iterations; ++i) {
+            trace::Trace t = trace::readTraceFile(path);
+            benchmark::DoNotOptimize(t.events.data());
+        }
+    }) / iterations;
+    AllocSnapshot allocs = allocSince(start);
+    allocs.count /= static_cast<std::uint64_t>(iterations);
+    allocs.bytes /= static_cast<std::uint64_t>(iterations);
     std::filesystem::remove(path);
 
     std::printf(
         "{\"bench\":\"decode_mb_per_s\",\"file_mb\":%.2f,"
-        "\"mapped_mb_per_s\":%.1f,\"stream_mb_per_s\":%.1f,"
-        "\"mapped_allocs\":%llu,\"stream_allocs\":%llu,"
-        "\"mapped_alloc_bytes\":%llu,\"stream_alloc_bytes\":%llu,"
-        "\"alloc_bytes_speedup\":%.2f}\n",
-        mb, mapped_ms > 0.0 ? mb / (mapped_ms / 1000.0) : 0.0,
-        stream_ms > 0.0 ? mb / (stream_ms / 1000.0) : 0.0,
-        static_cast<unsigned long long>(mapped.count),
-        static_cast<unsigned long long>(stream.count),
-        static_cast<unsigned long long>(mapped.bytes),
-        static_cast<unsigned long long>(stream.bytes),
-        mapped.bytes > 0
-            ? static_cast<double>(stream.bytes) /
-                  static_cast<double>(mapped.bytes)
-            : 0.0);
+        "\"mapped_mb_per_s\":%.1f,\"mapped_allocs\":%llu,"
+        "\"mapped_alloc_bytes\":%llu}\n",
+        mb, ms > 0.0 ? mb / (ms / 1000.0) : 0.0,
+        static_cast<unsigned long long>(allocs.count),
+        static_cast<unsigned long long>(allocs.bytes));
     std::fflush(stdout);
 }
 

@@ -6,7 +6,6 @@
 #include "engine/incremental.hh"
 #include "engine/pool.hh"
 #include "engine/result_cache.hh"
-#include "engine/study_driver.hh"
 #include "util/logging.hh"
 
 namespace lag::bench

@@ -9,7 +9,7 @@
 
 #include "catalog.hh"
 #include "engine/pool.hh"
-#include "engine/study_driver.hh"
+#include "obs/span.hh"
 #include "trace/io.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
@@ -153,36 +153,32 @@ void
 Study::simulateMissing(
     const std::vector<std::vector<std::uint32_t>> &missing)
 {
-    std::vector<std::size_t> items_per_shard;
-    items_per_shard.reserve(missing.size());
-    for (const auto &sessions : missing)
-        items_per_shard.push_back(sessions.size());
-
-    // Stage slots indexed [app][missing item]: each task writes its
-    // own slot, keeping the run independent of scheduling order.
-    std::vector<std::vector<trace::Trace>> pending(missing.size());
-    for (std::size_t a = 0; a < missing.size(); ++a)
-        pending[a].resize(missing[a].size());
+    // Flatten the ragged [app][missing item] grid in app order; each
+    // index simulates one session and writes only its own file, so
+    // the run is independent of scheduling order.
+    std::vector<std::pair<std::size_t, std::size_t>> items;
+    for (std::size_t a = 0; a < missing.size(); ++a) {
+        for (std::size_t i = 0; i < missing[a].size(); ++i)
+            items.emplace_back(a, i);
+    }
 
     engine::ThreadPool pool(config_.jobs);
-    engine::StudyDriver driver(std::move(items_per_shard));
-    driver.addStage("simulate", [&](std::size_t a, std::size_t i) {
+    engine::parallelFor(pool, items.size(), [&](std::size_t k) {
+        const auto [a, i] = items[k];
         const std::uint32_t s = missing[a][i];
-        inform("study: simulating ", config_.apps[a].name,
-               " session ", s + 1, "/", config_.sessionsPerApp,
-               " ...");
-        pending[a][i] =
-            runSession(config_.apps[a], s, config_.sessionOptions)
-                .trace;
+        trace::Trace simulated;
+        {
+            LAG_SPAN_ARG("simulate", "item", i);
+            inform("study: simulating ", config_.apps[a].name,
+                   " session ", s + 1, "/", config_.sessionsPerApp,
+                   " ...");
+            simulated = runSession(config_.apps[a], s,
+                                   config_.sessionOptions)
+                            .trace;
+        }
+        LAG_SPAN_ARG("encode", "item", i);
+        trace::writeTraceFileAtomic(simulated, tracePath(a, s));
     });
-    driver.addStage("encode", [&](std::size_t a, std::size_t i) {
-        // Move the trace out of its slot so its memory is freed as
-        // soon as it is on disk.
-        const trace::Trace written = std::move(pending[a][i]);
-        trace::writeTraceFileAtomic(written,
-                                    tracePath(a, missing[a][i]));
-    });
-    driver.run(pool);
 }
 
 std::vector<std::vector<std::string>>

@@ -14,9 +14,9 @@
  * attached while the pass runs.  Preorder plus `subtreeEnd` turns
  * any subtree into the contiguous index slice [i, subtreeEnd[i]):
  * descendant counts become index arithmetic, preorder searches
- * become linear scans over a byte array (SIMD-friendly; see
- * flat_simd.hh), and type-time walks become branchy-but-local loops
- * instead of recursion.  GC nodes are always leaves, so per-node GC
+ * become linear scans over a byte array (findFirstMarker), and
+ * type-time walks become branchy-but-local loops instead of
+ * recursion.  GC nodes are always leaves, so per-node GC
  * count/time prefix sums make "GC time under this subtree" an O(1)
  * subtraction.  Every walk is iterative — an explicit stack, never
  * the C stack — so nesting depth cannot overflow anything here.
@@ -143,6 +143,24 @@ flatDescendantCount(const FlatTree &tree, std::uint32_t i)
 
 /** Depth of the subtree at @p i; a leaf has depth 1. */
 std::size_t flatDepth(const FlatTree &tree, std::uint32_t i);
+
+/**
+ * Index of the first byte in [from, to) of the preorder type array
+ * @p types equal to Listener, Paint or Async; @p to when there is
+ * none.  Episode classification (triggers.hh) reduces to this scan.
+ */
+inline std::uint32_t
+findFirstMarker(const std::uint8_t *types, std::uint32_t from,
+                std::uint32_t to)
+{
+    for (std::uint32_t j = from; j < to; ++j) {
+        const auto t = static_cast<IntervalType>(types[j]);
+        if (t == IntervalType::Listener || t == IntervalType::Paint ||
+            t == IntervalType::Async)
+            return j;
+    }
+    return to;
+}
 
 /** Total duration of descendants of @p i with @p wanted type,
  * never descending into a matching node, so nested same-type

@@ -1,6 +1,6 @@
 #include "triggers.hh"
 
-#include "flat_simd.hh"
+#include "flat_tree.hh"
 
 namespace lag::core
 {

@@ -43,7 +43,7 @@ const char *triggerKindName(TriggerKind kind);
 /**
  * Classify the episode rooted at flat node @p root.  The preorder
  * marker search is a byte scan of the type array over the root's
- * slice (SIMD-accelerated under LAG_SIMD, see flat_simd.hh).
+ * slice (findFirstMarker, flat_tree.hh).
  */
 TriggerKind flatEpisodeTrigger(const FlatTree &tree,
                                std::uint32_t root);

@@ -7,28 +7,6 @@
 namespace lag::engine
 {
 
-std::vector<std::pair<std::size_t, std::size_t>>
-episodeShards(std::size_t episodeCount, std::size_t shardCount)
-{
-    if (shardCount == 0)
-        shardCount = 1;
-    if (shardCount > episodeCount)
-        shardCount = episodeCount == 0 ? 1 : episodeCount;
-
-    std::vector<std::pair<std::size_t, std::size_t>> ranges;
-    ranges.reserve(shardCount);
-    const std::size_t base = episodeCount / shardCount;
-    const std::size_t extra = episodeCount % shardCount;
-    std::size_t begin = 0;
-    for (std::size_t k = 0; k < shardCount; ++k) {
-        const std::size_t size = base + (k < extra ? 1 : 0);
-        ranges.emplace_back(begin, begin + size);
-        begin += size;
-    }
-    lag_assert(begin == episodeCount, "shards must cover all episodes");
-    return ranges;
-}
-
 AnalysisPartial::AnalysisPartial(DurationNs perceptible_threshold)
     : threshold_(perceptible_threshold)
 {

@@ -25,8 +25,6 @@
 #define LAG_ENGINE_ANALYSIS_PARTIAL_HH
 
 #include <cstddef>
-#include <utility>
-#include <vector>
 
 #include "core/concurrency.hh"
 #include "core/location.hh"
@@ -38,15 +36,6 @@
 
 namespace lag::engine
 {
-
-/**
- * Cut [0, episodeCount) into @p shardCount contiguous ascending
- * ranges of near-equal size (the first remainder shards hold one
- * extra episode).  With zero episodes or a single shard the result
- * is one range covering everything.
- */
-std::vector<std::pair<std::size_t, std::size_t>>
-episodeShards(std::size_t episodeCount, std::size_t shardCount);
 
 /** The analyses' integer partials over a prefix of one session's
  * episodes; see the file comment. */

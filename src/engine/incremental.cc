@@ -5,7 +5,6 @@
 
 #include "obs/metrics.hh"
 #include "obs/span.hh"
-#include "study_driver.hh"
 #include "util/logging.hh"
 
 namespace lag::engine
@@ -42,6 +41,33 @@ summariesOf(const std::vector<SessionAnalysis> &sessions)
     return summaries;
 }
 
+/**
+ * One session's analysis: the cache entry on a hit, else load +
+ * analyze (+ store back). Sets @p from_cache to which it was.
+ */
+SessionAnalysis
+sessionFromCache(const ResultCache &cache, const std::string &app_name,
+                 std::size_t app_index, std::uint32_t session_index,
+                 DurationNs perceptible_threshold,
+                 const SessionLoader &load_session,
+                 const AggregateOptions &options, bool &from_cache)
+{
+    from_cache = false;
+    if (options.incremental) {
+        if (auto hit = cache.load(app_name, session_index)) {
+            from_cache = true;
+            return std::move(*hit);
+        }
+    }
+    const core::Session session =
+        load_session(app_index, session_index);
+    SessionAnalysis analysis =
+        analyzeSession(session, perceptible_threshold);
+    if (options.incremental)
+        cache.store(app_name, session_index, analysis);
+    return analysis;
+}
+
 } // namespace
 
 StudyAggregate
@@ -62,34 +88,26 @@ aggregateFromCache(const ResultCache &cache,
     for (auto &row : out.grid)
         row.resize(sessions_per_app);
 
-    // Counted from pool workers; only read after the driver
-    // settled, so relaxed ordering suffices.
+    // Counted from pool workers; only read after parallelFor
+    // returned, so relaxed ordering suffices.
     std::atomic<std::size_t> from_cache{0};
-    std::atomic<std::size_t> recomputed{0};
 
-    StudyDriver driver(app_names.size(), sessions_per_app);
-    driver.addStage("aggregate", [&](std::size_t a, std::size_t i) {
-        const auto s = static_cast<std::uint32_t>(i);
-        if (options.incremental) {
-            if (auto hit = cache.load(app_names[a], s)) {
-                out.grid[a][i] = std::move(*hit);
-                from_cache.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-        }
-        const core::Session session = load_session(a, s);
-        out.grid[a][i] =
-            analyzeSession(session, perceptible_threshold);
-        if (options.incremental)
-            cache.store(app_names[a], s, out.grid[a][i]);
-        recomputed.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t total = app_names.size() * sessions_per_app;
+    parallelFor(pool, total, [&](std::size_t k) {
+        const std::size_t a = k / sessions_per_app;
+        const auto s = static_cast<std::uint32_t>(k % sessions_per_app);
+        LAG_SPAN_ARG("aggregate", "item", s);
+        bool hit = false;
+        out.grid[a][s] = sessionFromCache(
+            cache, app_names[a], a, s, perceptible_threshold,
+            load_session, options, hit);
+        if (hit)
+            from_cache.fetch_add(1, std::memory_order_relaxed);
     });
-    driver.run(pool);
 
     out.sessionsFromCache =
         from_cache.load(std::memory_order_relaxed);
-    out.sessionsRecomputed =
-        recomputed.load(std::memory_order_relaxed);
+    out.sessionsRecomputed = total - out.sessionsFromCache;
     aggregateMetrics().cached.add(out.sessionsFromCache);
     aggregateMetrics().recomputed.add(out.sessionsRecomputed);
 
@@ -122,19 +140,14 @@ aggregateAppFromCache(const ResultCache &cache,
     AppAggregate out;
     out.sessions.reserve(sessions_per_app);
     for (std::uint32_t s = 0; s < sessions_per_app; ++s) {
-        if (options.incremental) {
-            if (auto hit = cache.load(app_name, s)) {
-                out.sessions.push_back(std::move(*hit));
-                ++out.sessionsFromCache;
-                continue;
-            }
-        }
-        const core::Session session = load_session(app_index, s);
-        out.sessions.push_back(
-            analyzeSession(session, perceptible_threshold));
-        if (options.incremental)
-            cache.store(app_name, s, out.sessions.back());
-        ++out.sessionsRecomputed;
+        bool hit = false;
+        out.sessions.push_back(sessionFromCache(
+            cache, app_name, app_index, s, perceptible_threshold,
+            load_session, options, hit));
+        if (hit)
+            ++out.sessionsFromCache;
+        else
+            ++out.sessionsRecomputed;
     }
     aggregateMetrics().cached.add(out.sessionsFromCache);
     aggregateMetrics().recomputed.add(out.sessionsRecomputed);

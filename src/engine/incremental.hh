@@ -85,9 +85,10 @@ struct StudyAggregate
  * @p app_names.size() x @p sessions_per_app study grid from
  * @p cache, falling back per session to @p load_session + analyze
  * on a miss (storing the result back for the next run). Per-session
- * cache loads and recomputations fan out over @p pool via the study
- * driver; the merge is serial and index-ordered. Instrumented with
- * the `cache.aggregate` span and the
+ * cache loads and recomputations fan out over @p pool, one
+ * parallelFor task (span `aggregate`) per session; the merge is
+ * serial and index-ordered. Instrumented with the `cache.aggregate`
+ * span and the
  * `cache.aggregate.cached` / `cache.aggregate.recomputed` counters.
  */
 StudyAggregate

@@ -9,7 +9,6 @@
 #include "core/figure_json.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
-#include "study_driver.hh"
 #include "util/logging.hh"
 #include "util/thread_name.hh"
 

@@ -86,9 +86,9 @@ ThreadPool::submit(Task task)
 {
     lag_assert(task != nullptr, "null task submitted to pool");
     // Carry the submitter's request context into whichever worker
-    // runs the task. This is the single propagation point: TaskGraph
-    // dependents and parallelFor splits are submitted from inside
-    // already-scoped worker tasks, so they inherit transitively.
+    // runs the task. This is the single propagation point: a task
+    // submitted from inside an already-scoped worker task inherits
+    // transitively.
     const obs::TraceContext ctx = obs::currentTraceContext();
     if (ctx.active()) {
         task = [ctx, inner = std::move(task)] {
@@ -240,6 +240,66 @@ ThreadPool::runTask(Task &task)
     lag_assert(pending_ > 0, "pool task accounting underflow");
     if (--pending_ == 0)
         idleCv_.notify_all();
+}
+
+void
+parallelFor(ThreadPool &pool, std::size_t count,
+            const std::function<void(std::size_t)> &fn)
+{
+    lag_assert(t_worker.pool != &pool,
+               "parallelFor called from a worker of the same pool");
+    if (count == 0)
+        return;
+    if (count == 1) {
+        // A hop to a sleeping worker and back costs more than a
+        // one-source ingest epoch's own work (bench_perf_pipeline
+        // --smoke, `ingest` epoch_cost).
+        fn(0);
+        return;
+    }
+
+    // This call's own join: a countdown of its tasks and the first
+    // exception one of them threw. The pool-wide pending count and
+    // error slot also cover unrelated tasks, so waitIdle() would
+    // wait for (and rethrow from) work this call never submitted.
+    struct Join
+    {
+        Mutex mutex{LockRank::ForkJoin, "fork-join"};
+        std::condition_variable_any doneCv;
+        std::size_t remaining LAG_GUARDED_BY(mutex) = 0;
+        std::exception_ptr firstError LAG_GUARDED_BY(mutex);
+    } join;
+    {
+        MutexLock lock(join.mutex);
+        join.remaining = count;
+    }
+    // Capturing by reference is safe: this frame waits below until
+    // every task has counted down and released join.mutex, and a
+    // task touches nothing of the frame after that.
+    for (std::size_t i = 0; i < count; ++i) {
+        pool.submit([&join, &fn, i] {
+            std::exception_ptr error;
+            try {
+                fn(i);
+            } catch (...) {
+                error = std::current_exception();
+            }
+            MutexLock lock(join.mutex);
+            if (error && !join.firstError)
+                join.firstError = error;
+            if (--join.remaining == 0)
+                join.doneCv.notify_all();
+        });
+    }
+
+    MutexLock lock(join.mutex);
+    while (join.remaining != 0)
+        join.doneCv.wait(lock);
+    if (join.firstError) {
+        std::exception_ptr error = join.firstError;
+        lock.unlock();
+        std::rethrow_exception(error);
+    }
 }
 
 } // namespace lag::engine

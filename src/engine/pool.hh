@@ -7,8 +7,7 @@
  * drains the global injector queue (external submissions), then
  * steals from the front of a victim's deque (FIFO — the oldest,
  * largest-granularity work migrates, the classic work-stealing
- * discipline). Tasks may submit further tasks; the task graph
- * depends on that to release dependents from inside workers.
+ * discipline). Tasks may submit further tasks.
  *
  * Every queue is guarded by an annotated lag::Mutex, so the lock
  * discipline is machine-checked twice: clang `-Wthread-safety`
@@ -24,6 +23,13 @@
  * Exceptions thrown by tasks are captured; the first one is
  * rethrown from waitIdle(). The destructor drains outstanding work,
  * then signals shutdown and joins every worker.
+ *
+ * parallelFor() is the engine's one fork-join primitive: every
+ * fan-out (study simulate/encode, cache aggregation, session loads,
+ * ingest epochs) is a flat loop over independent items. It joins
+ * only its own tasks, so it neither waits for nor rethrows from
+ * unrelated work sharing the pool (lagd runs HTTP connections and
+ * ingest epochs on one pool).
  */
 
 #ifndef LAG_ENGINE_POOL_HH
@@ -34,16 +40,19 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
 
-#include "task.hh"
 #include "util/mutex.hh"
 #include "util/thread_annotations.hh"
 
 namespace lag::engine
 {
+
+/** One unit of work. */
+using Task = std::function<void()>;
 
 /** Fixed-size work-stealing pool. */
 class ThreadPool
@@ -115,6 +124,20 @@ class ThreadPool
     std::size_t pending_ LAG_GUARDED_BY(idleMutex_) = 0;
     std::exception_ptr firstError_ LAG_GUARDED_BY(idleMutex_);
 };
+
+/**
+ * Run @p fn for every index in [0, count) on @p pool: one task per
+ * index, submitted in index order (a single index runs inline on the
+ * calling thread). Blocks until those tasks have
+ * finished, then rethrows the first exception one of them threw; a
+ * throwing index does not stop the others. Other tasks on the pool
+ * are neither waited for nor have their exceptions taken. Must not
+ * be called from a worker of @p pool (it would wait for itself).
+ * The caller keeps results deterministic by writing to
+ * index-addressed slots only.
+ */
+void parallelFor(ThreadPool &pool, std::size_t count,
+                 const std::function<void(std::size_t)> &fn);
 
 } // namespace lag::engine
 

@@ -9,9 +9,9 @@
  * region and restores the previous on exit. The engine's
  * ThreadPool::submit captures the submitting thread's context and
  * re-installs it inside the worker running the task, so a context
- * set at the serve layer flows through every pool hop — TaskGraph
- * dependents and parallelFor splits are submitted from inside
- * context-scoped worker tasks and inherit it transitively.
+ * set at the serve layer flows through every pool hop — parallelFor
+ * tasks, and tasks submitted from inside context-scoped worker
+ * tasks, inherit it transitively.
  *
  * Every span recorded while a context is active is stamped with it
  * (see SpanEvent::traceHi/traceLo), which is what lets the

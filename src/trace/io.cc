@@ -247,24 +247,10 @@ writeTraceFileAtomic(const Trace &trace, const std::string &path)
 }
 
 Trace
-readTraceFile(const std::string &path, TraceReadMode mode)
+readTraceFile(const std::string &path)
 {
-    if (mode == TraceReadMode::Auto) {
-        mode = MappedFile::supported() ? TraceReadMode::Mapped
-                                       : TraceReadMode::Stream;
-    }
-    if (mode == TraceReadMode::Mapped) {
-        const MappedFile file(path);
-        return deserializeTrace(file.view());
-    }
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw TraceError("cannot open '" + path + "' for reading");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (!in && !in.eof())
-        throw TraceError("read from '" + path + "' failed");
-    return deserializeTrace(buffer.str());
+    const MappedFile file(path);
+    return deserializeTrace(file.view());
 }
 
 std::string

@@ -46,14 +46,6 @@ constexpr std::uint32_t kFormatVersion = 4;
 /** Fixed wire size of one encoded TraceEvent, in bytes. */
 constexpr std::size_t kEventWireBytes = 23;
 
-/** How readTraceFile obtains the file's bytes. */
-enum class TraceReadMode
-{
-    Auto,   ///< mmap when the platform supports it, else stream.
-    Mapped, ///< force the mmap zero-copy path.
-    Stream, ///< force the stream (owned buffer) path.
-};
-
 /** Serialize @p trace into a byte buffer. */
 std::string serializeTrace(const Trace &trace);
 
@@ -72,14 +64,11 @@ void writeTraceFileAtomic(const Trace &trace,
                           const std::string &path);
 
 /**
- * Read a trace from @p path. Throws TraceError on any failure.
- * In Auto (the default) the file is memory-mapped where the platform
- * allows and decoded zero-copy; Mapped and Stream force one path,
- * which exists for tests and benchmarks — both decode to identical
- * traces.
+ * Read a trace from @p path. Throws TraceError on any failure. The
+ * file is memory-mapped where the platform allows and decoded
+ * zero-copy (MappedFile reads it into a buffer elsewhere).
  */
-Trace readTraceFile(const std::string &path,
-                    TraceReadMode mode = TraceReadMode::Auto);
+Trace readTraceFile(const std::string &path);
 
 /**
  * Export a human-readable JSON-lines rendering of @p trace (one

@@ -109,10 +109,4 @@ MappedFile::release() noexcept
     mapSize_ = 0;
 }
 
-bool
-MappedFile::supported()
-{
-    return LAG_HAVE_MMAP != 0;
-}
-
 } // namespace lag::trace

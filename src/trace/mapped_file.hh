@@ -47,16 +47,6 @@ class MappedFile
         return owned_;
     }
 
-    /** True when the bytes come from an mmap, not an owned copy. */
-    bool
-    usedMmap() const
-    {
-        return map_ != nullptr;
-    }
-
-    /** True when this platform has an mmap implementation at all. */
-    static bool supported();
-
   private:
     void release() noexcept;
 

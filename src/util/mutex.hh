@@ -64,11 +64,10 @@ enum class LockRank : int
      * ingest lock held at all. */
     Ingest = 700,
 
-    /** TaskGraph node bookkeeping (engine/graph). */
-    TaskGraph = 500,
-
-    /** StudyDriver progress accounting (engine/study_driver). */
-    StudyProgress = 450,
+    /** One parallelFor call's completion countdown and first
+     * error (engine/pool). Taken by its tasks only after their body
+     * returned, so it never nests around a pool lock. */
+    ForkJoin = 500,
 
     /** ResultCache statistics (engine/result_cache). */
     ResultCache = 400,

@@ -3,7 +3,7 @@
  * Tests for the flat (structure-of-arrays) interval trees: the
  * preorder layout Session::fromTrace emits, walks and signatures
  * against hand-counted values, iteration at any depth, structural
- * equality, and the SIMD/scalar marker-scan contract.
+ * equality, and the trigger-marker scan.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "core/flat_simd.hh"
 #include "core/flat_tree.hh"
 #include "core/location.hh"
 #include "core/session.hh"
@@ -231,39 +230,11 @@ TEST(FlatTreeTest, StructureEqualsIsGcBlindAndSymbolSensitive)
 TEST(FlatSimdTest, ScalarFindsFirstMarker)
 {
     const std::uint8_t types[] = {0, 0, 3, 5, 1, 2, 4, 0};
-    EXPECT_EQ(findFirstMarkerScalar(types, 0, 8), 4u);
-    EXPECT_EQ(findFirstMarkerScalar(types, 5, 8), 5u);
-    EXPECT_EQ(findFirstMarkerScalar(types, 0, 4), 4u); // none: to
-    EXPECT_EQ(findFirstMarkerScalar(types, 7, 8), 8u);
-    EXPECT_EQ(findFirstMarkerScalar(types, 3, 3), 3u); // empty
-}
-
-TEST(FlatSimdTest, SimdMatchesScalarOnRandomArrays)
-{
-    // Deterministic LCG; no OS entropy in tests either.
-    std::uint32_t state = 0x9e3779b9u;
-    const auto next = [&state] {
-        state = state * 1664525u + 1013904223u;
-        return state >> 24;
-    };
-    for (int round = 0; round < 200; ++round) {
-        std::vector<std::uint8_t> types(
-            static_cast<std::size_t>(next() % 120));
-        for (auto &t : types)
-            t = static_cast<std::uint8_t>(next() % 6);
-        const auto n = static_cast<std::uint32_t>(types.size());
-        for (std::uint32_t from = 0; from <= n;
-             from += 1 + from / 3) {
-            const std::uint32_t expected =
-                findFirstMarkerScalar(types.data(), from, n);
-            EXPECT_EQ(findFirstMarker(types.data(), from, n),
-                      expected);
-#if defined(LAG_HAS_SSE2) || defined(LAG_HAS_NEON)
-            EXPECT_EQ(findFirstMarkerSimd(types.data(), from, n),
-                      expected);
-#endif
-        }
-    }
+    EXPECT_EQ(findFirstMarker(types, 0, 8), 4u);
+    EXPECT_EQ(findFirstMarker(types, 5, 8), 5u);
+    EXPECT_EQ(findFirstMarker(types, 0, 4), 4u); // none: to
+    EXPECT_EQ(findFirstMarker(types, 7, 8), 8u);
+    EXPECT_EQ(findFirstMarker(types, 3, 3), 3u); // empty
 }
 
 TEST(FlatTreeTest, GcPrefixSumsAnswerSubtreeQueries)

@@ -1,9 +1,10 @@
 /**
  * @file
- * The analysis partials over the episode axis: sharding math, the
- * in-place pattern fold (a shard grown in pieces mines exactly what
- * the serial miner does), and decode-path independence (a trace
- * decoded via mmap or a stream analyzes to the same bytes).  The
+ * The analysis partials over the episode axis: the in-place pattern
+ * fold (a shard grown in pieces mines exactly what the serial miner
+ * does), and decode-path independence (readTraceFile's mapped decode
+ * analyzes to the same bytes as decoding the file read into a
+ * string).  The
  * folded-at-every-cut == serial contract on every app model lives
  * in tests/engine_golden_digest_test.cc.
  */
@@ -11,10 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "app/study.hh"
 #include "core/pattern.hh"
@@ -41,38 +43,6 @@ testSession(const std::string &cache_dir)
     app::Study study(config);
     study.ensureTraces();
     return study.loadSession(0, 0);
-}
-
-TEST(EpisodeShards, CoverContiguouslyAndEvenly)
-{
-    const auto ranges = episodeShards(10, 3);
-    ASSERT_EQ(ranges.size(), 3u);
-    // Remainder episodes land in the first shards.
-    EXPECT_EQ(ranges[0], (std::pair<std::size_t, std::size_t>{0, 4}));
-    EXPECT_EQ(ranges[1], (std::pair<std::size_t, std::size_t>{4, 7}));
-    EXPECT_EQ(ranges[2],
-              (std::pair<std::size_t, std::size_t>{7, 10}));
-}
-
-TEST(EpisodeShards, DegenerateInputs)
-{
-    // No episodes: one empty range, never zero ranges.
-    auto ranges = episodeShards(0, 4);
-    ASSERT_EQ(ranges.size(), 1u);
-    EXPECT_EQ(ranges[0], (std::pair<std::size_t, std::size_t>{0, 0}));
-
-    // More shards than episodes: one episode per shard.
-    ranges = episodeShards(3, 16);
-    ASSERT_EQ(ranges.size(), 3u);
-    for (std::size_t k = 0; k < ranges.size(); ++k) {
-        EXPECT_EQ(ranges[k].first, k);
-        EXPECT_EQ(ranges[k].second, k + 1);
-    }
-
-    // Zero shard count coerces to one covering range.
-    ranges = episodeShards(5, 0);
-    ASSERT_EQ(ranges.size(), 1u);
-    EXPECT_EQ(ranges[0], (std::pair<std::size_t, std::size_t>{0, 5}));
 }
 
 TEST(ParallelAnalysis, MinedPatternsMatchSerialMiner)
@@ -119,7 +89,7 @@ TEST(ParallelAnalysis, MinedPatternsMatchSerialMiner)
               serial.structurelessEpisodes);
 }
 
-TEST(ParallelAnalysis, MappedAndStreamDecodesAnalyzeIdentically)
+TEST(ParallelAnalysis, FileAndBufferDecodesAnalyzeIdentically)
 {
     const ScratchDir dir("lagalyzer-cache-test-par-mmap");
     app::StudyConfig config = app::StudyConfig::quickStudy(5);
@@ -129,16 +99,19 @@ TEST(ParallelAnalysis, MappedAndStreamDecodesAnalyzeIdentically)
     const auto paths = study.ensureTraces();
     const std::string &path = paths[0][0];
 
-    const trace::Trace mapped =
-        trace::readTraceFile(path, trace::TraceReadMode::Mapped);
-    const trace::Trace streamed =
-        trace::readTraceFile(path, trace::TraceReadMode::Stream);
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+
+    const trace::Trace mapped = trace::readTraceFile(path);
+    const trace::Trace buffered = trace::deserializeTrace(bytes.str());
 
     const DurationNs threshold = msToNs(100);
     const std::string a = serializeSessionAnalysis(analyzeSession(
         core::Session::fromTrace(mapped), threshold));
     const std::string b = serializeSessionAnalysis(analyzeSession(
-        core::Session::fromTrace(streamed), threshold));
+        core::Session::fromTrace(buffered), threshold));
     EXPECT_EQ(a, b);
 }
 

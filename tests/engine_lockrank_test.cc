@@ -3,21 +3,20 @@
  * Runtime lock-rank checker: out-of-rank and same-rank
  * acquisitions abort with both stacks (death tests), correct
  * descending-order nesting is accepted, bookkeeping survives
- * condition-variable style unlock/relock, and the full sharded
- * study pipeline — pool, task graph, study driver, result cache,
- * logging from inside workers — runs clean under the checker.
+ * condition-variable style unlock/relock, and a study-shaped
+ * fan-out — pool, parallelFor, result cache, logging from inside
+ * workers — runs clean under the checker.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "engine/pool.hh"
 #include "engine/result_cache.hh"
-#include "engine/study_driver.hh"
+#include "scratch_dir.hh"
 #include "util/logging.hh"
 #include "util/mutex.hh"
 
@@ -30,7 +29,7 @@ TEST(LockRankDeathTest, OutOfRankAcquisitionAborts)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     Mutex inner(LockRank::PoolInjector, "inner");
-    Mutex outer(LockRank::TaskGraph, "outer");
+    Mutex outer(LockRank::Ingest, "outer");
     // Taking the higher-ranked lock while holding the lower one
     // inverts the global order and must abort, printing both the
     // held-lock and the acquiring stacks.
@@ -60,7 +59,7 @@ TEST(LockRankDeathTest, SameRankAcquisitionAborts)
 TEST(LockRank, DescendingAcquisitionIsAccepted)
 {
     Mutex outer(LockRank::Client, "outer");
-    Mutex middle(LockRank::TaskGraph, "middle");
+    Mutex middle(LockRank::Ingest, "middle");
     Mutex inner(LockRank::Logging, "inner");
     EXPECT_EQ(detail::lockRankHeldDepth(), 0);
     {
@@ -99,49 +98,35 @@ TEST(LockRank, TryLockParticipates)
 
 TEST(LockRank, StudyPipelineRunsCleanUnderChecker)
 {
-    // Drive every engine lock from worker threads: the driver's
-    // stage chains (graph + pool locks), result-cache counters,
-    // client locks inside stages and the logging leaf rank. Any
-    // rank inversion would abort the process, so completing is
-    // the assertion; the explicit checks document the outputs.
-    const std::string dir =
-        (std::filesystem::temp_directory_path() /
-         "lag_lockrank_cache")
-            .string();
-    std::filesystem::remove_all(dir);
-    engine::ResultCache cache(dir, "lockrank-fingerprint");
+    // Drive every engine lock from worker threads: parallelFor's
+    // join and the pool locks, result-cache counters, client locks
+    // inside the body and the logging leaf rank. Any rank inversion
+    // would abort the process, so completing is the assertion; the
+    // explicit checks document the outputs.
+    const test::ScratchDir dir("lag-lockrank-cache");
+    engine::ResultCache cache(dir.path, "lockrank-fingerprint");
 
     engine::ThreadPool pool(4);
-    engine::StudyDriver driver(3, 4);
     Mutex stageMutex(LockRank::Client, "stage-state");
-    std::vector<std::uint64_t> touched(3 * 4 * 2, 0);
+    std::vector<std::uint64_t> touched(3 * 4, 0);
 
-    driver.addStage("probe-cache",
-                    [&](std::size_t shard, std::size_t item) {
-                        // Misses on an empty cache, from workers.
-                        const auto entry = cache.load(
-                            "app" + std::to_string(shard),
-                            static_cast<std::uint32_t>(item));
-                        EXPECT_FALSE(entry.has_value());
-                        MutexLock lock(stageMutex);
-                        ++touched[shard * 4 + item];
-                    });
-    driver.addStage("log-and-count",
-                    [&](std::size_t shard, std::size_t item) {
-                        debugLog("lockrank stage shard=", shard,
-                                 " item=", item);
-                        MutexLock lock(stageMutex);
-                        ++touched[12 + shard * 4 + item];
-                    });
-    driver.run(pool);
-    pool.waitIdle();
+    engine::parallelFor(pool, touched.size(), [&](std::size_t k) {
+        const std::size_t shard = k / 4;
+        const std::size_t item = k % 4;
+        // Misses on an empty cache, from workers.
+        const auto entry =
+            cache.load("app" + std::to_string(shard),
+                       static_cast<std::uint32_t>(item));
+        EXPECT_FALSE(entry.has_value());
+        debugLog("lockrank item shard=", shard, " item=", item);
+        MutexLock lock(stageMutex);
+        ++touched[k];
+    });
 
     for (const std::uint64_t count : touched)
         EXPECT_EQ(count, 1u);
-    EXPECT_EQ(driver.completedUnits(), 24u);
     EXPECT_EQ(cache.stats().misses, 12u);
     EXPECT_EQ(detail::lockRankHeldDepth(), 0);
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace

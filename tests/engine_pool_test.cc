@@ -2,8 +2,10 @@
  * @file
  * Tests for the work-stealing thread pool: completion guarantees,
  * nested submission, stealing under contention, exception capture
- * and lifecycle. Run these under -DLAG_SANITIZE=thread (`ctest -L
- * engine` in such a build) to audit the locking discipline.
+ * and lifecycle; and for parallelFor, the engine's fork-join
+ * primitive, which joins only its own tasks. Run these under
+ * -DLAG_SANITIZE=thread (`ctest -L engine` in such a build) to
+ * audit the locking discipline.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +13,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -54,8 +58,7 @@ TEST(EnginePool, SingleWorkerStillCompletes)
 
 TEST(EnginePool, TasksCanSubmitTasks)
 {
-    // waitIdle must cover work submitted from inside workers — the
-    // task graph releases dependents exactly this way.
+    // waitIdle must cover work submitted from inside workers.
     ThreadPool pool(3);
     std::atomic<int> count{0};
     for (int i = 0; i < 50; ++i) {
@@ -161,6 +164,100 @@ TEST(EnginePool, ManyExternalSubmitters)
         thread.join();
     pool.waitIdle();
     EXPECT_EQ(count.load(), 1000);
+}
+
+TEST(EngineParallelFor, CoversEveryIndexExactlyOnce)
+{
+    ThreadPool pool(4);
+    constexpr std::size_t kCount = 777;
+    std::vector<int> hits(kCount, 0);
+    parallelFor(pool, kCount,
+                [&](std::size_t i) { ++hits[i]; });
+    for (const int h : hits)
+        EXPECT_EQ(h, 1);
+}
+
+TEST(EngineParallelFor, ZeroCountIsANoOp)
+{
+    ThreadPool pool(1);
+    parallelFor(pool, 0, [](std::size_t) { FAIL(); });
+}
+
+TEST(EngineParallelFor, PropagatesException)
+{
+    ThreadPool pool(2);
+    EXPECT_THROW(parallelFor(pool, 10,
+                             [](std::size_t i) {
+                                 if (i == 5)
+                                     throw std::runtime_error("bad");
+                             }),
+                 std::runtime_error);
+}
+
+TEST(EngineParallelFor, ThrowingIndexDoesNotStopTheOthers)
+{
+    ThreadPool pool(2);
+    std::vector<int> ran(8, 0);
+    try {
+        parallelFor(pool, ran.size(), [&ran](std::size_t i) {
+            ran[i] = 1;
+            if (i == 2 || i == 5)
+                throw std::runtime_error("index " +
+                                         std::to_string(i));
+        });
+        ADD_FAILURE() << "parallelFor swallowed its tasks' errors";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_TRUE(what == "index 2" || what == "index 5") << what;
+    }
+    for (std::size_t i = 0; i < ran.size(); ++i)
+        EXPECT_EQ(ran[i], 1) << "index " << i << " did not run";
+}
+
+TEST(EngineParallelFor, ReturnsWhileAnUnrelatedTaskIsParked)
+{
+    // lagd runs HTTP connections and ingest epochs on one pool; an
+    // epoch's fan-out must not wait for a connection still reading.
+    ThreadPool pool(2);
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    std::promise<void> parked;
+    pool.submit([released, &parked] {
+        parked.set_value();
+        released.wait();
+    });
+    parked.get_future().wait();
+
+    std::vector<int> hits(4, 0);
+    auto fanout = std::async(std::launch::async, [&pool, &hits] {
+        parallelFor(pool, hits.size(),
+                    [&hits](std::size_t i) { hits[i] = 1; });
+    });
+    const bool returned = fanout.wait_for(std::chrono::seconds(2)) ==
+                          std::future_status::ready;
+    // Release either way, so a failure reports instead of hanging.
+    release.set_value();
+    fanout.get();
+    pool.waitIdle();
+    EXPECT_TRUE(returned)
+        << "parallelFor waited for a task it did not submit";
+    EXPECT_EQ(hits, std::vector<int>(4, 1));
+}
+
+TEST(EngineParallelFor, LeavesUnrelatedExceptionsToWaitIdle)
+{
+    // One worker runs tasks in submission order, so the unrelated
+    // failure is captured before any of the fan-out's tasks runs.
+    ThreadPool pool(1);
+    pool.submit([] { throw std::runtime_error("unrelated"); });
+
+    std::vector<int> hits(6, 0);
+    EXPECT_NO_THROW(parallelFor(pool, hits.size(),
+                                [&hits](std::size_t i) {
+                                    hits[i] = 1;
+                                }));
+    EXPECT_EQ(hits, std::vector<int>(6, 1));
+    EXPECT_THROW(pool.waitIdle(), std::runtime_error);
 }
 
 } // namespace

@@ -1,11 +1,10 @@
 /**
  * @file
  * Trace-context tests: minting (never-zero, unique), the hex
- * round-trip, scope install/restore, and — the tentpole — context
- * propagation through every engine fan-out primitive
- * (ThreadPool::submit, parallelFor, TaskGraph) so spans recorded on
- * pool workers carry the submitting request's id all the way into
- * the Chrome-trace export.
+ * round-trip, scope install/restore, and context propagation
+ * through every engine fan-out path (ThreadPool::submit, nested
+ * submits, parallelFor) so spans recorded on pool workers carry the
+ * submitting request's id all the way into the Chrome-trace export.
  *
  * Span buffers are process-global and append-only, so tests use
  * uniquely named spans and never assume the buffers start empty.
@@ -19,9 +18,7 @@
 #include <string_view>
 #include <vector>
 
-#include "engine/graph.hh"
 #include "engine/pool.hh"
-#include "engine/study_driver.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/span.hh"
 #include "obs/trace_context.hh"
@@ -145,7 +142,7 @@ TEST(TraceContext, ParallelForInheritsContext)
         EXPECT_EQ(matched[i], 1) << i;
 }
 
-TEST(TraceContext, TaskGraphInheritsContextTransitively)
+TEST(TraceContext, NestedSubmitInheritsContextTransitively)
 {
     engine::ThreadPool pool(2);
     const obs::TraceContext ctx = obs::mintTraceContext();
@@ -155,18 +152,21 @@ TEST(TraceContext, TaskGraphInheritsContextTransitively)
             matched.fetch_add(1);
     };
 
-    engine::TaskGraph graph;
-    // A diamond: the dependents are submitted from inside the
-    // workers running their parents, so the context must flow
-    // through that second-generation submit too.
-    const engine::TaskId root = graph.add(probe);
-    const engine::TaskId left = graph.add(probe, {root});
-    const engine::TaskId right = graph.add(probe, {root});
-    graph.add(probe, {left, right});
+    // The inner tasks are submitted from inside the worker running
+    // the outer one, after the submitting scope has closed, so the
+    // context must flow through that second-generation submit too.
     {
         obs::TraceContextScope scope(ctx);
-        graph.run(pool);
+        pool.submit([&pool, probe] {
+            probe();
+            pool.submit(probe);
+            pool.submit([&pool, probe] {
+                probe();
+                pool.submit(probe);
+            });
+        });
     }
+    pool.waitIdle();
     EXPECT_EQ(matched.load(), 4);
 }
 
