@@ -425,7 +425,7 @@ reportStudySpeedup(std::uint32_t jobs)
 /**
  * Incremental aggregation vs full recompute on a warm analysis
  * cache, as one JSON line. A cold pass populates a private trace +
- * analysis cache; a recompute pass (`--no-incremental` semantics)
+ * analysis cache; a recompute pass over an emptied analysis cache
  * decodes and re-analyzes every session; a warm incremental pass
  * must answer purely from `.ares` entries. The trace decoder's byte
  * counter is sampled around the warm pass and reported — under
@@ -439,7 +439,6 @@ reportIncrementalSpeedup(std::uint32_t jobs, bool enforce)
     app::StudyConfig config = app::StudyConfig::quickStudy(5);
     config.cacheDir = "lagalyzer-cache-perf-incremental";
     config.jobs = jobs;
-    config.incremental = true;
     std::filesystem::remove_all(config.cacheDir);
 
     // Cold: simulate + analyze, populating both caches.
@@ -449,12 +448,12 @@ reportIncrementalSpeedup(std::uint32_t jobs, bool enforce)
         benchmark::DoNotOptimize(analyses.size());
     }) / 1000.0;
 
-    // Recompute: warm trace cache, but every session decoded and
-    // re-analyzed — what every run paid before the incremental path.
-    app::StudyConfig full = config;
-    full.incremental = false;
+    // Recompute: warm trace cache, but an empty analysis cache, so
+    // every session is decoded and re-analyzed — what every run paid
+    // before the incremental path.
+    std::filesystem::remove_all(config.cacheDir + "/analysis");
     const double recompute_s = timedMs([&] {
-        app::Study study(full);
+        app::Study study(config);
         const auto analyses = bench::analyzeStudy(study);
         benchmark::DoNotOptimize(analyses.size());
     }) / 1000.0;

@@ -47,11 +47,6 @@ selectStudyConfig(int argc, char **argv)
             config.cacheMaxBytes = limits.maxBytes;
         if (limits.maxAgeSeconds != 0)
             config.cacheMaxAgeSeconds = limits.maxAgeSeconds;
-        config.incremental = !app::parseNoIncrementalOption(argc, argv);
-    } else {
-        int argc0 = 0;
-        config.incremental =
-            !app::parseNoIncrementalOption(argc0, nullptr);
     }
     return config;
 }
@@ -62,21 +57,15 @@ namespace
 /**
  * Per-session analyses indexed [app][session], answered through
  * engine::aggregateFromCache: cached `.ares` entries where possible,
- * decode + analyze (and store back) only on a miss. On the default
- * incremental path only the manifest is validated up front, so a
- * warm analysis cache never opens a trace; `--no-incremental`
- * recomputes every session from its trace instead.
+ * decode + analyze (and store back) only on a miss. Only the
+ * manifest is validated up front, so a warm analysis cache never
+ * opens a trace.
  */
 std::vector<std::vector<engine::SessionAnalysis>>
 analyzeSessions(app::Study &study)
 {
     const app::StudyConfig &config = study.config();
-    engine::AggregateOptions options;
-    options.incremental = config.incremental;
-    if (options.incremental)
-        study.validate();
-    else
-        study.ensureTraces();
+    study.validate();
     const engine::ResultCache cache(config.cacheDir,
                                     config.fingerprint());
 
@@ -91,8 +80,7 @@ analyzeSessions(app::Study &study)
         config.perceptibleThreshold, pool,
         [&study](std::size_t a, std::uint32_t s) {
             return study.loadSession(a, s);
-        },
-        options);
+        });
     inform("bench: ", aggregate.sessionsFromCache,
            " session(s) from the analysis cache, ",
            aggregate.sessionsRecomputed, " recomputed");

@@ -11,14 +11,14 @@
  *
  * Simulation, decoding and analysis fan out across the engine's
  * work-stealing pool; per-session analysis results are cached on
- * disk (engine::ResultCache) and, by default, cross-session
- * aggregates are answered incrementally from those `.ares` entries
+ * disk (engine::ResultCache) and cross-session aggregates are
+ * answered incrementally from those `.ares` entries
  * (engine::aggregateFromCache) — a warm re-run never opens a trace
- * file. `--no-incremental` (or LAGALYZER_NO_INCREMENTAL=1) falls
- * back to decoding and re-analyzing every session. Worker count:
- * `--jobs N` on any harness command line, or LAGALYZER_JOBS=N in
- * the environment (default: one per hardware thread). Results are
- * byte-identical at any worker count and on either path.
+ * file; delete `<cache-dir>/analysis` to recompute every session.
+ * Worker count: `--jobs N` on any harness command line, or
+ * LAGALYZER_JOBS=N in the environment (default: one per hardware
+ * thread). Results are byte-identical at any worker count and on
+ * a cold or warm cache.
  *
  * The analysis cache is garbage-collected after each run:
  * stale-fingerprint entries are always dropped, and

@@ -211,26 +211,6 @@ parseCacheLimitOptions(int &argc, char **argv)
     return limits;
 }
 
-bool
-parseNoIncrementalOption(int &argc, char **argv)
-{
-    bool no_incremental = false;
-    int out = 0;
-    for (int in = 0; in < argc; ++in) {
-        if (std::string_view(argv[in]) == "--no-incremental")
-            no_incremental = true;
-        else
-            argv[out++] = argv[in];
-    }
-    argc = out;
-    if (!no_incremental) {
-        const char *env = std::getenv("LAGALYZER_NO_INCREMENTAL");
-        if (env != nullptr && env[0] != '\0' && env[0] != '0')
-            no_incremental = true;
-    }
-    return no_incremental;
-}
-
 namespace
 {
 

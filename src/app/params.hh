@@ -300,17 +300,6 @@ struct CacheLimitOptions
  */
 CacheLimitOptions parseCacheLimitOptions(int &argc, char **argv);
 
-/**
- * Extract a `--no-incremental` flag from a command line, compacting
- * argv in place like parseJobsOption. Returns true when the flag
- * (or a nonzero LAGALYZER_NO_INCREMENTAL environment variable) asks
- * for the escape hatch: recompute every session instead of
- * answering aggregates from cached `.ares` analysis entries.
- * Execution-only, like `--jobs`: results are byte-identical either
- * way. Harness mains feed `!result` into StudyConfig::incremental.
- */
-bool parseNoIncrementalOption(int &argc, char **argv);
-
 /** lagd listener options parsed off a command line. */
 struct ServeOptions
 {

@@ -62,15 +62,6 @@ struct StudyConfig
     std::uint64_t cacheMaxAgeSeconds = 0;
     /** @} */
 
-    /**
-     * Answer cross-session aggregates from cached `.ares` analysis
-     * entries where possible (engine::aggregateFromCache), decoding
-     * only the sessions that miss. `--no-incremental` turns this
-     * off. Execution-only: results are byte-identical either way,
-     * so the flag is NOT part of fingerprint().
-     */
-    bool incremental = true;
-
     /** The paper's full study. */
     static StudyConfig paperStudy();
 

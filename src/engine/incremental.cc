@@ -49,22 +49,18 @@ SessionAnalysis
 sessionFromCache(const ResultCache &cache, const std::string &app_name,
                  std::size_t app_index, std::uint32_t session_index,
                  DurationNs perceptible_threshold,
-                 const SessionLoader &load_session,
-                 const AggregateOptions &options, bool &from_cache)
+                 const SessionLoader &load_session, bool &from_cache)
 {
     from_cache = false;
-    if (options.incremental) {
-        if (auto hit = cache.load(app_name, session_index)) {
-            from_cache = true;
-            return std::move(*hit);
-        }
+    if (auto hit = cache.load(app_name, session_index)) {
+        from_cache = true;
+        return std::move(*hit);
     }
     const core::Session session =
         load_session(app_index, session_index);
     SessionAnalysis analysis =
         analyzeSession(session, perceptible_threshold);
-    if (options.incremental)
-        cache.store(app_name, session_index, analysis);
+    cache.store(app_name, session_index, analysis);
     return analysis;
 }
 
@@ -75,8 +71,7 @@ aggregateFromCache(const ResultCache &cache,
                    const std::vector<std::string> &app_names,
                    std::uint32_t sessions_per_app,
                    DurationNs perceptible_threshold, ThreadPool &pool,
-                   const SessionLoader &load_session,
-                   const AggregateOptions &options)
+                   const SessionLoader &load_session)
 {
     LAG_SPAN_ARG("cache.aggregate", "sessions",
                  app_names.size() * sessions_per_app);
@@ -100,7 +95,7 @@ aggregateFromCache(const ResultCache &cache,
         bool hit = false;
         out.grid[a][s] = sessionFromCache(
             cache, app_names[a], a, s, perceptible_threshold,
-            load_session, options, hit);
+            load_session, hit);
         if (hit)
             from_cache.fetch_add(1, std::memory_order_relaxed);
     });
@@ -129,8 +124,7 @@ aggregateAppFromCache(const ResultCache &cache,
                       std::size_t app_index,
                       std::uint32_t sessions_per_app,
                       DurationNs perceptible_threshold,
-                      const SessionLoader &load_session,
-                      const AggregateOptions &options)
+                      const SessionLoader &load_session)
 {
     LAG_SPAN_ARG("cache.aggregate.app", "sessions",
                  sessions_per_app);
@@ -143,7 +137,7 @@ aggregateAppFromCache(const ResultCache &cache,
         bool hit = false;
         out.sessions.push_back(sessionFromCache(
             cache, app_name, app_index, s, perceptible_threshold,
-            load_session, options, hit));
+            load_session, hit));
         if (hit)
             ++out.sessionsFromCache;
         else

@@ -49,18 +49,6 @@ namespace lag::engine
 using SessionLoader = std::function<core::Session(
     std::size_t app_index, std::uint32_t session_index)>;
 
-/** Knobs of aggregateFromCache(). */
-struct AggregateOptions
-{
-    /**
-     * When false (`--no-incremental`), the cache is neither read
-     * nor written: every session is loaded and re-analyzed — the
-     * escape hatch for distrusting the cache, and the reference
-     * side of the equivalence tests.
-     */
-    bool incremental = true;
-};
-
 /** Everything the study harnesses aggregate across sessions. */
 struct StudyAggregate
 {
@@ -96,8 +84,7 @@ aggregateFromCache(const ResultCache &cache,
                    const std::vector<std::string> &app_names,
                    std::uint32_t sessions_per_app,
                    DurationNs perceptible_threshold, ThreadPool &pool,
-                   const SessionLoader &load_session,
-                   const AggregateOptions &options = {});
+                   const SessionLoader &load_session);
 
 /** One app rebuilt from the cache: its per-session analyses and
  * their cross-session merge. */
@@ -126,8 +113,7 @@ aggregateAppFromCache(const ResultCache &cache,
                       std::size_t app_index,
                       std::uint32_t sessions_per_app,
                       DurationNs perceptible_threshold,
-                      const SessionLoader &load_session,
-                      const AggregateOptions &options = {});
+                      const SessionLoader &load_session);
 
 /**
  * Session-average one app's analyses into the figure inputs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <filesystem>
 #include <span>
 #include <utility>
@@ -23,6 +24,7 @@ struct IngestMetrics
     obs::Counter &epochs;
     obs::Counter &records;
     obs::Counter &publishes;
+    obs::Counter &publishFailures;
     obs::Counter &recomputedEpisodes;
     obs::Gauge &backlogBytes;
     obs::Gauge &lagMs;
@@ -35,6 +37,7 @@ ingestMetrics()
         obs::metrics().counter("ingest.epochs"),
         obs::metrics().counter("ingest.records"),
         obs::metrics().counter("ingest.publishes"),
+        obs::metrics().counter("ingest.publish_failures"),
         obs::metrics().counter("ingest.recomputed_episodes"),
         obs::metrics().gauge("ingest.backlog.bytes"),
         obs::metrics().gauge("ingest.lag.ms"),
@@ -124,6 +127,7 @@ IngestPipeline::advance(Work &work, std::uint64_t epoch_number)
     Source &source = *work.source;
     obs::TraceContextScope scope(source.context);
     const trace::TraceTailer &tailer = source.tailer;
+    const trace::TraceDecoder &decoded = tailer.decoded();
 
     std::span<const trace::TraceEvent> events;
     std::span<const trace::TraceSample> samples;
@@ -132,12 +136,13 @@ IngestPipeline::advance(Work &work, std::uint64_t epoch_number)
         trace::TailStatus status = trace::TailStatus::Waiting;
         try {
             status = source.tailer.poll();
-        } catch (const trace::TraceError &e) {
-            // Quarantine: the file can never become valid, but the
-            // other sources keep flowing.
+        } catch (const std::exception &e) {
+            // Quarantine: a corrupt file can never become valid, and
+            // any other failure (a filesystem error, bad_alloc) is
+            // not retried either; the other sources keep flowing.
             source.error = e.what();
             warn("ingest: source '", tailer.path(),
-                 "' is corrupt: ", e.what());
+                 "' failed to poll: ", e.what());
             return;
         }
         if (status == trace::TailStatus::Restarted) {
@@ -145,20 +150,20 @@ IngestPipeline::advance(Work &work, std::uint64_t epoch_number)
             source.lastAnalyzedRecords = 0;
             source.publishedComplete = false;
         }
-        const std::uint64_t records = tailer.recordsDecoded();
+        const std::uint64_t records = decoded.recordsDecoded();
         const bool fresh = records != source.lastAnalyzedRecords ||
-                           tailer.complete();
-        if (!tailer.analyzable() || !fresh || source.publishedComplete)
+                           decoded.complete();
+        if (!decoded.analyzable() || !fresh || source.publishedComplete)
             return;
         work.newRecords =
             records - std::min(records, source.lastAnalyzedRecords);
         source.lastAnalyzedRecords = records;
         if (!source.live)
-            source.live.emplace(tailer, options_.perceptibleThreshold);
-        events = std::span(tailer.events())
+            source.live.emplace(decoded, options_.perceptibleThreshold);
+        events = std::span(decoded.events())
                      .subspan(source.live->events,
-                              tailer.cutEvents() - source.live->events);
-        samples = std::span(tailer.samples()).subspan(source.live->samples);
+                              decoded.cutEvents() - source.live->events);
+        samples = std::span(decoded.samples()).subspan(source.live->samples);
     }
 
     LAG_SPAN_ARG("ingest.analyze", "events", events.size());
@@ -170,7 +175,7 @@ IngestPipeline::advance(Work &work, std::uint64_t epoch_number)
             live.builder.append(events, samples);
             live.events += events.size();
             live.samples += samples.size();
-            session = &live.builder.cut(tailer.cutMeta());
+            session = &live.builder.cut(decoded.cutMeta());
         }
         live.folded.fold(*session, live.builder.settledEpisodes(),
                          live.builder.sampledEpisodes());
@@ -180,13 +185,13 @@ IngestPipeline::advance(Work &work, std::uint64_t epoch_number)
         update.path = tailer.path();
         update.appName = session->meta().appName;
         update.sessionIndex = session->meta().sessionIndex;
-        update.complete = tailer.complete();
+        update.complete = decoded.complete();
         update.epoch = epoch_number;
         update.analysis = AnalysisPartial(live.folded).finish(*session);
         source.publishedComplete = update.complete;
         ++source.epochsPublished;
         work.update = std::move(update);
-    } catch (const trace::TraceError &e) {
+    } catch (const std::exception &e) {
         source.error = e.what();
         warn("ingest: source '", tailer.path(),
              "' failed analysis: ", e.what());
@@ -200,6 +205,13 @@ IngestPipeline::runEpoch()
 {
     lag_assert(!epochRunning_.exchange(true),
                "IngestPipeline epochs must not overlap");
+    // Cleared on every way out, so a failed epoch never reads as a
+    // running one to the next.
+    struct EpochGuard
+    {
+        std::atomic<bool> &running;
+        ~EpochGuard() { running.store(false); }
+    } guard{epochRunning_};
     const std::int64_t epoch_start = processElapsedNs();
     LAG_SPAN("ingest.epoch");
 
@@ -232,17 +244,18 @@ IngestPipeline::runEpoch()
         for (Work &item : work) {
             const Source &source = *item.source;
             const trace::TraceTailer &tailer = source.tailer;
+            const trace::TraceDecoder &decoded = tailer.decoded();
             IngestSourceStatus &status = statuses_[item.index];
-            if (tailer.hasMeta()) {
-                status.appName = tailer.meta().appName;
-                status.sessionIndex = tailer.meta().sessionIndex;
+            if (decoded.hasMeta()) {
+                status.appName = decoded.meta().appName;
+                status.sessionIndex = decoded.meta().sessionIndex;
             }
-            status.analyzable = tailer.analyzable();
-            status.complete = tailer.complete();
+            status.analyzable = decoded.analyzable();
+            status.complete = decoded.complete();
             status.cursorBytes = tailer.cursor();
             status.knownSizeBytes = tailer.knownSize();
             status.backlogBytes = tailer.backlogBytes();
-            status.recordsDecoded = tailer.recordsDecoded();
+            status.recordsDecoded = decoded.recordsDecoded();
             status.restarts = tailer.restarts();
             status.epochsPublished = source.epochsPublished;
             status.error = source.error;
@@ -257,10 +270,20 @@ IngestPipeline::runEpoch()
 
     // Phase 4 — publish the batch with no pipeline lock held (the
     // callback may take Serve-ranked locks above ours).
-    const std::size_t published = updates.size();
+    std::size_t published = updates.size();
+    IngestMetrics &metrics = ingestMetrics();
     if (published > 0 && publish_) {
         LAG_SPAN_ARG("ingest.publish", "updates", published);
-        publish_(std::move(updates));
+        try {
+            publish_(std::move(updates));
+        } catch (const std::exception &e) {
+            // The epoch's sources have advanced either way; a failed
+            // publish must not take the driver thread down.
+            metrics.publishFailures.add(1);
+            published = 0;
+            warn("ingest: publishing epoch ", epoch_number,
+                 " failed: ", e.what());
+        }
     }
 
     const std::int64_t lag_ms =
@@ -269,14 +292,12 @@ IngestPipeline::runEpoch()
         MutexLock lock(mutex_);
         lastEpochLagMs_ = lag_ms;
     }
-    IngestMetrics &metrics = ingestMetrics();
     metrics.epochs.add(1);
     metrics.records.add(new_records);
     metrics.publishes.add(published);
     metrics.recomputedEpisodes.add(recomputed);
     metrics.backlogBytes.set(static_cast<std::int64_t>(backlog));
     metrics.lagMs.set(lag_ms);
-    epochRunning_.store(false);
     return published;
 }
 

@@ -17,7 +17,7 @@
  * Append and fold: each source keeps a core::SessionBuilder and an
  * AnalysisPartial (analysis_partial.hh). An epoch appends only the
  * tailer's new closed events and new samples (by index into the
- * tailer's own vectors, no copy), cuts the session, folds the
+ * tailer's decoder's vectors, no copy), cuts the session, folds the
  * episodes the builder reports settled (tree part) and sampled
  * (sample part), and finishes a copy of the partial with the few
  * episodes that are not final yet recomputed (counted by the
@@ -26,7 +26,7 @@
  * restart drops the session and its partials.
  *
  * Batch-equivalence contract: every cut of the live session is the
- * session Session::fromTrace builds from the tailer's snapshot at
+ * session Session::fromTrace builds from the decoder's snapshot at
  * that cut (one build path), the fold is byte-identical to
  * analyzeSession at any cut sequence, and once a source's writer
  * finishes the final published SessionAnalysis serializes to
@@ -48,10 +48,12 @@
  * The driver paces epochs start to start: an epoch begins every
  * epochMillis, or at once when the previous one overran.
  *
- * A corrupt source (TraceError kind Corrupt, from the decode or the
- * session build) is quarantined: its error is recorded in the
- * status, the tailer is left where it stopped, and the pipeline
- * keeps serving the other sources.
+ * A source whose poll or analysis throws (a corrupt trace, or any
+ * other std::exception) is quarantined: its error is recorded in
+ * the status, the tailer is left where it stopped, and the pipeline
+ * keeps serving the other sources. A publish callback that throws is
+ * logged and counted (`ingest.publish_failures`), and the epoch
+ * still ends.
  */
 
 #ifndef LAG_ENGINE_INGEST_HH
@@ -198,10 +200,10 @@ class IngestPipeline
          * published. */
         struct Live
         {
-            Live(const trace::TraceTailer &tailer,
+            Live(const trace::TraceDecoder &decoded,
                  DurationNs perceptible_threshold)
-                : builder(tailer.meta().startTime, tailer.threads(),
-                          tailer.strings()),
+                : builder(decoded.meta().startTime, decoded.threads(),
+                          decoded.strings()),
                   folded(perceptible_threshold)
             {
             }

@@ -9,7 +9,7 @@
  *
  * Usage: ./lagd [--quick [SECONDS]] [--port N] [--max-connections N]
  *               [--cache-dir PATH] [--port-file PATH] [--jobs N]
- *               [--no-incremental] [--self-trace OUT] [--metrics-out OUT]
+ *               [--self-trace OUT] [--metrics-out OUT]
  *               [--flightrec-path OUT] [--slow-request-ms N]
  *               [--watchdog-ms N] [--follow DIR] [--epoch-ms N]
  *
@@ -99,8 +99,6 @@ main(int argc, char **argv)
     const app::ServeOptions serve_options =
         app::parseServeOptions(argc, argv);
     const std::uint32_t jobs = app::parseJobsOption(argc, argv);
-    const bool no_incremental =
-        app::parseNoIncrementalOption(argc, argv);
 
     bool quick = false;
     int quick_seconds = 10;
@@ -192,7 +190,6 @@ main(int argc, char **argv)
     if (!cache_dir.empty())
         config.cacheDir = cache_dir;
     config.jobs = jobs;
-    config.incremental = !no_incremental;
 
     engine::ThreadPool pool(config.jobs);
     serve::HotStore store(config, pool);

@@ -79,20 +79,17 @@ HotStore::HotStore(app::StudyConfig config, engine::ThreadPool &pool)
         appNames_.push_back(params.name);
 }
 
-HotStore::AppState
-HotStore::buildState(std::size_t app_index,
-                     engine::AppAggregate aggregate)
+void
+HotStore::installApp(std::size_t a, core::MergedPatternSet merged,
+                     const std::vector<engine::SessionAnalysis> &sessions)
 {
-    AppState state;
-    state.merged = std::move(aggregate.merged);
-    state.figures = engine::averageSessionAnalyses(
-        appNames_[app_index], aggregate.sessions);
+    merged_[a] = std::move(merged);
+    figures_[a] = engine::averageSessionAnalyses(appNames_[a], sessions);
     // Digest AFTER aggregation: misses just wrote fresh entries,
     // and the stamp must describe the bytes this state was built
     // from, or the next refresh would re-do clean apps.
-    state.digest = cache_.appDigest(
-        appNames_[app_index], study_.config().sessionsPerApp);
-    return state;
+    digests_[a] =
+        cache_.appDigest(appNames_[a], study_.config().sessionsPerApp);
 }
 
 void
@@ -101,29 +98,19 @@ HotStore::load()
     LAG_SPAN_ARG("serve.store.load", "apps", appNames_.size());
     study_.validate();
 
-    const engine::AggregateOptions options{
-        study_.config().incremental};
-    const engine::StudyAggregate aggregate =
-        engine::aggregateFromCache(
-            cache_, appNames_, study_.config().sessionsPerApp,
-            study_.config().perceptibleThreshold, pool_,
-            [this](std::size_t a, std::uint32_t s) {
-                return study_.loadSession(a, s);
-            },
-            options);
+    engine::StudyAggregate aggregate = engine::aggregateFromCache(
+        cache_, appNames_, study_.config().sessionsPerApp,
+        study_.config().perceptibleThreshold, pool_,
+        [this](std::size_t a, std::uint32_t s) {
+            return study_.loadSession(a, s);
+        });
 
     MutexLock lock(mutex_);
-    apps_.clear();
-    apps_.reserve(appNames_.size());
-    for (std::size_t a = 0; a < appNames_.size(); ++a) {
-        AppState state;
-        state.merged = aggregate.merged[a];
-        state.figures = engine::averageSessionAnalyses(
-            appNames_[a], aggregate.grid[a]);
-        state.digest = cache_.appDigest(
-            appNames_[a], study_.config().sessionsPerApp);
-        apps_.push_back(std::move(state));
-    }
+    merged_.resize(appNames_.size());
+    figures_.resize(appNames_.size());
+    digests_.resize(appNames_.size());
+    for (std::size_t a = 0; a < appNames_.size(); ++a)
+        installApp(a, std::move(aggregate.merged[a]), aggregate.grid[a]);
     loaded_ = true;
 }
 
@@ -136,7 +123,9 @@ HotStore::startFollow()
     // batch study, not what will stream in. Apps materialize as
     // ingest updates arrive.
     appNames_.clear();
-    apps_.clear();
+    merged_.clear();
+    figures_.clear();
+    digests_.clear();
     liveSessions_.clear();
     followMode_ = true;
     loaded_ = true;
@@ -162,7 +151,9 @@ HotStore::applyIngest(std::vector<engine::IngestUpdate> updates)
             static_cast<std::size_t>(found - appNames_.begin());
         if (found == appNames_.end()) {
             appNames_.push_back(update.appName);
-            apps_.emplace_back();
+            merged_.emplace_back();
+            figures_.emplace_back();
+            digests_.emplace_back();
             liveSessions_.emplace_back();
         }
         liveSessions_[a][update.path] = std::move(update.analysis);
@@ -183,8 +174,8 @@ HotStore::applyIngest(std::vector<engine::IngestUpdate> updates)
             summaries.push_back(&analysis.patternSummary);
             sessions.push_back(&analysis);
         }
-        apps_[a].merged = core::mergeAnalyses(summaries);
-        apps_[a].figures =
+        merged_[a] = core::mergeAnalyses(summaries);
+        figures_[a] =
             engine::averageSessionAnalyses(appNames_[a], sessions);
     }
     applied.add(updates.size());
@@ -208,7 +199,7 @@ HotStore::refresh()
     for (std::size_t a = 0; a < appNames_.size(); ++a) {
         const std::uint64_t digest = cache_.appDigest(
             appNames_[a], study_.config().sessionsPerApp);
-        if (digest == apps_[a].digest) {
+        if (digest == digests_[a]) {
             ++result.unchanged;
             continue;
         }
@@ -219,10 +210,8 @@ HotStore::refresh()
                 study_.config().perceptibleThreshold,
                 [this](std::size_t app, std::uint32_t s) {
                     return study_.loadSession(app, s);
-                },
-                engine::AggregateOptions{
-                    study_.config().incremental});
-        apps_[a] = buildState(a, std::move(aggregate));
+                });
+        installApp(a, std::move(aggregate.merged), aggregate.sessions);
         refreshRecomputedCounter().add(1);
         result.recomputedApps.push_back(appNames_[a]);
     }
@@ -255,13 +244,9 @@ HotStore::handleApps(const HttpRequest &)
     MutexLock lock(mutex_);
     if (!loaded_)
         return errorResponse(503, "store not loaded");
-    std::vector<core::MergedPatternSet> merged;
-    merged.reserve(apps_.size());
-    for (const AppState &state : apps_)
-        merged.push_back(state.merged);
     HttpResponse response;
     response.body = appsJson(
-        appNames_, study_.config().sessionsPerApp, merged);
+        appNames_, study_.config().sessionsPerApp, merged_);
     return response;
 }
 
@@ -289,7 +274,7 @@ HotStore::handlePatterns(const HttpRequest &request)
     HttpResponse response;
     response.body = core::patternsJson(
         appNames_[static_cast<std::size_t>(a)],
-        apps_[static_cast<std::size_t>(a)].merged, sort, limit);
+        merged_[static_cast<std::size_t>(a)], sort, limit);
     if (response.body.empty())
         return errorResponse(400, "unknown sort key");
     return response;
@@ -307,8 +292,8 @@ HotStore::handleCdf(const HttpRequest &request)
     HttpResponse response;
     response.body = core::cdfJson(
         appNames_[static_cast<std::size_t>(a)],
-        apps_[static_cast<std::size_t>(a)]
-            .figures.cdfEpisodesAtPatternPercent);
+        figures_[static_cast<std::size_t>(a)]
+            .cdfEpisodesAtPatternPercent);
     return response;
 }
 
@@ -328,13 +313,14 @@ HotStore::handleEpisodes(const HttpRequest &request)
     const std::ptrdiff_t a = appIndex(request);
     if (a < 0)
         return errorResponse(404, "unknown app");
-    const AppState &state = apps_[static_cast<std::size_t>(a)];
-    for (const core::MergedPattern &p : state.merged.patterns) {
+    const core::MergedPatternSet &merged =
+        merged_[static_cast<std::size_t>(a)];
+    for (const core::MergedPattern &p : merged.patterns) {
         if (p.key == key) {
             HttpResponse response;
             response.body = core::episodesJson(
                 appNames_[static_cast<std::size_t>(a)], p,
-                state.merged.sessionCount);
+                merged.sessionCount);
             return response;
         }
     }
@@ -351,12 +337,8 @@ HotStore::handleFigure(const HttpRequest &request)
     MutexLock lock(mutex_);
     if (!loaded_)
         return errorResponse(503, "store not loaded");
-    std::vector<core::AppFigureData> figures;
-    figures.reserve(apps_.size());
-    for (const AppState &state : apps_)
-        figures.push_back(state.figures);
     HttpResponse response;
-    response.body = core::figureJson(id, figures);
+    response.body = core::figureJson(id, figures_);
     if (response.body.empty())
         return errorResponse(404, "unknown figure id");
     return response;

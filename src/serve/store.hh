@@ -128,17 +128,11 @@ class HotStore
     std::size_t appCount() const;
 
   private:
-    /** One app's generation: digest + everything queries read. */
-    struct AppState
-    {
-        std::uint64_t digest = 0;
-        core::MergedPatternSet merged;
-        core::AppFigureData figures;
-    };
-
-    /** Rebuild one app's state from its aggregate. */
-    AppState buildState(std::size_t app_index,
-                        engine::AppAggregate aggregate);
+    /** Install app @p a's generation: its merge, the figure inputs
+     * averaged over @p sessions, and the digest of its entries. */
+    void installApp(std::size_t a, core::MergedPatternSet merged,
+                    const std::vector<engine::SessionAnalysis> &sessions)
+        LAG_REQUIRES(mutex_);
 
     /** Resolve ?app= to an index; -1 when absent/unknown. */
     std::ptrdiff_t
@@ -162,7 +156,12 @@ class HotStore
     std::vector<std::string> appNames_;
 
     mutable Mutex mutex_{LockRank::Serve, "serve-hot-store"};
-    std::vector<AppState> apps_ LAG_GUARDED_BY(mutex_);
+    /** Per app (same index as appNames_), everything queries read,
+     * in the shapes appsJson and figureJson take, plus the cache
+     * digest each generation was built from. */
+    std::vector<core::MergedPatternSet> merged_ LAG_GUARDED_BY(mutex_);
+    std::vector<core::AppFigureData> figures_ LAG_GUARDED_BY(mutex_);
+    std::vector<std::uint64_t> digests_ LAG_GUARDED_BY(mutex_);
     bool loaded_ LAG_GUARDED_BY(mutex_) = false;
     bool followMode_ LAG_GUARDED_BY(mutex_) = false;
 

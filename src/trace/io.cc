@@ -8,6 +8,7 @@
 #include <system_error>
 
 #include "bytes.hh"
+#include "decoder.hh"
 #include "mapped_file.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
@@ -22,16 +23,10 @@ static_assert(std::endian::native == std::endian::little,
 namespace lag::trace
 {
 
-// The record-level codec lives in wire.hh so the incremental tail
-// reader (tailer.cc) decodes with the exact same functions — the
-// batch/streamed byte-identity contract depends on it.
-using wire::checkSectionCount;
+// The record-level codec lives in wire.hh; reading goes through
+// TraceDecoder (decoder.hh), the one decoder the tail reader runs
+// too.
 using wire::kMagic;
-using wire::readEvent;
-using wire::readMeta;
-using wire::readSample;
-using wire::readSectionHeader;
-using wire::recordContext;
 using wire::SectionHeader;
 using wire::writeEvent;
 using wire::writeMeta;
@@ -94,116 +89,17 @@ deserializeTrace(std::string_view data)
     LAG_SPAN_ARG("trace.decode", "bytes", data.size());
     const std::int64_t decode_start = processElapsedNs();
 
-    ByteReader header(data);
-    for (char expected : kMagic) {
-        if (header.u8() != static_cast<std::uint8_t>(expected))
-            throw TraceError("bad magic: not a LagAlyzer trace file");
+    TraceDecoder decoder;
+    const std::size_t used = decoder.feed(data, /*whole=*/true);
+    if (!decoder.complete()) {
+        throw TraceError("trace file truncated: " +
+                             std::to_string(data.size() - used) +
+                             " bytes at offset " +
+                             std::to_string(used) +
+                             " do not complete a record",
+                         TraceErrorKind::Truncated);
     }
-    const std::uint32_t version = header.u32();
-    if (version != kFormatVersion) {
-        throw TraceError("unsupported trace format version " +
-                         std::to_string(version) + " (expected " +
-                         std::to_string(kFormatVersion) + ")");
-    }
-    const std::uint64_t checksum = header.u64();
-
-    const std::string_view body = data.substr(header.position());
-    Crc32cHasher hasher;
-    hasher.addBytes(body.data(), body.size());
-    // Nonzero high bits in the u64 field can never match.
-    if (hasher.digest() != checksum)
-        throw TraceError("trace payload checksum mismatch");
-
-    ByteReader r(body);
-    Trace trace;
-    const SectionHeader counts = readSectionHeader(r);
-    // Minimum wire sizes: thread = id + name length + gui flag,
-    // string = length prefix, sample = time + thread count.
-    checkSectionCount("thread", counts.threadCount, 9, r.remaining());
-    checkSectionCount("string", counts.stringCount, 4, r.remaining());
-    checkSectionCount("event", counts.eventCount, kEventWireBytes,
-                      r.remaining());
-    checkSectionCount("sample", counts.sampleCount, 12,
-                      r.remaining());
-
-    trace.meta = readMeta(r);
-
-    {
-        LAG_SPAN_ARG("trace.decode.threads", "count",
-                     counts.threadCount);
-        trace.threads.reserve(counts.threadCount);
-        for (std::uint32_t i = 0; i < counts.threadCount; ++i) {
-            TraceThread thread;
-            thread.id = r.u32();
-            thread.name = r.str();
-            thread.isGui = r.u8() != 0;
-            trace.threads.push_back(std::move(thread));
-        }
-    }
-
-    {
-        LAG_SPAN_ARG("trace.decode.strings", "count",
-                     counts.stringCount);
-        std::vector<std::string> list;
-        list.reserve(counts.stringCount);
-        for (std::uint32_t i = 0; i < counts.stringCount; ++i)
-            list.push_back(r.str());
-        trace.strings = StringTable::fromList(std::move(list));
-    }
-
-    {
-        LAG_SPAN_ARG("trace.decode.events", "count",
-                     counts.eventCount);
-        trace.events.reserve(counts.eventCount);
-        for (std::uint64_t i = 0; i < counts.eventCount; ++i) {
-            const std::size_t at = r.position();
-            try {
-                trace.events.push_back(readEvent(r));
-            } catch (const TraceError &e) {
-                // Keep the kind: the tailer relies on Truncated
-                // surviving the context-wrapping rethrow.
-                throw TraceError(recordContext("event", i, at) +
-                                     e.what(),
-                                 e.kind());
-            }
-        }
-    }
-
-    std::uint64_t sampleThreadTotal = 0;
-    std::uint64_t frameTotal = 0;
-    {
-        LAG_SPAN_ARG("trace.decode.samples", "count",
-                     counts.sampleCount);
-        trace.samples.reserve(counts.sampleCount);
-        for (std::uint64_t i = 0; i < counts.sampleCount; ++i) {
-            const std::size_t at = r.position();
-            try {
-                trace.samples.push_back(readSample(
-                    r, {counts.sampleThreadTotal, counts.frameTotal,
-                        /*completeBuffer=*/true}));
-            } catch (const TraceError &e) {
-                throw TraceError(recordContext("sample", i, at) +
-                                     e.what(),
-                                 e.kind());
-            }
-            const TraceSample &sample = trace.samples.back();
-            sampleThreadTotal += sample.threads.size();
-            for (const auto &entry : sample.threads)
-                frameTotal += entry.frames.size();
-        }
-    }
-    if (sampleThreadTotal != counts.sampleThreadTotal ||
-        frameTotal != counts.frameTotal) {
-        throw TraceError(
-            "sample totals disagree with the section header");
-    }
-
-    if (r.remaining() != 0) {
-        throw TraceError("trailing garbage: " +
-                         std::to_string(r.remaining()) +
-                         " bytes after trace payload");
-    }
-    trace.validate();
+    Trace trace = decoder.takeTrace();
 
     // Decode metrics: byte/decode totals plus a latency histogram
     // per whole trace (not per record — the grain must stay coarse

@@ -16,11 +16,13 @@
  * can pre-size every vector exactly instead of growing through
  * push_back, and can reject implausible counts before allocating.
  *
- * The checksum covers the payload bytes exactly; readers verify it
- * before decoding, so bit rot and truncation are detected up front.
- * deserializeTrace borrows its input: handed an mmap-backed view
- * (see mapped_file.hh) it decodes straight out of the mapping with
- * no intermediate buffer copy.
+ * The checksum covers the payload bytes exactly. The decoder
+ * (decoder.hh) folds it over the bytes as it consumes them and
+ * verifies it when the last record is decoded, so bit rot that the
+ * record checks let through is still rejected. deserializeTrace
+ * borrows its input: handed an mmap-backed view (see
+ * mapped_file.hh) it decodes straight out of the mapping with no
+ * intermediate buffer copy.
  */
 
 #ifndef LAG_TRACE_IO_HH
@@ -49,7 +51,11 @@ constexpr std::size_t kEventWireBytes = 23;
 /** Serialize @p trace into a byte buffer. */
 std::string serializeTrace(const Trace &trace);
 
-/** Parse a byte buffer produced by serializeTrace. */
+/**
+ * Parse a byte buffer produced by serializeTrace: one whole feed of
+ * a TraceDecoder (decoder.hh). Throws TraceError; kind Truncated
+ * when the bytes end inside a record.
+ */
 Trace deserializeTrace(std::string_view data);
 
 /** Write @p trace to @p path. Throws TraceError on I/O failure. */

@@ -89,8 +89,18 @@ traceThreadStateName(TraceThreadState state)
 void
 Trace::validate() const
 {
+    validateTrace(meta, threads, strings.size(), events, samples);
+}
+
+void
+validateTrace(const TraceMeta &meta,
+              const std::vector<TraceThread> &threads,
+              std::size_t stringCount,
+              const std::vector<TraceEvent> &events,
+              const std::vector<TraceSample> &samples)
+{
     TraceValidator::checkMeta(meta);
-    TraceValidator validator(meta.startTime, threads, strings.size());
+    TraceValidator validator(meta.startTime, threads, stringCount);
     for (const auto &event : events)
         validator.checkEvent(event);
     for (const auto &sample : samples)

@@ -217,6 +217,14 @@ struct Trace
     void validate() const;
 };
 
+/** Trace::validate() over the parts of a trace held apart (the
+ * decoder's, before they move into a Trace). */
+void validateTrace(const TraceMeta &meta,
+                   const std::vector<TraceThread> &threads,
+                   std::size_t stringCount,
+                   const std::vector<TraceEvent> &events,
+                   const std::vector<TraceSample> &samples);
+
 /**
  * Trace::validate() one record at a time, for a trace whose events
  * and samples arrive in pieces.  Each check throws the TraceError

@@ -1,7 +1,7 @@
 /**
  * @file
- * Record-level codec shared by the batch reader (io.cc) and the
- * incremental tail reader (tailer.cc).
+ * Record-level codec: the writer (io.cc) encodes with it, and the
+ * one decoder (decoder.cc) decodes with it.
  *
  * Everything here works on one record at a time over a ByteReader,
  * so the same functions decode a complete in-memory payload and a
@@ -9,10 +9,11 @@
  * buffered bytes raises TraceError with kind Truncated (the
  * ByteReader does this); every structural violation — unknown enum
  * value, a count exceeding the section header's declared totals —
- * raises kind Corrupt. The tailer retries Truncated and aborts
- * Corrupt; the batch reader treats both as fatal.
+ * raises kind Corrupt. The decoder leaves a Truncated record for its
+ * next feed and throws Corrupt; the batch reader, which feeds the
+ * whole file at once, treats both as fatal.
  *
- * Internal header: io.cc and tailer.cc only.
+ * Internal header: the trace library and its tests only.
  */
 
 #ifndef LAG_TRACE_WIRE_HH
@@ -33,9 +34,6 @@ inline constexpr char kMagic[8] = {'L', 'A', 'G', 'T',
 
 /** Fixed wire size of the file header: magic + version + checksum. */
 inline constexpr std::size_t kFileHeaderBytes = 8 + 4 + 8;
-
-/** Fixed wire size of the payload's sectioned count header. */
-inline constexpr std::size_t kSectionHeaderBytes = 4 + 4 + 8 + 8 + 8 + 8;
 
 /**
  * Sectioned count header at the head of the payload: record counts

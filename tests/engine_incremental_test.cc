@@ -125,14 +125,14 @@ TEST(EngineIncremental, MatchesDirectAnalysisAcrossCacheStates)
         };
 
     const auto check = [&](std::uint32_t jobs,
-                           const AggregateOptions &options,
+                           const ResultCache &results,
                            std::size_t expect_cached,
                            std::size_t expect_recomputed,
                            const char *label) {
         ThreadPool pool(jobs);
         const StudyAggregate aggregate =
-            aggregateFromCache(cache, names, config.sessionsPerApp,
-                               threshold, pool, loader, options);
+            aggregateFromCache(results, names, config.sessionsPerApp,
+                               threshold, pool, loader);
         EXPECT_EQ(aggregate.sessionsFromCache, expect_cached)
             << label;
         EXPECT_EQ(aggregate.sessionsRecomputed, expect_recomputed)
@@ -157,16 +157,16 @@ TEST(EngineIncremental, MatchesDirectAnalysisAcrossCacheStates)
     };
 
     // Cold cache, serial: every session recomputed (and stored).
-    check(1, AggregateOptions{}, 0, total, "cold/serial");
+    check(1, cache, 0, total, "cold/serial");
     // Warm cache, parallel: every session answered from disk.
-    check(8, AggregateOptions{}, total, 0, "warm/parallel");
+    check(8, cache, total, 0, "warm/parallel");
     // Partially evicted: exactly the missing entry is recomputed.
     ASSERT_TRUE(fs::remove(cache.entryPath(names[1], 2)));
-    check(8, AggregateOptions{}, total - 1, 1, "partial/parallel");
-    // The escape hatch recomputes everything, same bytes.
-    AggregateOptions off;
-    off.incremental = false;
-    check(4, off, 0, total, "no-incremental");
+    check(8, cache, total - 1, 1, "partial/parallel");
+    // A fresh cache directory recomputes everything, same bytes.
+    const ScratchDir fresh("lagalyzer-cache-test-incr-fresh");
+    check(4, ResultCache(fresh.path, config.fingerprint()), 0, total,
+          "fresh cache");
 }
 
 TEST(EngineIncremental, WarmCacheNeverTouchesTheDecoder)

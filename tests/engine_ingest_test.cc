@@ -16,6 +16,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "engine/pool.hh"
 #include "engine/result_cache.hh"
 #include "obs/json_check.hh"
+#include "obs/metrics.hh"
 #include "scratch_dir.hh"
 #include "trace/io.hh"
 #include "trace/tailer.hh"
@@ -113,11 +115,11 @@ class EpochOracle
                 continue;
             try {
                 tailer.poll();
-                if (!tailer.analyzable())
+                if (!tailer.decoded().analyzable())
                     continue;
                 expected[path] =
                     serializeSessionAnalysis(analyzeSession(
-                        core::Session::fromTrace(tailer.snapshot()),
+                        core::Session::fromTrace(tailer.decoded().snapshot()),
                         threshold_));
             } catch (const trace::TraceError &e) {
                 errors[path] = e.what();
@@ -478,7 +480,7 @@ TEST(IngestDifferential, RewriteMidEventsDropsIncrementalState)
         for (std::size_t offset = 0;
              offset < first.size() &&
              (published.last.count(dest) == 0 ||
-              probe.cutEvents() < firstEvents / 2);
+              probe.decoded().cutEvents() < firstEvents / 2);
              offset += step) {
             out.write(first.data() + offset,
                       static_cast<std::streamsize>(
@@ -488,8 +490,8 @@ TEST(IngestDifferential, RewriteMidEventsDropsIncrementalState)
             probe.poll();
         }
     }
-    ASSERT_GT(probe.cutEvents(), 0u);
-    ASSERT_LT(probe.cutEvents(), firstEvents);
+    ASSERT_GT(probe.decoded().cutEvents(), 0u);
+    ASSERT_LT(probe.decoded().cutEvents(), firstEvents);
     ASSERT_EQ(published.last.count(dest), 1u);
     ASSERT_FALSE(published.last.at(dest).complete);
 
@@ -561,6 +563,58 @@ TEST(IngestDifferential, CorruptSourceIsQuarantined)
     ASSERT_NE(it, published.last.end());
     EXPECT_EQ(serializeSessionAnalysis(it->second.analysis),
               fix.batchBytes[1]);
+}
+
+TEST(IngestDifferential, ThrowingPublishStillEndsTheEpoch)
+{
+    // The publish callback throws once. The epoch must still end
+    // (no exception escapes runEpoch to kill the driver thread), the
+    // next epoch must not read as overlapping, and later epochs
+    // publish the batch answer.
+    StudyFixture &fix = fixture();
+    const ScratchDir live("lagalyzer-ingest-publish-throws");
+    const std::string bytes = slurp(fix.tracePaths[0][0]);
+    const std::string dest = live.path + "/session.lag";
+    const auto write = [&](std::size_t n) {
+        std::ofstream out(dest, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(n));
+    };
+
+    ThreadPool pool(2);
+    IngestOptions options;
+    options.perceptibleThreshold = fix.config.perceptibleThreshold;
+    Published published;
+    bool thrown = false;
+    IngestPipeline pipeline(
+        pool, options, [&](std::vector<IngestUpdate> updates) {
+            if (!thrown) {
+                thrown = true;
+                throw std::runtime_error("publish target is down");
+            }
+            published.accept(std::move(updates));
+        });
+    pipeline.addSource(dest);
+
+    const std::uint64_t failuresBefore =
+        obs::metrics().snapshot().counterValue(
+            "ingest.publish_failures");
+    write(bytes.size() / 2);
+    std::size_t first = 1;
+    EXPECT_NO_THROW(first = pipeline.runEpoch());
+    EXPECT_TRUE(thrown);
+    EXPECT_EQ(first, 0u);
+    EXPECT_EQ(obs::metrics().snapshot().counterValue(
+                  "ingest.publish_failures"),
+              failuresBefore + 1);
+
+    write(bytes.size());
+    for (int i = 0; i < 10 && !pipeline.allComplete(); ++i)
+        pipeline.runEpoch();
+    ASSERT_TRUE(pipeline.allComplete());
+    EXPECT_EQ(pipeline.status().at(0).error, "");
+    EXPECT_EQ(serializeSessionAnalysis(
+                  published.last.at(dest).analysis),
+              fix.batchBytes[0]);
 }
 
 TEST(IngestDifferential, DirectoryScanPicksUpNewFiles)
@@ -674,10 +728,10 @@ TEST(IngestStatus, StatusCopyTracksTailersWhileReadersHammer)
             const IngestSourceStatus &status = statuses[i];
             EXPECT_EQ(status.path, dests[i]);
             EXPECT_EQ(status.cursorBytes, ref.cursor()) << step;
-            EXPECT_EQ(status.recordsDecoded, ref.recordsDecoded())
+            EXPECT_EQ(status.recordsDecoded, ref.decoded().recordsDecoded())
                 << step;
-            EXPECT_EQ(status.complete, ref.complete()) << step;
-            EXPECT_EQ(status.analyzable, ref.analyzable()) << step;
+            EXPECT_EQ(status.complete, ref.decoded().complete()) << step;
+            EXPECT_EQ(status.analyzable, ref.decoded().analyzable()) << step;
             EXPECT_EQ(status.epochsPublished,
                       published.publishCount[dests[i]])
                 << step;

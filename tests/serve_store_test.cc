@@ -75,9 +75,10 @@ urlEncode(const std::string &text)
     return out;
 }
 
-/** The batch side of the equivalence: a cold, non-incremental full
- * aggregation (never touches the `.ares` cache) pushed through the
- * same emitters the server uses. */
+/** The batch side of the equivalence: a cold full aggregation over
+ * a fresh, private result cache (so it never reads the served
+ * `.ares` entries) pushed through the same emitters the server
+ * uses. */
 struct Reference
 {
     std::vector<std::string> names;
@@ -91,18 +92,16 @@ struct Reference
         study.validate();
         for (const app::AppParams &params : config.apps)
             names.push_back(params.name);
-        const engine::ResultCache cache(config.cacheDir,
+        const ScratchDir fresh("lagalyzer-cache-test-serve-ref");
+        const engine::ResultCache cache(fresh.path,
                                         config.fingerprint());
-        engine::AggregateOptions options;
-        options.incremental = false;
         const engine::StudyAggregate aggregate =
             engine::aggregateFromCache(
                 cache, names, config.sessionsPerApp,
                 config.perceptibleThreshold, pool,
                 [&study](std::size_t a, std::uint32_t s) {
                     return study.loadSession(a, s);
-                },
-                options);
+                });
         merged = aggregate.merged;
         for (std::size_t a = 0; a < names.size(); ++a)
             figures.push_back(engine::averageSessionAnalyses(

@@ -12,11 +12,13 @@
  * over the episodes each cut reports final.
  *
  * The bit-flip and truncation sweeps rely on the container format:
- * the whole payload is checksummed and the checksum is verified
- * before any section is parsed, so damage anywhere in the file is
- * caught up front. Forged counts additionally exercise the
+ * the whole payload is checksummed and the checksum is verified once
+ * the last record is decoded, so damage the record checks let
+ * through is still rejected. Forged counts additionally exercise the
  * plausibility guards that run before any count-sized allocation
- * (a forged count can carry a forged checksum).
+ * (a forged count can carry a forged checksum). The batch reader and
+ * the tail reader run the same decoder, so every bit flip must get
+ * the same answer from both.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -41,6 +44,7 @@
 #include "engine/result_cache.hh"
 #include "scratch_dir.hh"
 #include "trace/io.hh"
+#include "trace/tailer.hh"
 #include "trace_builder.hh"
 #include "util/hash.hh"
 
@@ -220,6 +224,68 @@ TEST(TraceFuzz, RecordErrorsCarryOffsetAndIndex)
             << "missing record index: " << what;
         EXPECT_NE(what.find("payload offset"), std::string::npos)
             << "missing payload offset: " << what;
+    }
+}
+
+TEST(TraceFuzz, BatchAndTailDecodersAgreeOnEveryBitFlip)
+{
+    // The batch reader and one tailer poll of a file holding the
+    // same bytes must decode the same Trace or throw the same error.
+    // Only a whole buffer can show a record to be cut short for good
+    // or a count to be implausible. Where the batch reader rejects on
+    // those grounds, the tailer may wait for more bytes, or read on
+    // past the count into the next section and reject what it finds
+    // there; it must not complete.
+    const std::string bytes = serializeTrace(sampleTrace());
+    const test::ScratchDir dir("lagalyzer-test-fuzz-flip");
+    const std::string path = dir.path + "/flip.lag";
+    for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+        for (int bit = 0; bit < 8; ++bit) {
+            std::string bad = bytes;
+            bad[pos] = static_cast<char>(bad[pos] ^ (1 << bit));
+            {
+                std::ofstream out(path,
+                                  std::ios::binary | std::ios::trunc);
+                out.write(bad.data(),
+                          static_cast<std::streamsize>(bad.size()));
+            }
+
+            std::optional<Trace> batch;
+            std::string batchError;
+            bool mayWait = false; // the tailer cannot tell yet
+            try {
+                batch = deserializeTrace(bad);
+            } catch (const TraceError &e) {
+                batchError = e.what();
+                mayWait = e.kind() == TraceErrorKind::Truncated ||
+                          batchError.find("implausible") !=
+                              std::string::npos;
+            }
+
+            TraceTailer tailer(path);
+            std::string tailError;
+            try {
+                (void)tailer.poll();
+            } catch (const TraceError &e) {
+                tailError = e.what();
+            }
+
+            const std::string where = "flip at byte " +
+                                      std::to_string(pos) + " bit " +
+                                      std::to_string(bit);
+            if (mayWait) {
+                EXPECT_FALSE(tailer.decoded().complete())
+                    << where << ": the tailer completes where the "
+                    << "batch reader says: " << batchError;
+            } else if (batch) {
+                EXPECT_EQ(tailError, "") << where;
+                EXPECT_EQ(serializeTrace(tailer.decoded().snapshot()),
+                          serializeTrace(*batch))
+                    << where;
+            } else {
+                EXPECT_EQ(tailError, batchError) << where;
+            }
+        }
     }
 }
 

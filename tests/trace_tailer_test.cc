@@ -124,26 +124,26 @@ TEST(TraceTailerTest, EveryPrefixEitherWaitsOrAdvances)
         EXPECT_LE(tailer.cursor(), n);
         EXPECT_EQ(tailer.knownSize(), n);
         EXPECT_EQ(tailer.backlogBytes(), n - tailer.cursor());
-        if (tailer.analyzable() && !tailer.complete()) {
+        if (tailer.decoded().analyzable() && !tailer.decoded().complete()) {
             // Mid-stream snapshots must always be sessionable:
             // the closed-prefix trim guarantees balanced events.
             core::Session session =
-                core::Session::fromTrace(tailer.snapshot());
+                core::Session::fromTrace(tailer.decoded().snapshot());
             EXPECT_EQ(session.meta().appName,
                       original.meta.appName);
             sessionBuilt = true;
         }
     }
     EXPECT_TRUE(sessionBuilt);
-    EXPECT_TRUE(tailer.complete());
+    EXPECT_TRUE(tailer.decoded().complete());
     EXPECT_EQ(tailer.cursor(), bytes.size());
-    EXPECT_EQ(tailer.recordsDecoded(),
+    EXPECT_EQ(tailer.decoded().recordsDecoded(),
               original.threads.size() + original.strings.size() +
                   original.events.size() + original.samples.size());
 
     // The batch-equivalence contract: the finished snapshot
     // re-serializes to the original file bytes, bit for bit.
-    EXPECT_EQ(serializeTrace(tailer.snapshot()), bytes);
+    EXPECT_EQ(serializeTrace(tailer.decoded().snapshot()), bytes);
 
     // Idle polls after completion stay Complete.
     EXPECT_EQ(tailer.poll(), TailStatus::Complete);
@@ -180,7 +180,7 @@ TEST(TraceTailerTest, OnePollOverMultiMegabyteTraceMatchesBatch)
 
     EXPECT_EQ(tailer.cursor(), bytes.size());
     EXPECT_EQ(tailer.backlogBytes(), 0u);
-    const std::string streamed = serializeTrace(tailer.snapshot());
+    const std::string streamed = serializeTrace(tailer.decoded().snapshot());
     EXPECT_EQ(streamed, serializeTrace(readTraceFile(file.path)));
     EXPECT_EQ(streamed, bytes);
 }
@@ -192,9 +192,9 @@ TEST(TraceTailerTest, SnapshotBeforeAnalyzableThrowsTruncated)
     file.writePrefix(bytes, wire::kFileHeaderBytes);
     TraceTailer tailer(file.path);
     tailer.poll();
-    EXPECT_FALSE(tailer.analyzable());
+    EXPECT_FALSE(tailer.decoded().analyzable());
     try {
-        (void)tailer.snapshot();
+        (void)tailer.decoded().snapshot();
         FAIL() << "snapshot before analyzable must throw";
     } catch (const TraceError &e) {
         EXPECT_EQ(e.kind(), TraceErrorKind::Truncated);
@@ -213,12 +213,12 @@ TEST(TraceTailerTest, IncompleteSnapshotClampsEndTime)
     for (std::size_t n = 1; n < bytes.size(); ++n) {
         file.writePrefix(bytes, n);
         tailer.poll();
-        if (tailer.analyzable())
+        if (tailer.decoded().analyzable())
             break;
     }
-    ASSERT_TRUE(tailer.analyzable());
-    ASSERT_FALSE(tailer.complete());
-    const Trace snap = tailer.snapshot();
+    ASSERT_TRUE(tailer.decoded().analyzable());
+    ASSERT_FALSE(tailer.decoded().complete());
+    const Trace snap = tailer.decoded().snapshot();
     EXPECT_LT(snap.meta.endTime, original.meta.endTime);
 }
 
@@ -233,7 +233,7 @@ TEST(TraceTailerTest, CorruptPayloadFailsChecksumAtCompletion)
     file.writePrefix(bytes, bytes.size());
     TraceTailer tailer(file.path);
     try {
-        while (!tailer.complete())
+        while (!tailer.decoded().complete())
             tailer.poll();
         FAIL() << "corrupt payload must not complete";
     } catch (const TraceError &e) {
@@ -243,9 +243,10 @@ TEST(TraceTailerTest, CorruptPayloadFailsChecksumAtCompletion)
 
 TEST(TraceTailerTest, ChecksumPassesAtEveryChunking)
 {
-    // The tailer folds the CRC32C per consumed record, in whatever
-    // pieces the bytes arrive; the completion check must pass
-    // whether they land one byte, seven bytes or 4 KiB at a time.
+    // The decoder folds the CRC32C once per poll, over the bytes it
+    // consumed, in whatever pieces they arrive; the completion check
+    // must pass whether they land one byte, seven bytes or 4 KiB at a
+    // time.
     test::TraceBuilder builder;
     for (int i = 0; i < 120; ++i) {
         const TimeNs begin = msToNs(10) * i;
@@ -271,8 +272,8 @@ TEST(TraceTailerTest, ChecksumPassesAtEveryChunking)
             ASSERT_NO_THROW(tailer.poll())
                 << "chunk " << chunk << " at byte " << at;
         }
-        EXPECT_TRUE(tailer.complete()) << "chunk " << chunk;
-        EXPECT_EQ(serializeTrace(tailer.snapshot()), bytes)
+        EXPECT_TRUE(tailer.decoded().complete()) << "chunk " << chunk;
+        EXPECT_EQ(serializeTrace(tailer.decoded().snapshot()), bytes)
             << "chunk " << chunk;
     }
 }
@@ -336,8 +337,8 @@ TEST(TraceTailerTest, RewriteRestartsAndConverges)
     EXPECT_EQ(tailer.restarts(), 1u);
     // The restart poll already consumed the new file's bytes.
     EXPECT_EQ(tailer.poll(), TailStatus::Complete);
-    EXPECT_EQ(serializeTrace(tailer.snapshot()), secondBytes);
-    EXPECT_EQ(tailer.meta().appName, "OtherApp");
+    EXPECT_EQ(serializeTrace(tailer.decoded().snapshot()), secondBytes);
+    EXPECT_EQ(tailer.decoded().meta().appName, "OtherApp");
 }
 
 TEST(TraceTailerTest, TruncationBelowCursorRestarts)
@@ -353,12 +354,12 @@ TEST(TraceTailerTest, TruncationBelowCursorRestarts)
     file.writePrefix(bytes, bytes.size() / 2);
     EXPECT_EQ(tailer.poll(), TailStatus::Restarted);
     EXPECT_GE(tailer.restarts(), 1u);
-    EXPECT_FALSE(tailer.complete());
+    EXPECT_FALSE(tailer.decoded().complete());
 
     // Grow it back to the full trace; the tailer converges again.
     file.writePrefix(bytes, bytes.size());
     EXPECT_EQ(tailer.poll(), TailStatus::Complete);
-    EXPECT_EQ(serializeTrace(tailer.snapshot()), bytes);
+    EXPECT_EQ(serializeTrace(tailer.decoded().snapshot()), bytes);
 }
 
 TEST(TraceTailerTest, CursorResumeSurvivesNewTailerInstance)
@@ -372,12 +373,12 @@ TEST(TraceTailerTest, CursorResumeSurvivesNewTailerInstance)
     {
         TraceTailer dying(file.path);
         dying.poll();
-        EXPECT_FALSE(dying.complete());
+        EXPECT_FALSE(dying.decoded().complete());
     }
     file.writePrefix(bytes, bytes.size());
     TraceTailer resumed(file.path);
     EXPECT_EQ(resumed.poll(), TailStatus::Complete);
-    EXPECT_EQ(serializeTrace(resumed.snapshot()), bytes);
+    EXPECT_EQ(serializeTrace(resumed.decoded().snapshot()), bytes);
 }
 
 } // namespace
