@@ -39,6 +39,7 @@
 #include <fstream>
 #include <iterator>
 #include <new>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -185,9 +186,15 @@ void
 BM_TraceDecode(benchmark::State &state)
 {
     const Fixture &f = Fixture::get();
+    std::optional<trace::Trace> t;
     for (auto _ : state) {
-        trace::Trace t = trace::deserializeTrace(f.bytes);
-        benchmark::DoNotOptimize(t.events.data());
+        // Free the previous iteration's records untimed: this
+        // measures decoding, not the allocator tearing them down.
+        state.PauseTiming();
+        t.reset();
+        state.ResumeTiming();
+        t.emplace(trace::deserializeTrace(f.bytes));
+        benchmark::DoNotOptimize(t->events.data());
     }
     state.counters["episodes/s"] = benchmark::Counter(
         static_cast<double>(f.episodes * state.iterations()),
@@ -199,12 +206,15 @@ void
 BM_SessionBuild(benchmark::State &state)
 {
     const Fixture &f = Fixture::get();
+    std::optional<core::Session> s;
     for (auto _ : state) {
+        // Decode, and free the previous session, untimed.
         state.PauseTiming();
+        s.reset();
         trace::Trace t = trace::deserializeTrace(f.bytes);
         state.ResumeTiming();
-        core::Session s = core::Session::fromTrace(std::move(t));
-        benchmark::DoNotOptimize(s.episodes().data());
+        s.emplace(core::Session::fromTrace(std::move(t)));
+        benchmark::DoNotOptimize(s->episodes().data());
     }
     state.counters["episodes/s"] = benchmark::Counter(
         static_cast<double>(f.episodes * state.iterations()),

@@ -51,18 +51,8 @@ selectStudyConfig(int argc, char **argv)
     return config;
 }
 
-namespace
-{
-
-/**
- * Per-session analyses indexed [app][session], answered through
- * engine::aggregateFromCache: cached `.ares` entries where possible,
- * decode + analyze (and store back) only on a miss. Only the
- * manifest is validated up front, so a warm analysis cache never
- * opens a trace.
- */
-std::vector<std::vector<engine::SessionAnalysis>>
-analyzeSessions(app::Study &study)
+std::vector<AppAnalysis>
+analyzeStudy(app::Study &study)
 {
     const app::StudyConfig &config = study.config();
     study.validate();
@@ -74,6 +64,12 @@ analyzeSessions(app::Study &study)
     for (const auto &app : config.apps)
         names.push_back(app.name);
 
+    // Cached `.ares` entries where possible, decode + analyze (and
+    // store back) only on a miss; only the manifest is validated up
+    // front, so a warm analysis cache never opens a trace. The
+    // per-app figure inputs come out of engine::averageSessionAnalyses
+    // — the same code lagd's hot store serves — in [app][session]
+    // order, so every bit matches at any worker count.
     engine::ThreadPool pool(config.jobs);
     engine::StudyAggregate aggregate = engine::aggregateFromCache(
         cache, names, config.sessionsPerApp,
@@ -91,27 +87,7 @@ analyzeSessions(app::Study &study)
     const engine::CacheEvictionPolicy policy{
         config.cacheMaxBytes, config.cacheMaxAgeSeconds};
     cache.evict(policy);
-    return std::move(aggregate.grid);
-}
-
-} // namespace
-
-std::vector<AppAnalysis>
-analyzeStudy(app::Study &study)
-{
-    const auto grid = analyzeSessions(study);
-
-    // Session-averaging now lives in engine::averageSessionAnalyses
-    // — the same code lagd's hot store runs — in [app][session]
-    // order, so every bit of the output matches the historical
-    // serial path exactly.
-    std::vector<AppAnalysis> results;
-    results.reserve(study.config().apps.size());
-    for (std::size_t a = 0; a < study.config().apps.size(); ++a) {
-        results.push_back(engine::averageSessionAnalyses(
-            study.config().apps[a].name, grid[a]));
-    }
-    return results;
+    return std::move(aggregate.figures);
 }
 
 double

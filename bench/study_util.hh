@@ -60,8 +60,9 @@ using AppAnalysis = core::AppFigureData;
 
 /**
  * Run the full analysis pipeline for every app in the study,
- * averaging the four sessions per app. Loads lazily app-by-app to
- * bound memory. Progress lines go to stderr.
+ * averaging the four sessions per app. Sessions, then apps, fan
+ * out over the engine pool (engine::aggregateFromCache). Progress
+ * lines go to stderr.
  */
 std::vector<AppAnalysis> analyzeStudy(app::Study &study);
 

@@ -19,8 +19,9 @@
 # Optionally sweep the sanitizer
 # matrix: `ci/check.sh --sanitize TSAN` (or ASAN / UBSAN) builds an
 # instrumented tree in build-<san> and runs the engine label under
-# it (ASAN and UBSAN also the core label: the session builder and
-# the flat-tree walks are index arithmetic over arrays). Exits
+# it (TSAN also the serve label: the hot store's load fans out over
+# the pool; ASAN and UBSAN also the core label: the session builder
+# and the flat-tree walks are index arithmetic over arrays). Exits
 # nonzero on the first failure.
 #
 # Usage:
@@ -337,7 +338,7 @@ if [ -n "$sanitize" ]; then
         -DLAG_SANITIZE="$sanitize" -DLAG_WERROR=ON >/dev/null
     cmake --build "$san_build" -j "$jobs"
     case "$san_lc" in
-      tsan|thread) san_labels="engine" ;;
+      tsan|thread) san_labels="engine|serve" ;;
       *) san_labels="engine|core" ;;
     esac
     (cd "$san_build" &&

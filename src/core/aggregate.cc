@@ -1,6 +1,7 @@
 #include "aggregate.hh"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_map>
 
 #include "util/logging.hh"
@@ -60,7 +61,8 @@ mergeAnalyses(const std::vector<const PatternSetSummary *> &sets)
     for (const PatternSetSummary *set : sets)
         totalPatterns += set->patterns.size();
 
-    std::unordered_map<std::string, std::size_t> index;
+    // Keys borrow the input signatures, which outlive the merge.
+    std::unordered_map<std::string_view, std::size_t> index;
     index.reserve(totalPatterns);
     result.patterns.reserve(totalPatterns);
     for (std::size_t s = 0; s < sets.size(); ++s) {

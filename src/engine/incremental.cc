@@ -43,16 +43,18 @@ summariesOf(const std::vector<SessionAnalysis> &sessions)
 
 /**
  * One session's analysis: the cache entry on a hit, else load +
- * analyze (+ store back). Sets @p from_cache to which it was.
+ * analyze (+ store back). Sets @p from_cache to which it was and
+ * @p digest to the entry's digest as loaded or stored.
  */
 SessionAnalysis
 sessionFromCache(const ResultCache &cache, const std::string &app_name,
                  std::size_t app_index, std::uint32_t session_index,
                  DurationNs perceptible_threshold,
-                 const SessionLoader &load_session, bool &from_cache)
+                 const SessionLoader &load_session, bool &from_cache,
+                 std::uint64_t &digest)
 {
     from_cache = false;
-    if (auto hit = cache.load(app_name, session_index)) {
+    if (auto hit = cache.load(app_name, session_index, &digest)) {
         from_cache = true;
         return std::move(*hit);
     }
@@ -60,8 +62,26 @@ sessionFromCache(const ResultCache &cache, const std::string &app_name,
         load_session(app_index, session_index);
     SessionAnalysis analysis =
         analyzeSession(session, perceptible_threshold);
-    cache.store(app_name, session_index, analysis);
+    digest = cache.store(app_name, session_index, analysis);
     return analysis;
+}
+
+/**
+ * Finish one app from its analyses and their entry digests, both in
+ * session order: the cross-session merge, the figure inputs and the
+ * app digest (session counts left at zero). The one per-app step of
+ * both aggregateFromCache() and aggregateAppFromCache().
+ */
+AppAggregate
+finishApp(const std::string &app_name,
+          const std::vector<SessionAnalysis> &sessions,
+          const std::vector<std::uint64_t> &entry_digests)
+{
+    AppAggregate out;
+    out.merged = core::mergeAnalyses(summariesOf(sessions));
+    out.figures = averageSessionAnalyses(app_name, sessions);
+    out.digest = appDigestOf(app_name, entry_digests);
+    return out;
 }
 
 } // namespace
@@ -78,16 +98,17 @@ aggregateFromCache(const ResultCache &cache,
     lag_assert(load_session != nullptr,
                "aggregateFromCache needs a session loader");
 
+    const std::size_t apps = app_names.size();
     StudyAggregate out;
-    out.grid.resize(app_names.size());
-    for (auto &row : out.grid)
-        row.resize(sessions_per_app);
+    out.grid.assign(apps, std::vector<SessionAnalysis>(sessions_per_app));
+    std::vector<std::vector<std::uint64_t>> entry_digests(
+        apps, std::vector<std::uint64_t>(sessions_per_app));
 
     // Counted from pool workers; only read after parallelFor
     // returned, so relaxed ordering suffices.
     std::atomic<std::size_t> from_cache{0};
 
-    const std::size_t total = app_names.size() * sessions_per_app;
+    const std::size_t total = apps * sessions_per_app;
     parallelFor(pool, total, [&](std::size_t k) {
         const std::size_t a = k / sessions_per_app;
         const auto s = static_cast<std::uint32_t>(k % sessions_per_app);
@@ -95,7 +116,7 @@ aggregateFromCache(const ResultCache &cache,
         bool hit = false;
         out.grid[a][s] = sessionFromCache(
             cache, app_names[a], a, s, perceptible_threshold,
-            load_session, hit);
+            load_session, hit, entry_digests[a][s]);
         if (hit)
             from_cache.fetch_add(1, std::memory_order_relaxed);
     });
@@ -106,15 +127,21 @@ aggregateFromCache(const ResultCache &cache,
     aggregateMetrics().cached.add(out.sessionsFromCache);
     aggregateMetrics().recomputed.add(out.sessionsRecomputed);
 
-    // Serial merge in [app][session] order: scheduling can never
-    // leak into the result, and the summaries are exactly what
-    // mergePatternSets would have seen — byte-identical output.
-    LAG_SPAN_ARG("cache.aggregate.merge", "apps", app_names.size());
-    out.merged.reserve(app_names.size());
-    for (std::size_t a = 0; a < app_names.size(); ++a) {
-        out.merged.push_back(
-            core::mergeAnalyses(summariesOf(out.grid[a])));
-    }
+    // One task per app: each reads only its own grid row, in
+    // session order, and writes only its own slots, so scheduling
+    // can never leak into the result — byte-identical at any
+    // worker count.
+    LAG_SPAN_ARG("cache.aggregate.merge", "apps", apps);
+    out.merged.resize(apps);
+    out.figures.resize(apps);
+    out.digests.resize(apps);
+    parallelFor(pool, apps, [&](std::size_t a) {
+        AppAggregate app =
+            finishApp(app_names[a], out.grid[a], entry_digests[a]);
+        out.merged[a] = std::move(app.merged);
+        out.figures[a] = std::move(app.figures);
+        out.digests[a] = app.digest;
+    });
     return out;
 }
 
@@ -131,22 +158,24 @@ aggregateAppFromCache(const ResultCache &cache,
     lag_assert(load_session != nullptr,
                "aggregateAppFromCache needs a session loader");
 
-    AppAggregate out;
-    out.sessions.reserve(sessions_per_app);
+    std::vector<SessionAnalysis> sessions;
+    sessions.reserve(sessions_per_app);
+    std::vector<std::uint64_t> entry_digests(sessions_per_app);
+    std::size_t from_cache = 0;
     for (std::uint32_t s = 0; s < sessions_per_app; ++s) {
         bool hit = false;
-        out.sessions.push_back(sessionFromCache(
+        sessions.push_back(sessionFromCache(
             cache, app_name, app_index, s, perceptible_threshold,
-            load_session, hit));
+            load_session, hit, entry_digests[s]));
         if (hit)
-            ++out.sessionsFromCache;
-        else
-            ++out.sessionsRecomputed;
+            ++from_cache;
     }
+
+    AppAggregate out = finishApp(app_name, sessions, entry_digests);
+    out.sessionsFromCache = from_cache;
+    out.sessionsRecomputed = sessions_per_app - from_cache;
     aggregateMetrics().cached.add(out.sessionsFromCache);
     aggregateMetrics().recomputed.add(out.sessionsRecomputed);
-
-    out.merged = core::mergeAnalyses(summariesOf(out.sessions));
     return out;
 }
 

@@ -15,10 +15,11 @@
  *
  * Determinism contract: every per-session task writes only its own
  * [app][session] grid slot, cache entries are byte-identical to
- * fresh computations (result_cache.hh), and the merges run serially
- * in [app][session] order — so the output is byte-identical to the
- * decode-and-mine path at any worker count, on any mix of cache
- * hits and misses.
+ * fresh computations (result_cache.hh), and each app is finished —
+ * merged, figure-averaged and digested — by one task that reads
+ * only its own grid row in session order and writes only its own
+ * app slot — so the output is byte-identical to the decode-and-mine
+ * path at any worker count, on any mix of cache hits and misses.
  */
 
 #ifndef LAG_ENGINE_INCREMENTAL_HH
@@ -61,6 +62,14 @@ struct StudyAggregate
      * core::minePatternsAcrossSessions over each app's sessions. */
     std::vector<core::MergedPatternSet> merged;
 
+    /** Per-app figure inputs (averageSessionAnalyses). */
+    std::vector<core::AppFigureData> figures;
+
+    /** Per-app appDigestOf() over the entry digests the cache
+     * reported while loading or storing each session — equal to
+     * ResultCache::appDigest() of the entries this state came from. */
+    std::vector<std::uint64_t> digests;
+
     /** Sessions answered from `.ares` entries alone. */
     std::size_t sessionsFromCache = 0;
 
@@ -74,9 +83,10 @@ struct StudyAggregate
  * @p cache, falling back per session to @p load_session + analyze
  * on a miss (storing the result back for the next run). Per-session
  * cache loads and recomputations fan out over @p pool, one
- * parallelFor task (span `aggregate`) per session; the merge is
- * serial and index-ordered. Instrumented with the `cache.aggregate`
- * span and the
+ * parallelFor task (span `aggregate`) per session; then one
+ * parallelFor task per app (span `cache.aggregate.merge` around
+ * them all) finishes each app exactly as aggregateAppFromCache()
+ * does. Instrumented with the `cache.aggregate` span and the
  * `cache.aggregate.cached` / `cache.aggregate.recomputed` counters.
  */
 StudyAggregate
@@ -86,22 +96,24 @@ aggregateFromCache(const ResultCache &cache,
                    DurationNs perceptible_threshold, ThreadPool &pool,
                    const SessionLoader &load_session);
 
-/** One app rebuilt from the cache: its per-session analyses and
- * their cross-session merge. */
+/** One app rebuilt from the cache: its cross-session merge, figure
+ * inputs and app digest — one app's slots of a StudyAggregate. */
 struct AppAggregate
 {
-    std::vector<SessionAnalysis> sessions;
     core::MergedPatternSet merged;
+    core::AppFigureData figures;
+    std::uint64_t digest = 0;
     std::size_t sessionsFromCache = 0;
     std::size_t sessionsRecomputed = 0;
 };
 
 /**
- * The per-app entry point behind aggregateFromCache(): rebuild one
- * app's sessions (cache hit, or load + analyze + store back) and
- * merge them. Deliberately serial — the serve layer calls this from
- * a pool worker during `/v1/refresh`, where fanning sub-tasks onto
- * the same pool and waiting would deadlock. The engine's
+ * The per-app form of aggregateFromCache(): rebuild one app's
+ * sessions (cache hit, or load + analyze + store back), then finish
+ * the app — merge, figure inputs, digest — through the same function.
+ * Deliberately serial — the serve layer calls this from a pool
+ * worker during `/v1/refresh`, where fanning sub-tasks onto the same
+ * pool and waiting would deadlock. The engine's
  * determinism contract makes the result byte-identical to the
  * corresponding slice of a full aggregateFromCache() at any worker
  * count. Bumps the same `cache.aggregate.cached` / `.recomputed`

@@ -129,8 +129,6 @@ IngestPipeline::advance(Work &work, std::uint64_t epoch_number)
     const trace::TraceTailer &tailer = source.tailer;
     const trace::TraceDecoder &decoded = tailer.decoded();
 
-    std::span<const trace::TraceEvent> events;
-    std::span<const trace::TraceSample> samples;
     {
         LAG_SPAN("ingest.poll");
         trace::TailStatus status = trace::TailStatus::Waiting;
@@ -158,17 +156,20 @@ IngestPipeline::advance(Work &work, std::uint64_t epoch_number)
         work.newRecords =
             records - std::min(records, source.lastAnalyzedRecords);
         source.lastAnalyzedRecords = records;
-        if (!source.live)
-            source.live.emplace(decoded, options_.perceptibleThreshold);
-        events = std::span(decoded.events())
-                     .subspan(source.live->events,
-                              decoded.cutEvents() - source.live->events);
-        samples = std::span(decoded.samples()).subspan(source.live->samples);
     }
 
-    LAG_SPAN_ARG("ingest.analyze", "events", events.size());
-    Source::Live &live = *source.live;
+    // Everything from here on may allocate without bound; any
+    // failure quarantines this source instead of leaving the task.
     try {
+        if (!source.live)
+            source.live.emplace(decoded, options_.perceptibleThreshold);
+        Source::Live &live = *source.live;
+        const auto events =
+            std::span(decoded.events())
+                .subspan(live.events, decoded.cutEvents() - live.events);
+        const auto samples =
+            std::span(decoded.samples()).subspan(live.samples);
+        LAG_SPAN_ARG("ingest.analyze", "events", events.size());
         const core::Session *session = nullptr;
         {
             LAG_SPAN_ARG("session.build", "events", events.size());

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "analysis_partial.hh"
@@ -13,6 +14,7 @@
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "trace/bytes.hh"
+#include "trace/mapped_file.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 
@@ -299,8 +301,20 @@ serializeSessionAnalysis(const SessionAnalysis &analysis)
     return out;
 }
 
-SessionAnalysis
-deserializeSessionAnalysis(std::string_view data)
+namespace
+{
+
+/** Bytes before the payload: magic, version, payload checksum. */
+constexpr std::size_t kHeaderSize =
+    sizeof(kMagic) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
+
+/**
+ * Check @p data's magic, version and payload checksum; throws
+ * trace::TraceError on any mismatch. Returns a reader positioned at
+ * the start of the (now verified) payload.
+ */
+trace::ByteReader
+verifyEntry(std::string_view data)
 {
     trace::ByteReader r(data);
     char magic[sizeof(kMagic)];
@@ -320,6 +334,30 @@ deserializeSessionAnalysis(std::string_view data)
     hasher.addBytes(data.data() + r.position(), r.remaining());
     if (hasher.digest() != checksum)
         throw trace::TraceError("analysis-cache checksum mismatch");
+    return r;
+}
+
+/**
+ * Digest of an entry whose header verifyEntry() accepted: the
+ * header (which carries the payload checksum) and the length. The
+ * payload's bytes are already folded into that checksum, so no
+ * byte is hashed twice.
+ */
+std::uint64_t
+verifiedEntryDigest(std::string_view data)
+{
+    Fnv1aHasher hasher;
+    hasher.addBytes(data.data(), kHeaderSize);
+    hasher.addValue(static_cast<std::uint64_t>(data.size()));
+    return hasher.digest();
+}
+
+} // namespace
+
+SessionAnalysis
+deserializeSessionAnalysis(std::string_view data)
+{
+    trace::ByteReader r = verifyEntry(data);
     SessionAnalysis analysis = deserializePayload(r);
     if (r.remaining() != 0) {
         throw trace::TraceError(
@@ -527,20 +565,22 @@ ResultCache::evict(const CacheEvictionPolicy &policy,
 
 std::optional<SessionAnalysis>
 ResultCache::load(std::string_view app_name,
-                  std::uint32_t session_index) const
+                  std::uint32_t session_index,
+                  std::uint64_t *digest) const
 {
     LAG_SPAN("cache.load");
     const std::string path = entryPath(app_name, session_index);
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return miss();
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (!in && !in.eof())
+    // A cold cache misses on every entry: answer that with one stat
+    // rather than a thrown open failure.
+    std::error_code exists_ec;
+    if (!fs::exists(path, exists_ec))
         return miss();
     try {
+        const trace::MappedFile file(path);
         SessionAnalysis analysis =
-            deserializeSessionAnalysis(buffer.str());
+            deserializeSessionAnalysis(file.view());
+        if (digest != nullptr)
+            *digest = verifiedEntryDigest(file.view());
         cacheMetrics().hit.add();
         MutexLock lock(statsMutex_);
         ++stats_.hits;
@@ -574,18 +614,37 @@ ResultCache::entryDigest(std::string_view app_name,
 {
     const std::string path = entryPath(app_name, session_index);
     Fnv1aHasher hasher;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::optional<trace::MappedFile> file;
+    try {
+        file.emplace(path);
+    } catch (const trace::TraceError &) {
         // Absent and unreadable fold the same marker: both mean
         // "this entry contributes nothing", and both must differ
         // from every present-content digest.
         hasher.addString("absent");
         return hasher.digest();
     }
-    char buffer[1 << 16];
-    while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
-        hasher.addBytes(buffer,
-                        static_cast<std::size_t>(in.gcount()));
+    const std::string_view bytes = file->view();
+    try {
+        verifyEntry(bytes);
+        return verifiedEntryDigest(bytes);
+    } catch (const trace::TraceError &) {
+        // A damaged entry has no trustworthy checksum to stand for
+        // its payload; hash every byte so it still reads as changed.
+        hasher.addBytes(bytes.data(), bytes.size());
+        return hasher.digest();
+    }
+}
+
+std::uint64_t
+appDigestOf(std::string_view app_name,
+            std::span<const std::uint64_t> entry_digests)
+{
+    Fnv1aHasher hasher;
+    hasher.addString(app_name);
+    for (std::uint32_t s = 0; s < entry_digests.size(); ++s) {
+        hasher.addValue(s);
+        hasher.addValue(entry_digests[s]);
     }
     return hasher.digest();
 }
@@ -595,16 +654,14 @@ ResultCache::appDigest(std::string_view app_name,
                        std::uint32_t sessions_per_app) const
 {
     LAG_SPAN("cache.app_digest");
-    Fnv1aHasher hasher;
-    hasher.addString(app_name);
-    for (std::uint32_t s = 0; s < sessions_per_app; ++s) {
-        hasher.addValue(s);
-        hasher.addValue(entryDigest(app_name, s));
-    }
-    return hasher.digest();
+    std::vector<std::uint64_t> entries;
+    entries.reserve(sessions_per_app);
+    for (std::uint32_t s = 0; s < sessions_per_app; ++s)
+        entries.push_back(entryDigest(app_name, s));
+    return appDigestOf(app_name, entries);
 }
 
-void
+std::uint64_t
 ResultCache::store(std::string_view app_name,
                    std::uint32_t session_index,
                    const SessionAnalysis &analysis) const
@@ -618,19 +675,20 @@ ResultCache::store(std::string_view app_name,
         std::ofstream out(temp, std::ios::binary | std::ios::trunc);
         if (!out) {
             warn("result cache: cannot write '", temp, "'");
-            return;
+            return entryDigest(app_name, session_index);
         }
         out.write(data.data(),
                   static_cast<std::streamsize>(data.size()));
         if (!out) {
             warn("result cache: short write to '", temp, "'");
-            return;
+            return entryDigest(app_name, session_index);
         }
     }
     fs::rename(temp, path);
     cacheMetrics().storeCount.add();
     MutexLock lock(statsMutex_);
     ++stats_.stores;
+    return verifiedEntryDigest(data);
 }
 
 } // namespace lag::engine

@@ -36,6 +36,7 @@
 #include <filesystem>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -100,6 +101,11 @@ serializeSessionAnalysis(const SessionAnalysis &analysis);
  * on any mismatch (magic, version, checksum, truncation). */
 SessionAnalysis deserializeSessionAnalysis(std::string_view data);
 
+/** Combined digest of one app's entry digests (ResultCache::
+ * entryDigest, in session order 0..n-1). */
+std::uint64_t appDigestOf(std::string_view app_name,
+                          std::span<const std::uint64_t> entry_digests);
+
 /** Hit/miss/store counters for one cache over its lifetime. */
 struct ResultCacheStats
 {
@@ -137,15 +143,19 @@ class ResultCache
     std::string entryPath(std::string_view app_name,
                           std::uint32_t session_index) const;
 
-    /** Load an entry; nullopt on miss or invalid file. */
+    /** Load an entry; nullopt on miss or invalid file. On a hit,
+     * @p digest (when non-null) receives the entry's entryDigest(),
+     * taken from the bytes just read. */
     std::optional<SessionAnalysis>
-    load(std::string_view app_name,
-         std::uint32_t session_index) const;
+    load(std::string_view app_name, std::uint32_t session_index,
+         std::uint64_t *digest = nullptr) const;
 
-    /** Write an entry (temp file + atomic rename). */
-    void store(std::string_view app_name,
-               std::uint32_t session_index,
-               const SessionAnalysis &analysis) const;
+    /** Write an entry (temp file + atomic rename). Returns the
+     * entryDigest() of what the entry now holds: the written bytes,
+     * or whatever is still on disk when the write failed. */
+    std::uint64_t store(std::string_view app_name,
+                        std::uint32_t session_index,
+                        const SessionAnalysis &analysis) const;
 
     /** Snapshot of the hit/miss/store counters. Counters are
      * bumped from concurrent analysis tasks; the snapshot is only
@@ -153,19 +163,24 @@ class ResultCache
     ResultCacheStats stats() const;
 
     /**
-     * Content digest (FNV-1a) of one entry's on-disk bytes; a
-     * missing or unreadable entry folds a distinct absent marker,
-     * so present-vs-absent always changes the digest. Pure read:
-     * no hit/miss counters move, no payload is validated — this is
-     * the invalidation primitive, not a load.
+     * Content digest (FNV-1a) of one entry. A valid entry folds its
+     * header — magic, version and the payload checksum, which
+     * already stands for every payload byte — and its length, so
+     * load() and store() report the same value from the bytes they
+     * hold without hashing the payload again. An entry whose header
+     * or checksum does not verify folds every byte of the file
+     * instead, so damage always changes the digest; a missing or
+     * unreadable entry folds a distinct absent marker, so
+     * present-vs-absent always changes it too. No hit/miss counters
+     * move: this is the invalidation primitive, not a load.
      */
     std::uint64_t entryDigest(std::string_view app_name,
                               std::uint32_t session_index) const;
 
     /**
-     * Combined content digest over one app's entries
-     * 0..@p sessions_per_app-1, in index order. The serve layer
-     * stamps its per-app hot state with this: any byte of any
+     * appDigestOf() over one app's entries 0..@p sessions_per_app-1
+     * read from disk. The serve layer compares this against the
+     * digest its per-app hot state was built from: any byte of any
      * contributing `.ares` entry changing (or an entry appearing /
      * disappearing) changes the app digest, and only apps whose
      * digest moved are re-merged on refresh.

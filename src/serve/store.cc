@@ -80,19 +80,6 @@ HotStore::HotStore(app::StudyConfig config, engine::ThreadPool &pool)
 }
 
 void
-HotStore::installApp(std::size_t a, core::MergedPatternSet merged,
-                     const std::vector<engine::SessionAnalysis> &sessions)
-{
-    merged_[a] = std::move(merged);
-    figures_[a] = engine::averageSessionAnalyses(appNames_[a], sessions);
-    // Digest AFTER aggregation: misses just wrote fresh entries,
-    // and the stamp must describe the bytes this state was built
-    // from, or the next refresh would re-do clean apps.
-    digests_[a] =
-        cache_.appDigest(appNames_[a], study_.config().sessionsPerApp);
-}
-
-void
 HotStore::load()
 {
     LAG_SPAN_ARG("serve.store.load", "apps", appNames_.size());
@@ -105,12 +92,12 @@ HotStore::load()
             return study_.loadSession(a, s);
         });
 
+    // Every app was finished on the pool; the lock only covers the
+    // hand-over.
     MutexLock lock(mutex_);
-    merged_.resize(appNames_.size());
-    figures_.resize(appNames_.size());
-    digests_.resize(appNames_.size());
-    for (std::size_t a = 0; a < appNames_.size(); ++a)
-        installApp(a, std::move(aggregate.merged[a]), aggregate.grid[a]);
+    merged_ = std::move(aggregate.merged);
+    figures_ = std::move(aggregate.figures);
+    digests_ = std::move(aggregate.digests);
     loaded_ = true;
 }
 
@@ -211,7 +198,9 @@ HotStore::refresh()
                 [this](std::size_t app, std::uint32_t s) {
                     return study_.loadSession(app, s);
                 });
-        installApp(a, std::move(aggregate.merged), aggregate.sessions);
+        merged_[a] = std::move(aggregate.merged);
+        figures_[a] = std::move(aggregate.figures);
+        digests_[a] = aggregate.digest;
         refreshRecomputedCounter().add(1);
         result.recomputedApps.push_back(appNames_[a]);
     }

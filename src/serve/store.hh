@@ -4,13 +4,16 @@
  * inputs, loaded once from the result cache and invalidated per
  * app by content fingerprint.
  *
- * load() runs the full engine::aggregateFromCache fan-out and
- * stamps each app with ResultCache::appDigest — the FNV-1a digest
- * of its contributing `.ares` bytes. refresh() re-reads only the
- * digests (cheap: file bytes, no decode) and re-aggregates only
- * the apps whose digest moved, so a `POST /v1/refresh` after one
- * app's entries changed touches exactly that app — provable via
- * the `serve.refresh.recomputed` counter and the engine's
+ * load() runs the full engine::aggregateFromCache fan-out, which
+ * finishes every app on the pool — merge, figure inputs and the app
+ * digest of its contributing `.ares` entries, taken from the bytes
+ * the workers already hold. refresh() re-reads only the digests
+ * from disk (ResultCache::appDigest: entry headers, one checksum
+ * pass, no decode) and re-aggregates only the apps whose digest
+ * moved, through engine::aggregateAppFromCache — the same per-app
+ * finish — so a `POST /v1/refresh` after one app's entries changed
+ * touches exactly that app, provable via the
+ * `serve.refresh.recomputed` counter and the engine's
  * `cache.aggregate.*` counters.
  *
  * Every response body comes out of the shared core/figure_json
@@ -19,6 +22,7 @@
  * structural, not maintained.
  *
  * Locking: one Mutex at LockRank::Serve guards the app states.
+ * load() takes it only to move the finished per-app vectors in.
  * refresh() holds it across the re-aggregation (which acquires
  * engine ranks beneath it — the reason Serve sits above every
  * other rank); readers therefore always see a complete generation,
@@ -78,10 +82,9 @@ class HotStore
     HotStore(app::StudyConfig config, engine::ThreadPool &pool);
 
     /**
-     * Full load: validate the study cache, aggregate every app from
-     * the result cache on the pool (simulating/analyzing misses),
-     * session-average the figure inputs, stamp digests. Call once
-     * before serving.
+     * Full load: validate the study cache, then aggregate and finish
+     * every app from the result cache on the pool (simulating and
+     * analyzing misses). Call once before serving.
      */
     void load();
 
@@ -128,12 +131,6 @@ class HotStore
     std::size_t appCount() const;
 
   private:
-    /** Install app @p a's generation: its merge, the figure inputs
-     * averaged over @p sessions, and the digest of its entries. */
-    void installApp(std::size_t a, core::MergedPatternSet merged,
-                    const std::vector<engine::SessionAnalysis> &sessions)
-        LAG_REQUIRES(mutex_);
-
     /** Resolve ?app= to an index; -1 when absent/unknown. */
     std::ptrdiff_t
     appIndex(const HttpRequest &request) const

@@ -3,10 +3,13 @@
  * Tests for incremental cross-session aggregation from the result
  * cache: aggregateFromCache must be byte-identical to the direct
  * decode-and-mine path at any worker count on any mix of cache hits
- * and misses, a fully warm cache must never touch the trace decoder,
- * old-version entries must read as misses, hostile app names must
- * stay inside the analysis directory, and eviction must keep honest
- * books when removal or stat fails.
+ * and misses, every app must finish (merge, figures, digest) the
+ * same at any worker count and per app, the digests load() and
+ * store() report must equal the file digests, a fully warm cache
+ * must never touch the trace decoder, old-version entries must read
+ * as misses, hostile app names must stay inside the analysis
+ * directory, and eviction must keep honest books when removal or
+ * stat fails.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 
 #include "app/study.hh"
 #include "core/aggregate.hh"
+#include "core/figure_json.hh"
 #include "engine/incremental.hh"
 #include "engine/pool.hh"
 #include "engine/result_cache.hh"
@@ -167,6 +171,127 @@ TEST(EngineIncremental, MatchesDirectAnalysisAcrossCacheStates)
     const ScratchDir fresh("lagalyzer-cache-test-incr-fresh");
     check(4, ResultCache(fresh.path, config.fingerprint()), 0, total,
           "fresh cache");
+}
+
+/** Every served byte of one app's figure inputs: each figure and
+ * table over the app alone, plus its CDF (to_chars is exact, so
+ * equal text is equal doubles). */
+std::string
+dumpFigures(const core::AppFigureData &figures)
+{
+    std::string out = core::cdfJson(
+        figures.name, figures.cdfEpisodesAtPatternPercent);
+    for (const std::string &id : core::figureIds())
+        out += '\n' + core::figureJson(id, {figures});
+    return out;
+}
+
+TEST(EngineIncremental, FinishedAppsIdenticalAtAnyJobsAndPerApp)
+{
+    const ScratchDir dir("lagalyzer-cache-test-incr-finish");
+    app::Study study(tinyStudy(dir.path));
+    const app::StudyConfig &config = study.config();
+    study.ensureTraces();
+
+    std::vector<std::string> names;
+    for (const auto &app : config.apps)
+        names.push_back(app.name);
+    const ResultCache cache(config.cacheDir, config.fingerprint());
+    const SessionLoader loader =
+        [&study](std::size_t a, std::uint32_t s) {
+            return study.loadSession(a, s);
+        };
+    const auto aggregate = [&](std::uint32_t jobs) {
+        ThreadPool pool(jobs);
+        return aggregateFromCache(cache, names, config.sessionsPerApp,
+                                  config.perceptibleThreshold, pool,
+                                  loader);
+    };
+
+    // Cold at one job (every digest comes from store()), then warm
+    // at four (every digest comes from load()).
+    const StudyAggregate serial = aggregate(1);
+    const StudyAggregate parallel = aggregate(4);
+    ASSERT_EQ(serial.sessionsRecomputed,
+              names.size() * config.sessionsPerApp);
+    ASSERT_EQ(parallel.sessionsFromCache,
+              names.size() * config.sessionsPerApp);
+    ASSERT_EQ(serial.figures.size(), names.size());
+    ASSERT_EQ(parallel.figures.size(), names.size());
+    ASSERT_EQ(serial.digests.size(), names.size());
+    ASSERT_EQ(parallel.digests.size(), names.size());
+
+    for (std::size_t a = 0; a < names.size(); ++a) {
+        const AppAggregate app = aggregateAppFromCache(
+            cache, names[a], a, config.sessionsPerApp,
+            config.perceptibleThreshold, loader);
+        for (const StudyAggregate *study_aggregate :
+             {&serial, &parallel}) {
+            EXPECT_EQ(dumpMerged(study_aggregate->merged[a]),
+                      dumpMerged(app.merged))
+                << "app " << a;
+            EXPECT_EQ(dumpFigures(study_aggregate->figures[a]),
+                      dumpFigures(app.figures))
+                << "app " << a;
+            EXPECT_EQ(study_aggregate->digests[a], app.digest)
+                << "app " << a;
+        }
+        // The figure inputs are the session average of the grid row.
+        EXPECT_EQ(dumpFigures(parallel.figures[a]),
+                  dumpFigures(averageSessionAnalyses(
+                      names[a], parallel.grid[a])))
+            << "app " << a;
+        // The digest in hand is the digest on disk.
+        EXPECT_EQ(app.digest,
+                  cache.appDigest(names[a], config.sessionsPerApp))
+            << "app " << a;
+    }
+    EXPECT_NE(parallel.digests[0], parallel.digests[1]);
+}
+
+TEST(EngineIncremental, LoadAndStoreReportTheEntryDigest)
+{
+    const ScratchDir dir("lagalyzer-cache-test-incr-digest");
+    const ResultCache cache(dir.path, "fp");
+    const std::uint64_t absent = cache.entryDigest("App", 0);
+
+    const std::uint64_t stored =
+        cache.store("App", 0, sampleAnalysis());
+    EXPECT_EQ(stored, cache.entryDigest("App", 0));
+    EXPECT_NE(stored, absent);
+    std::uint64_t loaded = 0;
+    ASSERT_TRUE(cache.load("App", 0, &loaded).has_value());
+    EXPECT_EQ(loaded, stored);
+
+    // Other content, other digest.
+    SessionAnalysis other = sampleAnalysis();
+    other.overview.tracedCount = 12;
+    EXPECT_NE(cache.store("App", 1, other), stored);
+
+    // Any damaged byte — header or payload — moves the file digest
+    // and turns a load into a miss.
+    const std::string path = cache.entryPath("App", 0);
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        bytes = buffer.str();
+    }
+    for (const std::size_t at : {std::size_t{0}, std::size_t{14},
+                                 bytes.size() - 1}) {
+        std::string damaged = bytes;
+        damaged[at] = static_cast<char>(damaged[at] ^ 0x01);
+        {
+            std::ofstream out(path,
+                              std::ios::binary | std::ios::trunc);
+            out.write(damaged.data(),
+                      static_cast<std::streamsize>(damaged.size()));
+        }
+        EXPECT_NE(cache.entryDigest("App", 0), stored) << "byte " << at;
+        EXPECT_NE(cache.entryDigest("App", 0), absent) << "byte " << at;
+        EXPECT_FALSE(cache.load("App", 0).has_value()) << "byte " << at;
+    }
 }
 
 TEST(EngineIncremental, WarmCacheNeverTouchesTheDecoder)

@@ -2,17 +2,21 @@
  * @file
  * serve store tests: every /v1 response a live lagd-shaped server
  * returns must be byte-identical to the batch reference — a cold
- * full `aggregateFromCache(incremental=false)` fed through the same
- * core/figure_json emitters — and `POST /v1/refresh` must recompute
- * exactly the apps whose `.ares` bytes changed, provable through
- * `serve.refresh.recomputed` and the engine's `cache.aggregate.*`
- * counters. Everything the server says must be strict JSON.
+ * full `aggregateFromCache` over a private cache, fed through the
+ * same core/figure_json emitters — and `POST /v1/refresh` must
+ * recompute exactly the apps whose `.ares` bytes changed, provable
+ * through `serve.refresh.recomputed` and the engine's
+ * `cache.aggregate.*` counters. The digests load() takes from the
+ * bytes in hand must equal the ones refresh() reads from disk.
+ * Everything the server says must be strict JSON.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -40,14 +44,14 @@ namespace
 namespace fs = std::filesystem;
 using test::ScratchDir;
 
-/** A tiny quick study (first 2 apps, 2 sessions each) with a
+/** A tiny quick study (first @p apps apps, 2 sessions each) with a
  * private cache dir — small enough that the full load and the cold
  * reference both run in seconds. */
 app::StudyConfig
-tinyStudy(const std::string &cache_dir)
+tinyStudy(const std::string &cache_dir, std::size_t apps = 2)
 {
     app::StudyConfig config = app::StudyConfig::quickStudy(5);
-    config.apps.resize(2);
+    config.apps.resize(apps);
     config.sessionsPerApp = 2;
     config.cacheDir = cache_dir;
     return config;
@@ -363,6 +367,68 @@ TEST(ServeStore, RefreshRecomputesExactlyTheDirtiedApp)
     EXPECT_EQ(again.body, "{\"recomputed\":[],\"unchanged\":" +
                               std::to_string(config.apps.size()) +
                               "}");
+}
+
+/** Flip the low bit of byte @p at of the file at @p path. */
+void
+flipByte(const std::string &path, std::size_t at)
+{
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::ostringstream buffer;
+        buffer << in.rdbuf();
+        bytes = buffer.str();
+    }
+    ASSERT_LT(at, bytes.size()) << path;
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x01);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(ServeStore, InHandDigestsEqualFileDigests)
+{
+    const ScratchDir cache_dir("lagalyzer-cache-serve-digest-test");
+    const app::StudyConfig config = tinyStudy(cache_dir.path, 3);
+    const engine::ResultCache cache(config.cacheDir,
+                                    config.fingerprint());
+
+    // Warm every entry, then delete one and damage another, so the
+    // load below sees hits, a missing entry and an invalid one.
+    {
+        engine::ThreadPool pool(2);
+        HotStore warm(config, pool);
+        warm.load();
+    }
+    ASSERT_TRUE(fs::remove(cache.entryPath(config.apps[0].name, 1)));
+    const std::string damaged = cache.entryPath(config.apps[1].name, 0);
+    flipByte(damaged, fs::file_size(damaged) / 2);
+
+    LiveServer live(config);
+    const std::string none = "{\"recomputed\":[],\"unchanged\":3}";
+    EXPECT_EQ(live.post("/v1/refresh").body, none)
+        << "a digest taken from the bytes in hand must equal the one "
+           "read back from disk";
+
+    // One payload byte in app 0, one header byte (the payload
+    // checksum) in app 2: exactly those two apps are recomputed, and
+    // within them only the damaged sessions.
+    flipByte(cache.entryPath(config.apps[0].name, 0), 100);
+    flipByte(cache.entryPath(config.apps[2].name, 1), 13);
+    const obs::MetricsSnapshot before = obs::metrics().snapshot();
+    EXPECT_EQ(live.post("/v1/refresh").body,
+              "{\"recomputed\":[\"" +
+                  core::jsonEscape(config.apps[0].name) + "\",\"" +
+                  core::jsonEscape(config.apps[2].name) +
+                  "\"],\"unchanged\":1}");
+    const obs::MetricsSnapshot after = obs::metrics().snapshot();
+    EXPECT_EQ(after.counterValue("serve.refresh.recomputed"),
+              before.counterValue("serve.refresh.recomputed") + 2);
+    EXPECT_EQ(after.counterValue("cache.aggregate.recomputed"),
+              before.counterValue("cache.aggregate.recomputed") + 2);
+
+    // The repaired entries' in-hand digests match the disk again.
+    EXPECT_EQ(live.post("/v1/refresh").body, none);
 }
 
 } // namespace
