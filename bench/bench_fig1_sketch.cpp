@@ -137,7 +137,7 @@ main()
     TimeNs gap_at = 0;
     for (std::size_t s = episode.firstSample; s < episode.lastSample;
          ++s) {
-        const TimeNs t = session.samples()[s].time;
+        const TimeNs t = session.samples().time(s);
         if (t - gap_start > max_gap) {
             max_gap = t - gap_start;
             gap_at = gap_start;

@@ -6,7 +6,8 @@
 # bytes), then an obs smoke run that records a session, analyzes it
 # with --self-trace / --metrics-out, and strict-validates both files
 # with trace_check. The bench smokes are collected into a
-# schema-checked bench/BENCH_smoke.json artifact, and stages more
+# schema-checked bench/BENCH_smoke.json artifact, the smoke decode
+# must stay under its allocation gate, and stages more
 # than 10 % slower than the newest committed BENCH_<n>.json are
 # printed (never fatal: numbers from different hosts do not
 # compare); the serve smoke
@@ -79,6 +80,26 @@ echo "== bench artifact (BENCH_smoke.json, schema-checked)"
 grep -h '^{' "$bench_art.micro" "$bench_art.pipeline" > "$bench_art"
 rm -f "$bench_art.micro" "$bench_art.pipeline"
 "$build/tools/trace_check" --jsonl "$bench_art"
+
+echo "== decode allocation gate (smoke mapped_allocs <= 751)"
+# The sample columns decode with no allocation per sample: the 60 s
+# smoke fixture takes ~330 allocations per decode, against 7,511 for
+# the nested per-sample vectors it replaced. The gate is a tenth of
+# that old count.
+python3 - "$bench_art" <<'PY'
+import json
+import sys
+
+limit = 751
+for line in open(sys.argv[1]):
+    record = json.loads(line)
+    if record.get("bench") == "decode_mb_per_s":
+        allocs = record["mapped_allocs"]
+        print(f"mapped_allocs {allocs} (gate {limit})")
+        sys.exit(0 if allocs <= limit else 1)
+print("no decode_mb_per_s line in the smoke output", file=sys.stderr)
+sys.exit(1)
+PY
 
 echo "== bench trajectory (smoke vs the newest BENCH_*.json; report only)"
 python3 "$root/ci/bench_diff.py" "$bench_art" || true

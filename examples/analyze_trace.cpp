@@ -34,7 +34,6 @@
 #include "engine/result_cache.hh"
 #include "obs/scope.hh"
 #include "report/table.hh"
-#include "trace/io.hh"
 #include "util/strings.hh"
 #include "viz/sketch.hh"
 
@@ -78,7 +77,7 @@ main(int argc, char **argv)
 
     std::optional<core::Session> loaded;
     try {
-        loaded = core::Session::fromTrace(trace::readTraceFile(path));
+        loaded = core::Session::fromFile(path);
     } catch (const trace::TraceError &err) {
         std::cerr << "cannot analyze '" << path << "': " << err.what()
                   << '\n';

@@ -27,7 +27,6 @@
 #include "core/pattern.hh"
 #include "core/session.hh"
 #include "report/table.hh"
-#include "trace/io.hh"
 #include "util/strings.hh"
 #include "viz/sketch.hh"
 
@@ -124,8 +123,7 @@ main(int argc, char **argv)
 
     std::optional<core::Session> loaded;
     try {
-        loaded =
-            core::Session::fromTrace(trace::readTraceFile(argv[1]));
+        loaded = core::Session::fromFile(argv[1]);
     } catch (const trace::TraceError &err) {
         std::cerr << "cannot open '" << argv[1] << "': " << err.what()
                   << '\n';

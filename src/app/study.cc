@@ -215,8 +215,7 @@ Study::loadSession(std::size_t app_index,
     const std::string path = tracePath(app_index, session_index);
     if (fs::exists(path)) {
         try {
-            return core::Session::fromTrace(
-                trace::readTraceFile(path));
+            return core::Session::fromFile(path);
         } catch (const trace::TraceError &e) {
             warn("study: trace '", path, "' unreadable (", e.what(),
                  "); re-simulating");

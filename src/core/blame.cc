@@ -19,18 +19,20 @@ blameReport(const Session &session, const BlameOptions &options)
     std::unordered_map<std::string, Tally> tallies;
     std::size_t total = 0;
     const ThreadId gui = session.guiThread();
-    const auto &samples = session.samples();
+    const trace::SampleColumns &samples = session.samples();
 
     for (const auto &episode : session.episodes()) {
         if (episode.duration() < options.perceptibleThreshold)
             continue;
         for (std::size_t s = episode.firstSample;
              s < episode.lastSample; ++s) {
-            for (const auto &entry : samples[s].threads) {
-                if (entry.thread != gui || entry.frames.empty())
+            for (std::size_t e = samples.entryBegin(s);
+                 e < samples.entryEnd(s); ++e) {
+                const auto stack = samples.stack(e);
+                if (samples.thread(e) != gui || stack.empty())
                     continue;
                 const bool not_runnable =
-                    entry.state != trace::TraceThreadState::Runnable;
+                    samples.state(e) != trace::TraceThreadState::Runnable;
                 const auto attribute =
                     [&](const trace::SampleFrame &frame) {
                         std::string key =
@@ -45,9 +47,9 @@ blameReport(const Session &session, const BlameOptions &options)
                             ++tally.notRunnable;
                     };
                 if (options.innermostOnly) {
-                    attribute(entry.frames.back());
+                    attribute(stack.back());
                 } else {
-                    for (const auto &frame : entry.frames)
+                    for (const auto &frame : stack)
                         attribute(frame);
                 }
                 ++total;
@@ -97,24 +99,21 @@ episodesSampledIn(const Session &session,
 {
     std::vector<std::size_t> hits;
     const ThreadId gui = session.guiThread();
-    const auto &samples = session.samples();
+    const trace::SampleColumns &samples = session.samples();
     const auto &episodes = session.episodes();
     for (std::size_t e = 0; e < episodes.size(); ++e) {
         bool hit = false;
         for (std::size_t s = episodes[e].firstSample;
              s < episodes[e].lastSample && !hit; ++s) {
-            for (const auto &entry : samples[s].threads) {
-                if (entry.thread != gui)
-                    continue;
-                for (const auto &frame : entry.frames) {
-                    if (session.symbol(frame.classSym)
-                            .find(class_substring) !=
-                        std::string::npos) {
-                        hit = true;
-                        break;
-                    }
+            const std::size_t entry = samples.findEntry(s, gui);
+            if (entry == trace::SampleColumns::npos)
+                continue;
+            for (const auto &frame : samples.stack(entry)) {
+                if (session.symbol(frame.classSym)
+                        .find(class_substring) != std::string::npos) {
+                    hit = true;
+                    break;
                 }
-                break;
             }
         }
         if (hit)

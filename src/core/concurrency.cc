@@ -8,7 +8,7 @@ countConcurrency(const Session &session, std::size_t begin,
                  std::size_t end, DurationNs perceptible_threshold)
 {
     ConcurrencyCounts counts;
-    const auto &samples = session.samples();
+    const trace::SampleColumns &samples = session.samples();
     const auto &episodes = session.episodes();
 
     for (std::size_t i = begin; i < end; ++i) {
@@ -18,8 +18,9 @@ countConcurrency(const Session &session, std::size_t begin,
         for (std::size_t s = episode.firstSample;
              s < episode.lastSample; ++s) {
             std::uint64_t runnable = 0;
-            for (const auto &entry : samples[s].threads) {
-                if (entry.state == trace::TraceThreadState::Runnable)
+            for (std::size_t e = samples.entryBegin(s);
+                 e < samples.entryEnd(s); ++e) {
+                if (samples.state(e) == trace::TraceThreadState::Runnable)
                     ++runnable;
             }
             counts.runnableAll += runnable;
@@ -67,7 +68,7 @@ countGuiStates(const Session &session, std::size_t begin,
 {
     GuiStateCounts counts;
     const ThreadId gui = session.guiThread();
-    const auto &samples = session.samples();
+    const trace::SampleColumns &samples = session.samples();
     const auto &episodes = session.episodes();
 
     for (std::size_t i = begin; i < end; ++i) {
@@ -76,16 +77,13 @@ countGuiStates(const Session &session, std::size_t begin,
             episode.duration() >= perceptible_threshold;
         for (std::size_t s = episode.firstSample;
              s < episode.lastSample; ++s) {
-            for (const auto &entry : samples[s].threads) {
-                if (entry.thread != gui)
-                    continue;
-                const auto idx =
-                    static_cast<std::size_t>(entry.state);
-                ++counts.all[idx];
-                if (perceptible)
-                    ++counts.perceptible[idx];
-                break;
-            }
+            const std::size_t e = samples.findEntry(s, gui);
+            if (e == trace::SampleColumns::npos)
+                continue;
+            const auto idx = static_cast<std::size_t>(samples.state(e));
+            ++counts.all[idx];
+            if (perceptible)
+                ++counts.perceptible[idx];
         }
     }
     return counts;

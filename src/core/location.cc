@@ -36,14 +36,15 @@ countGuiSamples(const Session &session, const Episode &episode,
                 std::size_t &app, std::size_t &lib)
 {
     const ThreadId gui = session.guiThread();
-    const auto &samples = session.samples();
+    const trace::SampleColumns &samples = session.samples();
     for (std::size_t s = episode.firstSample; s < episode.lastSample;
          ++s) {
-        for (const auto &entry : samples[s].threads) {
-            if (entry.thread != gui || entry.frames.empty())
+        for (std::size_t e = samples.entryBegin(s);
+             e < samples.entryEnd(s); ++e) {
+            const auto stack = samples.stack(e);
+            if (samples.thread(e) != gui || stack.empty())
                 continue;
-            const auto &cls =
-                session.symbol(entry.frames.back().classSym);
+            const auto &cls = session.symbol(stack.back().classSym);
             if (isRuntimeLibraryClass(cls))
                 ++lib;
             else

@@ -9,6 +9,8 @@
 
 #include "obs/metrics.hh"
 #include "obs/span.hh"
+#include "trace/io.hh"
+#include "trace/mapped_file.hh"
 #include "util/logging.hh"
 
 namespace lag::core
@@ -423,6 +425,8 @@ SessionBuilder::SessionBuilder(TimeNs startTime,
         trees[k].isGui = threads[k].isGui;
         index_.emplace(threads[k].id, k);
         builders_.emplace_back(trees[k]);
+        if (threads[k].isGui && session_.guiTree_ == Session::kNoGui)
+            session_.guiTree_ = k;
     }
     rescanRoot_.assign(threads.size(), 0);
 }
@@ -551,18 +555,18 @@ SessionBuilder::replay(const trace::TraceEvent &event)
 void
 SessionBuilder::acceptSamples(std::size_t from)
 {
-    std::vector<trace::TraceSample> &samples = session_.samples_;
+    trace::SampleColumns &samples = session_.samples_;
     for (std::size_t s = from; s < samples.size(); ++s) {
         if (failure_ > Failure::Samples) {
             try {
-                validator_->checkSample(samples[s]);
+                validator_->checkSample(samples, s);
                 continue;
             } catch (const TraceError &e) {
                 fail(Failure::Samples, e);
             }
         }
         // Nothing after the first invalid sample matters.
-        samples.resize(s);
+        samples.truncate(s);
         return;
     }
 }
@@ -664,28 +668,26 @@ SessionBuilder::assignSamples(std::size_t from)
     // its begin, first sample after its end).  Episodes are sorted
     // by begin, so the first sample of each only moves forward.
     std::vector<Episode> &episodes = session_.episodes_;
-    const auto &samples = session_.samples_;
-    cutSamples_ = samples.size();
-    if (!samples.empty())
-        lastSampleTime_ = samples.back().time;
+    const std::vector<TimeNs> &times = session_.samples_.times();
+    cutSamples_ = times.size();
+    if (!times.empty())
+        lastSampleTime_ = times.back();
     if (from == episodes.size())
         return;
     auto lo = std::partition_point(
-        samples.begin(), samples.end(),
-        [&](const trace::TraceSample &s) {
-            return s.time < episodes[from].begin;
-        });
+        times.begin(), times.end(),
+        [&](TimeNs t) { return t < episodes[from].begin; });
     for (std::size_t e = from; e < episodes.size(); ++e) {
         Episode &episode = episodes[e];
-        while (lo != samples.end() && lo->time < episode.begin)
+        while (lo != times.end() && *lo < episode.begin)
             ++lo;
         auto hi = lo;
-        while (hi != samples.end() && hi->time <= episode.end)
+        while (hi != times.end() && *hi <= episode.end)
             ++hi;
         episode.firstSample =
-            static_cast<std::size_t>(lo - samples.begin());
+            static_cast<std::size_t>(lo - times.begin());
         episode.lastSample =
-            static_cast<std::size_t>(hi - samples.begin());
+            static_cast<std::size_t>(hi - times.begin());
     }
 }
 
@@ -716,13 +718,14 @@ SessionBuilder::~SessionBuilder() = default;
 
 void
 SessionBuilder::append(std::span<const trace::TraceEvent> events,
-                       std::span<const trace::TraceSample> samples)
+                       const trace::SampleColumns &samples,
+                       std::size_t from, std::size_t to)
 {
     appendEvents(events);
-    std::vector<trace::TraceSample> &stored = session_.samples_;
-    const std::size_t from = stored.size();
-    stored.insert(stored.end(), samples.begin(), samples.end());
-    acceptSamples(from);
+    trace::SampleColumns &stored = session_.samples_;
+    const std::size_t first = stored.size();
+    stored.append(samples, from, to);
+    acceptSamples(first);
 }
 
 Session
@@ -738,6 +741,13 @@ Session::fromTrace(trace::Trace trace)
     return std::move(builder.session_);
 }
 
+Session
+Session::fromFile(const std::string &path)
+{
+    const trace::MappedFile file(path);
+    return fromTrace(trace::decodeTrace(file.view()));
+}
+
 const FlatTree &
 Session::threadTree(ThreadId id) const
 {
@@ -748,13 +758,9 @@ Session::threadTree(ThreadId id) const
     throw trace::TraceError("unknown thread id " + std::to_string(id));
 }
 
-ThreadId
-Session::guiThread() const
+void
+Session::throwNoGui()
 {
-    for (const auto &tree : flat_.trees()) {
-        if (tree.isGui)
-            return tree.id;
-    }
     throw trace::TraceError("trace has no GUI thread");
 }
 

@@ -15,7 +15,15 @@
  * copy of every GC interval in every thread's tree) and can resume
  * it, so a trace that is still being written is appended piece by
  * piece and cut into a session at any point.  Session::fromTrace is
- * one append of the whole trace and one cut.
+ * one append of the whole trace and one cut, and Session::fromFile
+ * is one whole decode of a trace file and then fromTrace.
+ *
+ * The builder's TraceValidator is the one place a record's meaning
+ * (time order, thread roster, symbol range) is checked, once per
+ * record; the decoder checks only the wire form.  The stack samples
+ * stay in the flat trace::SampleColumns they were decoded into: a
+ * batch build moves the decoder's columns in, and a follow epoch
+ * appends the new range of the tailer's columns in bulk.
  */
 
 #ifndef LAG_CORE_SESSION_HH
@@ -65,6 +73,10 @@ class Session
      */
     static Session fromTrace(trace::Trace trace);
 
+    /** fromTrace of the trace file at @p path, decoded zero-copy
+     * from its mapping (trace::decodeTrace). Throws TraceError. */
+    static Session fromFile(const std::string &path);
+
     const trace::TraceMeta &meta() const { return meta_; }
 
     /** The interval trees, one per trace thread in roster order,
@@ -78,10 +90,10 @@ class Session
     }
 
     const std::vector<Episode> &episodes() const { return episodes_; }
-    const std::vector<trace::TraceSample> &samples() const
-    {
-        return samples_;
-    }
+
+    /** The stack samples, in time order; an episode's are
+     * [firstSample, lastSample). */
+    const trace::SampleColumns &samples() const { return samples_; }
     const trace::StringTable &strings() const { return strings_; }
 
     /** Resolve a symbol id. */
@@ -108,7 +120,13 @@ class Session
     }
 
     /** Id of the (first) GUI thread; throws if there is none. */
-    ThreadId guiThread() const;
+    ThreadId
+    guiThread() const
+    {
+        if (guiTree_ == kNoGui)
+            throwNoGui();
+        return flat_.trees()[guiTree_].id;
+    }
 
     /** Session wall time (end - start). */
     DurationNs wallTime() const
@@ -122,13 +140,19 @@ class Session
   private:
     friend class SessionBuilder;
 
+    static constexpr std::size_t kNoGui = static_cast<std::size_t>(-1);
+
     Session() = default;
+
+    [[noreturn]] static void throwNoGui();
 
     trace::TraceMeta meta_;
     FlatSession flat_;
     std::vector<Episode> episodes_;
-    std::vector<trace::TraceSample> samples_;
+    trace::SampleColumns samples_;
     trace::StringTable strings_;
+    /** Index of the first GUI thread's tree, or kNoGui. */
+    std::size_t guiTree_ = kNoGui;
 };
 
 /**
@@ -166,9 +190,12 @@ class SessionBuilder
     SessionBuilder(const SessionBuilder &) = delete;
     SessionBuilder &operator=(const SessionBuilder &) = delete;
 
-    /** Feed the next events and samples of the stream. */
+    /** Feed the next events of the stream, and its next samples:
+     * [@p from, @p to) of @p samples, appended to the session's
+     * columns in bulk. */
     void append(std::span<const trace::TraceEvent> events,
-                std::span<const trace::TraceSample> samples);
+                const trace::SampleColumns &samples, std::size_t from,
+                std::size_t to);
 
     /** The session over everything appended so far, under @p meta;
      * valid until the next append() or cut(). */

@@ -167,15 +167,15 @@ IngestPipeline::advance(Work &work, std::uint64_t epoch_number)
         const auto events =
             std::span(decoded.events())
                 .subspan(live.events, decoded.cutEvents() - live.events);
-        const auto samples =
-            std::span(decoded.samples()).subspan(live.samples);
+        const trace::SampleColumns &samples = decoded.samples();
         LAG_SPAN_ARG("ingest.analyze", "events", events.size());
         const core::Session *session = nullptr;
         {
             LAG_SPAN_ARG("session.build", "events", events.size());
-            live.builder.append(events, samples);
+            live.builder.append(events, samples, live.samples,
+                                samples.size());
             live.events += events.size();
-            live.samples += samples.size();
+            live.samples = samples.size();
             session = &live.builder.cut(decoded.cutMeta());
         }
         live.folded.fold(*session, live.builder.settledEpisodes(),

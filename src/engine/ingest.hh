@@ -17,7 +17,8 @@
  * Append and fold: each source keeps a core::SessionBuilder and an
  * AnalysisPartial (analysis_partial.hh). An epoch appends only the
  * tailer's new closed events and new samples (by index into the
- * tailer's decoder's vectors, no copy), cuts the session, folds the
+ * tailer's decoder's arrays; the new sample columns are copied into
+ * the session in bulk), cuts the session, folds the
  * episodes the builder reports settled (tree part) and sampled
  * (sample part), and finishes a copy of the partial with the few
  * episodes that are not final yet recomputed (counted by the

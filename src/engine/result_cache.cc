@@ -8,6 +8,7 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <system_error>
 
 #include "analysis_partial.hh"
 #include "core/pattern.hh"
@@ -33,6 +34,8 @@ struct CacheMetrics
     obs::Counter &missCount = obs::metrics().counter("cache.miss");
     obs::Counter &storeCount =
         obs::metrics().counter("cache.store");
+    obs::Counter &storeFailures =
+        obs::metrics().counter("cache.store.failures");
     obs::Counter &evictFiles =
         obs::metrics().counter("cache.evict.files");
     obs::Counter &evictBytes =
@@ -667,24 +670,39 @@ ResultCache::store(std::string_view app_name,
                    const SessionAnalysis &analysis) const
 {
     LAG_SPAN("cache.store");
-    fs::create_directories(dir_ + "/analysis");
     const std::string path = entryPath(app_name, session_index);
     const std::string temp = path + ".tmp";
+    // A cache that cannot be written costs a later recompute, never
+    // the caller: every failure warns, is counted and reports what
+    // the entry still holds.
+    const auto failed = [&](const auto &...why) {
+        warn("result cache: ", why...);
+        cacheMetrics().storeFailures.add();
+        return entryDigest(app_name, session_index);
+    };
+    std::error_code ec;
+    fs::create_directories(dir_ + "/analysis", ec);
+    if (ec) {
+        return failed("cannot create '", dir_, "/analysis': ",
+                      ec.message());
+    }
     const std::string data = serializeSessionAnalysis(analysis);
     {
         std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            warn("result cache: cannot write '", temp, "'");
-            return entryDigest(app_name, session_index);
-        }
+        if (!out)
+            return failed("cannot write '", temp, "'");
         out.write(data.data(),
                   static_cast<std::streamsize>(data.size()));
-        if (!out) {
-            warn("result cache: short write to '", temp, "'");
-            return entryDigest(app_name, session_index);
-        }
+        if (!out)
+            return failed("short write to '", temp, "'");
     }
-    fs::rename(temp, path);
+    fs::rename(temp, path, ec);
+    if (ec) {
+        const std::string why = ec.message();
+        fs::remove(temp, ec);
+        return failed("cannot rename '", temp, "' to '", path,
+                      "': ", why);
+    }
     cacheMetrics().storeCount.add();
     MutexLock lock(statsMutex_);
     ++stats_.stores;

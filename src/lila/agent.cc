@@ -291,23 +291,16 @@ LilaAgent::onSample(TimeNs time,
 {
     if (config_.samplesOnlyInEpisodes && !anyEpisodeOpen())
         return;
-    trace::TraceSample sample;
-    sample.time = time;
-    sample.threads.reserve(snapshots.size());
+    trace::SampleColumns &samples = trace_.samples;
+    samples.addSample(time);
     for (const auto &snap : snapshots) {
-        trace::SampleThread entry;
-        entry.thread = snap.thread;
-        entry.state = toTraceThreadState(snap.state);
-        entry.frames.reserve(snap.stack.size());
+        samples.addEntry(snap.thread, toTraceThreadState(snap.state));
         for (const auto &frame : snap.stack) {
-            trace::SampleFrame f;
-            f.classSym = trace_.strings.intern(frame.className);
-            f.methodSym = trace_.strings.intern(frame.methodName);
-            entry.frames.push_back(f);
+            samples.addFrame(trace::SampleFrame{
+                trace_.strings.intern(frame.className),
+                trace_.strings.intern(frame.methodName)});
         }
-        sample.threads.push_back(std::move(entry));
     }
-    trace_.samples.push_back(std::move(sample));
 }
 
 bool

@@ -75,7 +75,7 @@ TraceDecoder::feed(std::string_view bytes, bool whole)
         }
         if (stage_ == Stage::Events) {
             decodeEvents(r, used);
-            samples_.reserve(reserveFor(counts_.sampleCount, whole));
+            reserveSamples(r.remaining(), whole);
             stage_ = Stage::Samples;
         }
         if (stage_ == Stage::Samples) {
@@ -134,6 +134,24 @@ TraceDecoder::checkCounts(std::size_t remaining) const
 }
 
 void
+TraceDecoder::reserveSamples(std::size_t remaining, bool whole)
+{
+    // Only the sample count was checked against the bytes, so a
+    // whole feed bounds the entry and frame totals by what fits in
+    // the bytes that remain (an entry takes at least 9, a frame 8).
+    // For a valid file that bound is never below the declared total.
+    const auto fit = [&](std::uint64_t count, std::size_t minBytes) {
+        return reserveFor(
+            whole ? std::min<std::uint64_t>(count, remaining / minBytes)
+                  : count,
+            whole);
+    };
+    samples_.reserve(reserveFor(counts_.sampleCount, whole),
+                     fit(counts_.sampleThreadTotal, 9),
+                     fit(counts_.frameTotal, 8));
+}
+
+void
 TraceDecoder::decodeThreads(ByteReader &r, std::size_t &used)
 {
     while (threads_.size() < counts_.threadCount) {
@@ -187,16 +205,15 @@ TraceDecoder::decodeSamples(ByteReader &r, bool whole,
     std::size_t end = used;
     const std::uint64_t count = counts_.sampleCount;
     while (samples_.size() < count) {
+        const std::size_t index = samples_.size();
         try {
-            samples_.push_back(wire::readSample(in, bounds));
+            wire::readSample(in, bounds, samples_);
         } catch (const TraceError &e) {
+            // A sample cut short leaves no entries or frames behind.
+            samples_.truncate(index);
             used = end;
-            throw inRecord("sample", samples_.size(), end, e);
+            throw inRecord("sample", index, end, e);
         }
-        const TraceSample &sample = samples_.back();
-        sampleThreadTotal_ += sample.threads.size();
-        for (const auto &entry : sample.threads)
-            frameTotal_ += entry.frames.size();
         end = in.position();
     }
     r = in;
@@ -240,8 +257,8 @@ TraceDecoder::noteEvents(std::size_t from)
 void
 TraceDecoder::finish(std::size_t trailing)
 {
-    if (sampleThreadTotal_ != counts_.sampleThreadTotal ||
-        frameTotal_ != counts_.frameTotal) {
+    if (samples_.entryCount() != counts_.sampleThreadTotal ||
+        samples_.frames().size() != counts_.frameTotal) {
         throw TraceError(
             "sample totals disagree with the section header");
     }
@@ -254,8 +271,6 @@ TraceDecoder::finish(std::size_t trailing)
     }
     if (hasher_.digest() != declaredChecksum_)
         throw TraceError("trace payload checksum mismatch");
-    validateTrace(meta_, threads_, stringTable_.size(), events_,
-                  samples_);
 }
 
 std::uint64_t
@@ -288,7 +303,7 @@ TraceDecoder::cutMeta() const
         // records are still arriving, report only the time span the
         // decoded prefix actually covers.
         const TimeNs lastSample =
-            samples_.empty() ? 0 : samples_.back().time;
+            samples_.empty() ? 0 : samples_.time(samples_.size() - 1);
         meta.endTime =
             std::max({meta.startTime, closedEndTime_, lastSample});
     }

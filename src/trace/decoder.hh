@@ -21,12 +21,21 @@
  * counts come from a file that may be mid-write (or hostile), and
  * pre-sizing trusts them only up to kReserveCap records.
  *
+ * Samples decode straight into the flat SampleColumns (trace.hh):
+ * three appends per sampled thread and one copy of its frames, with
+ * no allocation per sample. A whole feed sizes the sample, entry and
+ * frame columns once from the section header's sampleCount,
+ * sampleThreadTotal and frameTotal.
+ *
  * When the last declared sample is decoded the decoder checks the
- * sample totals against the section header, rejects trailing bytes,
- * verifies the payload CRC32C (folded once per feed over the bytes
- * it consumed) and runs one TraceValidator pass over the decoded
- * parts. Then complete() holds and the parts are exactly the Trace
- * serializeTrace was given.
+ * sample totals against the section header, rejects trailing bytes
+ * and verifies the payload CRC32C (folded once per feed over the
+ * bytes it consumed). Then complete() holds and the parts are
+ * exactly the bytes of the Trace serializeTrace was given. The
+ * decoder checks each record's wire form (enum ranges, counts) but
+ * not its meaning (time order, thread roster, symbol range): that is
+ * TraceValidator's one pass per record, which the session builder
+ * runs (and deserializeTrace, for a caller that wants a Trace).
  *
  * Cut semantics: the decoder's *cut* is a view that core's session
  * builder accepts at any point mid-stream. Because the builder
@@ -38,10 +47,10 @@
  * decoded Trace, with the declared metadata untouched. That is the
  * ingest pipeline's batch-equivalence contract.
  *
- * The cut is handed out by index into the vectors the decoder
+ * The cut is handed out by index into the columns the decoder
  * already holds (events()[0, cutEvents()), samples()), so a follower
  * feeds its session builder only the records past its own cursor and
- * nothing is copied. snapshot() assembles the same cut as a Trace (a
+ * nothing is copied on the way. snapshot() assembles the same cut as a Trace (a
  * full copy), the reference the tests compare against.
  */
 
@@ -74,7 +83,8 @@ class TraceDecoder
      */
     std::size_t feed(std::string_view bytes, bool whole);
 
-    /** True once the whole trace is decoded and verified. */
+    /** True once the whole trace is decoded and its checksum
+     * verified. */
     bool complete() const { return stage_ == Stage::Complete; }
 
     /** True once the meta record is decoded (meta() is valid). */
@@ -101,10 +111,7 @@ class TraceDecoder
     const std::vector<TraceThread> &threads() const { return threads_; }
     const StringTable &strings() const { return stringTable_; }
     const std::vector<TraceEvent> &events() const { return events_; }
-    const std::vector<TraceSample> &samples() const
-    {
-        return samples_;
-    }
+    const SampleColumns &samples() const { return samples_; }
 
     /** Events in the cut: the closed prefix mid-events, the whole
      * stream once the event section is complete. */
@@ -121,7 +128,8 @@ class TraceDecoder
      */
     Trace snapshot() const;
 
-    /** Move the decoded trace out. Requires complete(). */
+    /** Move the decoded trace out, its records not yet validated
+     * (see the file comment). Requires complete(). */
     Trace takeTrace();
 
   private:
@@ -144,6 +152,9 @@ class TraceDecoder
     void decodeThreads(ByteReader &r, std::size_t &used);
     void decodeStrings(ByteReader &r, std::size_t &used);
     void decodeEvents(ByteReader &r, std::size_t &used);
+    /** Pre-size the sample columns; @p remaining bytes follow the
+     * events. */
+    void reserveSamples(std::size_t remaining, bool whole);
     void decodeSamples(ByteReader &r, bool whole, std::size_t &used);
     /** Advance the closed prefix over the events from @p from on. */
     void noteEvents(std::size_t from);
@@ -166,10 +177,7 @@ class TraceDecoder
     std::vector<std::string> stringList_; ///< until the section ends
     StringTable stringTable_;
     std::vector<TraceEvent> events_;
-    std::vector<TraceSample> samples_;
-
-    std::uint64_t sampleThreadTotal_ = 0;
-    std::uint64_t frameTotal_ = 0;
+    SampleColumns samples_;
 
     std::int64_t openIntervals_ = 0; ///< begins minus ends so far
     std::uint64_t closedEvents_ = 0; ///< closed-prefix length

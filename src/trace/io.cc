@@ -43,11 +43,8 @@ serializeTrace(const Trace &trace)
         static_cast<std::uint32_t>(trace.strings.size());
     header.eventCount = trace.events.size();
     header.sampleCount = trace.samples.size();
-    for (const auto &sample : trace.samples) {
-        header.sampleThreadTotal += sample.threads.size();
-        for (const auto &entry : sample.threads)
-            header.frameTotal += entry.frames.size();
-    }
+    header.sampleThreadTotal = trace.samples.entryCount();
+    header.frameTotal = trace.samples.frames().size();
 
     ByteWriter payload;
     writeSectionHeader(payload, header);
@@ -65,8 +62,8 @@ serializeTrace(const Trace &trace)
     for (const auto &event : trace.events)
         writeEvent(payload, event);
 
-    for (const auto &sample : trace.samples)
-        writeSample(payload, sample);
+    for (std::size_t s = 0; s < trace.samples.size(); ++s)
+        writeSample(payload, trace.samples, s);
 
     const std::string body = payload.take();
 
@@ -84,7 +81,7 @@ serializeTrace(const Trace &trace)
 }
 
 Trace
-deserializeTrace(std::string_view data)
+decodeTrace(std::string_view data)
 {
     LAG_SPAN_ARG("trace.decode", "bytes", data.size());
     const std::int64_t decode_start = processElapsedNs();
@@ -114,6 +111,14 @@ deserializeTrace(std::string_view data)
     decode_count.add();
     decode_ms.record((processElapsedNs() - decode_start) /
                      1'000'000);
+    return trace;
+}
+
+Trace
+deserializeTrace(std::string_view data)
+{
+    Trace trace = decodeTrace(data);
+    trace.validate();
     return trace;
 }
 
@@ -191,16 +196,17 @@ toJsonl(const Trace &trace)
         }
         out << "}\n";
     }
-    for (const auto &sample : trace.samples) {
-        out << "{\"record\":\"sample\",\"t\":" << sample.time
+    const SampleColumns &samples = trace.samples;
+    for (std::size_t s = 0; s < samples.size(); ++s) {
+        out << "{\"record\":\"sample\",\"t\":" << samples.time(s)
             << ",\"threads\":[";
-        for (std::size_t i = 0; i < sample.threads.size(); ++i) {
-            const auto &entry = sample.threads[i];
-            if (i > 0)
+        for (std::size_t e = samples.entryBegin(s);
+             e < samples.entryEnd(s); ++e) {
+            if (e > samples.entryBegin(s))
                 out << ',';
-            out << "{\"id\":" << entry.thread << ",\"state\":\""
-                << traceThreadStateName(entry.state)
-                << "\",\"depth\":" << entry.frames.size() << '}';
+            out << "{\"id\":" << samples.thread(e) << ",\"state\":\""
+                << traceThreadStateName(samples.state(e))
+                << "\",\"depth\":" << samples.stack(e).size() << '}';
         }
         out << "]}\n";
     }

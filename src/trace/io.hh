@@ -19,10 +19,13 @@
  * The checksum covers the payload bytes exactly. The decoder
  * (decoder.hh) folds it over the bytes as it consumes them and
  * verifies it when the last record is decoded, so bit rot that the
- * record checks let through is still rejected. deserializeTrace
- * borrows its input: handed an mmap-backed view (see
- * mapped_file.hh) it decodes straight out of the mapping with no
- * intermediate buffer copy.
+ * record checks let through is still rejected. decodeTrace borrows
+ * its input: handed an mmap-backed view (see mapped_file.hh) it
+ * decodes straight out of the mapping with no intermediate buffer
+ * copy, and the samples land in their flat columns (trace.hh)
+ * directly. Decoding checks each record's wire form; its meaning is
+ * validated once per load, by the session builder or, for a caller
+ * that wants only the Trace, by deserializeTrace.
  */
 
 #ifndef LAG_TRACE_IO_HH
@@ -52,10 +55,15 @@ constexpr std::size_t kEventWireBytes = 23;
 std::string serializeTrace(const Trace &trace);
 
 /**
- * Parse a byte buffer produced by serializeTrace: one whole feed of
+ * Decode a byte buffer produced by serializeTrace: one whole feed of
  * a TraceDecoder (decoder.hh). Throws TraceError; kind Truncated
- * when the bytes end inside a record.
+ * when the bytes end inside a record. The records are decoded but
+ * not validated: a caller that builds a session from the trace lets
+ * the session builder validate each record, once.
  */
+Trace decodeTrace(std::string_view data);
+
+/** decodeTrace, then one Trace::validate() pass. */
 Trace deserializeTrace(std::string_view data);
 
 /** Write @p trace to @p path. Throws TraceError on I/O failure. */
@@ -70,9 +78,10 @@ void writeTraceFileAtomic(const Trace &trace,
                           const std::string &path);
 
 /**
- * Read a trace from @p path. Throws TraceError on any failure. The
- * file is memory-mapped where the platform allows and decoded
- * zero-copy (MappedFile reads it into a buffer elsewhere).
+ * Read and validate a trace from @p path (deserializeTrace). Throws
+ * TraceError on any failure. The file is memory-mapped where the
+ * platform allows and decoded zero-copy (MappedFile reads it into a
+ * buffer elsewhere).
  */
 Trace readTraceFile(const std::string &path);
 

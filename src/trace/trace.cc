@@ -89,22 +89,69 @@ traceThreadStateName(TraceThreadState state)
 void
 Trace::validate() const
 {
-    validateTrace(meta, threads, strings.size(), events, samples);
+    TraceValidator::checkMeta(meta);
+    TraceValidator validator(meta.startTime, threads, strings.size());
+    for (const auto &event : events)
+        validator.checkEvent(event);
+    for (std::size_t s = 0; s < samples.size(); ++s)
+        validator.checkSample(samples, s);
 }
 
 void
-validateTrace(const TraceMeta &meta,
-              const std::vector<TraceThread> &threads,
-              std::size_t stringCount,
-              const std::vector<TraceEvent> &events,
-              const std::vector<TraceSample> &samples)
+SampleColumns::reserve(std::size_t samples, std::size_t entries,
+                       std::size_t frames)
 {
-    TraceValidator::checkMeta(meta);
-    TraceValidator validator(meta.startTime, threads, stringCount);
-    for (const auto &event : events)
-        validator.checkEvent(event);
-    for (const auto &sample : samples)
-        validator.checkSample(sample);
+    times_.reserve(times_.size() + samples);
+    firstEntry_.reserve(firstEntry_.size() + samples);
+    threads_.reserve(threads_.size() + entries);
+    states_.reserve(states_.size() + entries);
+    firstFrame_.reserve(firstFrame_.size() + entries);
+    frames_.reserve(frames_.size() + frames);
+}
+
+void
+SampleColumns::append(const SampleColumns &other, std::size_t begin,
+                      std::size_t end)
+{
+    if (begin == end)
+        return;
+    const std::size_t e0 = other.entryBegin(begin);
+    const std::size_t e1 = other.entryEnd(end - 1);
+    const std::size_t f0 = other.frameOffset(e0);
+    const std::size_t f1 = other.frameOffset(e1);
+    // The copied offsets move from other's columns to the ends of ours.
+    const std::size_t entryShift = threads_.size() - e0;
+    const std::size_t frameShift = frames_.size() - f0;
+    const auto at = [](const auto &v, std::size_t i) {
+        return v.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    times_.insert(times_.end(), at(other.times_, begin),
+                  at(other.times_, end));
+    for (std::size_t s = begin; s < end; ++s)
+        firstEntry_.push_back(other.firstEntry_[s] + entryShift);
+    threads_.insert(threads_.end(), at(other.threads_, e0),
+                    at(other.threads_, e1));
+    states_.insert(states_.end(), at(other.states_, e0),
+                   at(other.states_, e1));
+    for (std::size_t e = e0; e < e1; ++e)
+        firstFrame_.push_back(other.firstFrame_[e] + frameShift);
+    frames_.insert(frames_.end(), at(other.frames_, f0),
+                   at(other.frames_, f1));
+}
+
+void
+SampleColumns::truncate(std::size_t n)
+{
+    if (n >= size())
+        return;
+    const std::size_t entries = firstEntry_[n];
+    const std::size_t frames = frameOffset(entries);
+    times_.resize(n);
+    firstEntry_.resize(n);
+    threads_.resize(entries);
+    states_.resize(entries);
+    firstFrame_.resize(entries);
+    frames_.resize(frames);
 }
 
 TraceValidator::TraceValidator(TimeNs startTime,

@@ -11,6 +11,16 @@
  *
  * All symbols (class and method names) are interned in a per-trace
  * string table; records carry SymbolIds.
+ *
+ * The samples are held as flat columns (SampleColumns), not as one
+ * object per sample: the decoder appends to them straight from the
+ * wire, the session takes them over without a copy, and every reader
+ * walks them by index.
+ *
+ * A Trace is what the profiler writes and what the tests compare
+ * against. Its records are checked once per load by TraceValidator:
+ * in the session builder, or by Trace::validate() for a caller that
+ * reads a Trace without building a session.
  */
 
 #ifndef LAG_TRACE_TRACE_HH
@@ -18,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -161,21 +172,123 @@ struct SampleFrame
 {
     SymbolId classSym = 0;
     SymbolId methodSym = 0;
+
+    bool operator==(const SampleFrame &) const = default;
 };
 
-/** One thread's part of a sample. */
-struct SampleThread
+/**
+ * The time-ordered call-stack samples of a trace, held as flat
+ * columns: per sample its time and the offset of its first entry;
+ * per entry (one sampled thread of one sample) its thread, state and
+ * the offset of its first frame; and one frame array for every
+ * entry's stack.  A record's range ends where the next record's
+ * begins (or at the end of its column), so a sample or entry is
+ * written once when it is added and appending never rewrites an
+ * earlier one.  However many samples a trace holds, they live in six
+ * arrays.
+ */
+class SampleColumns
 {
-    ThreadId thread = 0;
-    TraceThreadState state = TraceThreadState::Runnable;
-    std::vector<SampleFrame> frames; ///< innermost last
-};
+  public:
+    /** No such entry (findEntry). */
+    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-/** One periodic call-stack sample of all live threads. */
-struct TraceSample
-{
-    TimeNs time = 0;
-    std::vector<SampleThread> threads;
+    /** @name Samples. @{ */
+    std::size_t size() const { return times_.size(); }
+    bool empty() const { return times_.empty(); }
+    TimeNs time(std::size_t s) const { return times_[s]; }
+    /** Every sample's time, in sample order. */
+    const std::vector<TimeNs> &times() const { return times_; }
+    /** @} */
+
+    /** @name Entries: sample @p s owns [entryBegin(s), entryEnd(s)).
+     * @{ */
+    std::size_t entryCount() const { return threads_.size(); }
+    std::size_t entryBegin(std::size_t s) const { return firstEntry_[s]; }
+    std::size_t
+    entryEnd(std::size_t s) const
+    {
+        return s + 1 < size() ? firstEntry_[s + 1] : threads_.size();
+    }
+    ThreadId thread(std::size_t e) const { return threads_[e]; }
+    TraceThreadState state(std::size_t e) const { return states_[e]; }
+    /** Entry @p e's stack, innermost frame last. */
+    std::span<const SampleFrame>
+    stack(std::size_t e) const
+    {
+        return std::span(frames_).subspan(
+            firstFrame_[e], frameOffset(e + 1) - firstFrame_[e]);
+    }
+    /** The first entry of sample @p s for @p thread, or npos. */
+    std::size_t
+    findEntry(std::size_t s, ThreadId thread) const
+    {
+        for (std::size_t e = entryBegin(s), end = entryEnd(s); e < end;
+             ++e) {
+            if (threads_[e] == thread)
+                return e;
+        }
+        return npos;
+    }
+    /** @} */
+
+    /** Every entry's frames, in entry order. */
+    const std::vector<SampleFrame> &frames() const { return frames_; }
+
+    /** @name Appending. @{ */
+    /** Pre-size for this many more samples, entries and frames. */
+    void reserve(std::size_t samples, std::size_t entries,
+                 std::size_t frames);
+    /** Start a sample; the entries added next belong to it. */
+    void
+    addSample(TimeNs time)
+    {
+        times_.push_back(time);
+        firstEntry_.push_back(threads_.size());
+    }
+    /** Add an entry to the last sample; the frames added next are its
+     * stack, outermost first. */
+    void
+    addEntry(ThreadId thread, TraceThreadState state)
+    {
+        threads_.push_back(thread);
+        states_.push_back(state);
+        firstFrame_.push_back(frames_.size());
+    }
+    void addFrame(SampleFrame frame) { frames_.push_back(frame); }
+    /** Grow the last entry's stack by @p n frames and return them,
+     * for the caller to fill. */
+    SampleFrame *
+    addFrames(std::size_t n)
+    {
+        frames_.resize(frames_.size() + n);
+        return frames_.data() + frames_.size() - n;
+    }
+    /** Append samples [@p begin, @p end) of @p other. */
+    void append(const SampleColumns &other, std::size_t begin,
+                std::size_t end);
+    /** Drop every sample from @p n on, with its entries and frames
+     * (also those of a sample still being added). */
+    void truncate(std::size_t n);
+    /** @} */
+
+    bool operator==(const SampleColumns &) const = default;
+
+  private:
+    /** Offset of entry @p e's first frame; the frame count for the
+     * entry past the last. */
+    std::size_t
+    frameOffset(std::size_t e) const
+    {
+        return e < threads_.size() ? firstFrame_[e] : frames_.size();
+    }
+
+    std::vector<TimeNs> times_;
+    std::vector<std::size_t> firstEntry_;
+    std::vector<ThreadId> threads_;
+    std::vector<TraceThreadState> states_;
+    std::vector<std::size_t> firstFrame_;
+    std::vector<SampleFrame> frames_;
 };
 
 /** Session metadata. */
@@ -204,7 +317,7 @@ struct Trace
     TraceMeta meta;
     std::vector<TraceThread> threads;
     std::vector<TraceEvent> events;   ///< time-ordered
-    std::vector<TraceSample> samples; ///< time-ordered
+    SampleColumns samples;            ///< time-ordered
     StringTable strings;
 
     /**
@@ -212,18 +325,11 @@ struct Trace
      * symbol ids within range, thread ids known, sample states in
      * range. Throws TraceError on the first violation. (Interval
      * nesting is validated by the core tree builder, which has the
-     * per-thread context to do it.)
+     * per-thread context to do it.) One TraceValidator pass: the
+     * same checks, in the same order, as a session build makes.
      */
     void validate() const;
 };
-
-/** Trace::validate() over the parts of a trace held apart (the
- * decoder's, before they move into a Trace). */
-void validateTrace(const TraceMeta &meta,
-                   const std::vector<TraceThread> &threads,
-                   std::size_t stringCount,
-                   const std::vector<TraceEvent> &events,
-                   const std::vector<TraceSample> &samples);
 
 /**
  * Trace::validate() one record at a time, for a trace whose events
@@ -265,18 +371,22 @@ class TraceValidator
         }
     }
 
+    /** Check sample @p s of @p samples. */
     void
-    checkSample(const TraceSample &sample)
+    checkSample(const SampleColumns &samples, std::size_t s)
     {
-        if (sample.time < lastSample_)
+        const TimeNs time = samples.time(s);
+        if (time < lastSample_)
             fail("sample stream not time-ordered");
-        lastSample_ = sample.time;
-        for (const auto &entry : sample.threads) {
-            if (!known(entry.thread))
-                failThread("sample", entry.thread);
-            if (static_cast<std::uint8_t>(entry.state) > 3)
+        lastSample_ = time;
+        for (std::size_t e = samples.entryBegin(s),
+                         end = samples.entryEnd(s);
+             e < end; ++e) {
+            if (!known(samples.thread(e)))
+                failThread("sample", samples.thread(e));
+            if (static_cast<std::uint8_t>(samples.state(e)) > 3)
                 fail("sample state out of range");
-            for (const auto &frame : entry.frames) {
+            for (const SampleFrame &frame : samples.stack(e)) {
                 checkSymbol(frame.classSym);
                 checkSymbol(frame.methodSym);
             }

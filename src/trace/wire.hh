@@ -175,16 +175,20 @@ readEvent(ByteReader &r)
     return event;
 }
 
+/** Write sample @p s of @p samples. */
 inline void
-writeSample(ByteWriter &w, const TraceSample &sample)
+writeSample(ByteWriter &w, const SampleColumns &samples, std::size_t s)
 {
-    w.i64(sample.time);
-    w.u32(static_cast<std::uint32_t>(sample.threads.size()));
-    for (const auto &entry : sample.threads) {
-        w.u32(entry.thread);
-        w.u8(static_cast<std::uint8_t>(entry.state));
-        w.u32(static_cast<std::uint32_t>(entry.frames.size()));
-        for (const auto &frame : entry.frames) {
+    w.i64(samples.time(s));
+    const std::size_t begin = samples.entryBegin(s);
+    const std::size_t end = samples.entryEnd(s);
+    w.u32(static_cast<std::uint32_t>(end - begin));
+    for (std::size_t e = begin; e < end; ++e) {
+        w.u32(samples.thread(e));
+        w.u8(static_cast<std::uint8_t>(samples.state(e)));
+        const auto stack = samples.stack(e);
+        w.u32(static_cast<std::uint32_t>(stack.size()));
+        for (const auto &frame : stack) {
             w.u32(frame.classSym);
             w.u32(frame.methodSym);
         }
@@ -205,11 +209,14 @@ struct SampleBounds
     bool completeBuffer = true;
 };
 
-inline TraceSample
-readSample(ByteReader &r, const SampleBounds &bounds)
+/**
+ * Decode one sample record onto the end of @p out. A throw can leave
+ * the sample partly added; the caller truncates it away.
+ */
+inline void
+readSample(ByteReader &r, const SampleBounds &bounds, SampleColumns &out)
 {
-    TraceSample sample;
-    sample.time = r.i64();
+    const TimeNs time = r.i64();
     const std::uint32_t threads = r.u32();
     if (threads > bounds.maxThreads) {
         throw TraceError("implausible sample thread count " +
@@ -220,20 +227,13 @@ readSample(ByteReader &r, const SampleBounds &bounds)
     // Each entry needs at least thread id + state + frame count.
     if (bounds.completeBuffer)
         checkSectionCount("sample thread", threads, 9, r.remaining());
-    // Capping the reserve by the buffered bytes keeps a partial
-    // read from pre-allocating on a count whose bytes never arrive;
-    // over a complete buffer the cap equals `threads` exactly
-    // (checkSectionCount above guarantees threads <= remaining/9).
-    sample.threads.reserve(std::min<std::uint64_t>(
-        threads, r.remaining() / 9 + 1));
+    out.addSample(time);
     for (std::uint32_t i = 0; i < threads; ++i) {
-        SampleThread entry;
-        entry.thread = r.u32();
+        const ThreadId thread = r.u32();
         const std::uint8_t state = r.u8();
         if (state > static_cast<std::uint8_t>(TraceThreadState::Sleeping))
             throw TraceError("unknown thread state " +
                              std::to_string(state));
-        entry.state = static_cast<TraceThreadState>(state);
         const std::uint32_t frames = r.u32();
         if (frames > bounds.maxFrames) {
             throw TraceError("implausible sample frame count " +
@@ -244,24 +244,21 @@ readSample(ByteReader &r, const SampleBounds &bounds)
         if (bounds.completeBuffer)
             checkSectionCount("sample frame", frames, 8,
                               r.remaining());
+        out.addEntry(thread, static_cast<TraceThreadState>(state));
         if (frames > 0) {
             // Frames are a flat run of {u32 class, u32 method}
             // pairs: one bounds check, one copy. Borrow the bytes
-            // BEFORE sizing the vector, so a partial tail read
+            // BEFORE growing the column, so a partial tail read
             // raises Truncated instead of allocating for a record
             // whose bytes have not landed yet.
             static_assert(sizeof(SampleFrame) ==
                               2 * sizeof(std::uint32_t),
                           "SampleFrame must match its wire layout");
-            const char *raw =
-                r.bytes(static_cast<std::size_t>(frames) * 8);
-            entry.frames.resize(frames);
-            std::memcpy(entry.frames.data(), raw,
-                        static_cast<std::size_t>(frames) * 8);
+            const std::size_t bytes = static_cast<std::size_t>(frames) * 8;
+            const char *raw = r.bytes(bytes);
+            std::memcpy(out.addFrames(frames), raw, bytes);
         }
-        sample.threads.push_back(std::move(entry));
     }
-    return sample;
 }
 
 } // namespace lag::trace::wire

@@ -93,28 +93,25 @@ renderEpisodeSketch(const Session &session, const Episode &episode,
              TextAnchor::Middle);
 
     // Sample dots along the top edge (GUI thread only).
-    const auto &samples = session.samples();
+    const trace::SampleColumns &samples = session.samples();
     for (std::size_t s = episode.firstSample; s < episode.lastSample;
          ++s) {
-        for (const auto &entry : samples[s].threads) {
-            if (entry.thread != episode.thread)
-                continue;
-            const double x =
-                kMarginLeft +
-                static_cast<double>(samples[s].time - episode.begin) *
-                    scale;
-            std::string tip =
-                std::string(traceThreadStateName(entry.state)) + " @ " +
-                formatDouble(nsToSec(samples[s].time), 3) + " s";
-            for (auto it = entry.frames.rbegin();
-                 it != entry.frames.rend(); ++it) {
-                tip += "\n  at " + session.symbol(it->classSym) + "." +
-                       session.symbol(it->methodSym);
-            }
-            doc.circle(x, kTitleH + kSampleRowH / 2.0, 3.0,
-                       std::string(threadStateColor(entry.state)), tip);
-            break;
+        const std::size_t e = samples.findEntry(s, episode.thread);
+        if (e == trace::SampleColumns::npos)
+            continue;
+        const double x =
+            kMarginLeft +
+            static_cast<double>(samples.time(s) - episode.begin) * scale;
+        std::string tip =
+            std::string(traceThreadStateName(samples.state(e))) + " @ " +
+            formatDouble(nsToSec(samples.time(s)), 3) + " s";
+        const auto stack = samples.stack(e);
+        for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+            tip += "\n  at " + session.symbol(it->classSym) + "." +
+                   session.symbol(it->methodSym);
         }
+        doc.circle(x, kTitleH + kSampleRowH / 2.0, 3.0,
+                   std::string(threadStateColor(samples.state(e))), tip);
     }
 
     // Interval rectangles; depth 0 (dispatch) sits at the bottom of
@@ -193,22 +190,20 @@ renderAsciiSketch(const Session &session, const Episode &episode,
     std::vector<std::string> rows(depth + 1,
                                   std::string(width, ' '));
 
-    const auto &samples = session.samples();
+    const trace::SampleColumns &samples = session.samples();
     for (std::size_t s = episode.firstSample; s < episode.lastSample;
          ++s) {
-        for (const auto &entry : samples[s].threads) {
-            if (entry.thread != episode.thread)
-                continue;
-            char c = '?';
-            switch (entry.state) {
-              case trace::TraceThreadState::Runnable: c = 'r'; break;
-              case trace::TraceThreadState::Blocked:  c = 'b'; break;
-              case trace::TraceThreadState::Waiting:  c = 'w'; break;
-              case trace::TraceThreadState::Sleeping: c = 's'; break;
-            }
-            rows[0][column(samples[s].time)] = c;
-            break;
+        const std::size_t e = samples.findEntry(s, episode.thread);
+        if (e == trace::SampleColumns::npos)
+            continue;
+        char c = '?';
+        switch (samples.state(e)) {
+          case trace::TraceThreadState::Runnable: c = 'r'; break;
+          case trace::TraceThreadState::Blocked:  c = 'b'; break;
+          case trace::TraceThreadState::Waiting:  c = 'w'; break;
+          case trace::TraceThreadState::Sleeping: c = 's'; break;
         }
+        rows[0][column(samples.time(s))] = c;
     }
 
     const auto type_char = [](IntervalType type) {

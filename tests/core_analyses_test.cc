@@ -203,22 +203,19 @@ TEST(LocationTest, AppVersusLibraryFromSampleTops)
 
 // --- Concurrency and states --------------------------------------------
 
-trace::TraceSample
-multiThreadSample(trace::StringTable &strings, TimeNs t,
+/** One entry per state, on threads 0, 1, ... in order. */
+std::vector<test::SampleEntry>
+multiThreadSample(trace::StringTable &strings,
                   std::vector<TraceThreadState> states)
 {
-    trace::TraceSample sample;
-    sample.time = t;
+    std::vector<test::SampleEntry> entries;
     for (std::size_t i = 0; i < states.size(); ++i) {
-        trace::SampleThread entry;
-        entry.thread = static_cast<ThreadId>(i);
-        entry.state = states[i];
-        entry.frames.push_back(trace::SampleFrame{
-            strings.intern("java.lang.Thread"),
-            strings.intern("run")});
-        sample.threads.push_back(std::move(entry));
+        entries.push_back(test::SampleEntry{
+            static_cast<ThreadId>(i), states[i],
+            {trace::SampleFrame{strings.intern("java.lang.Thread"),
+                                strings.intern("run")}}});
     }
-    return sample;
+    return entries;
 }
 
 TEST(ConcurrencyTest, CountsRunnableThreads)
@@ -227,12 +224,12 @@ TEST(ConcurrencyTest, CountsRunnableThreads)
     builder.addThread("W1");
     builder.addThread("W2");
     builder.dispatchBegin(msToNs(10)).dispatchEnd(msToNs(200));
-    builder.rawSample(multiThreadSample(
-        builder.strings(), msToNs(20),
+    builder.rawSample(msToNs(20), multiThreadSample(
+        builder.strings(),
         {TraceThreadState::Runnable, TraceThreadState::Runnable,
          TraceThreadState::Waiting}));
-    builder.rawSample(multiThreadSample(
-        builder.strings(), msToNs(30),
+    builder.rawSample(msToNs(30), multiThreadSample(
+        builder.strings(),
         {TraceThreadState::Blocked, TraceThreadState::Runnable,
          TraceThreadState::Sleeping}));
     const Session s = builder.buildSession(secToNs(1));
@@ -268,7 +265,8 @@ TEST(GuiStatesTest, SamplesOutsideEpisodesIgnored)
     test::TraceBuilder builder;
     builder.sample(msToNs(5), TraceThreadState::Sleeping); // outside
     builder.dispatchBegin(msToNs(10)).dispatchEnd(msToNs(20));
-    builder.rawSample(multiThreadSample(builder.strings(), msToNs(15),
+    builder.rawSample(msToNs(15),
+                      multiThreadSample(builder.strings(),
                                         {TraceThreadState::Runnable}));
     const Session s = builder.buildSession(secToNs(1));
     const ThreadStateResult result = analyzeGuiStates(s, msToNs(100));

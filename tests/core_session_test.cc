@@ -139,21 +139,9 @@ TEST(SessionTest, SampleRangesAssigned)
     test::TraceBuilder builder;
     builder.sample(msToNs(5), TraceThreadState::Runnable);  // before
     builder.dispatchBegin(msToNs(10)).dispatchEnd(msToNs(30));
-    builder.rawSample([] {
-        trace::TraceSample s;
-        s.time = msToNs(15);
-        return s;
-    }());
-    builder.rawSample([] {
-        trace::TraceSample s;
-        s.time = msToNs(25);
-        return s;
-    }());
-    builder.rawSample([] {
-        trace::TraceSample s;
-        s.time = msToNs(40);
-        return s;
-    }());
+    builder.rawSample(msToNs(15), {});
+    builder.rawSample(msToNs(25), {});
+    builder.rawSample(msToNs(40), {});
     const Session session = builder.buildSession(secToNs(1));
     const Episode &episode = session.episodes()[0];
     EXPECT_EQ(episode.firstSample, 1u);

@@ -104,8 +104,8 @@ TEST(IntegrationTest, EpisodeDurationsConsistentWithTreeSpans)
         // Samples assigned to the episode lie within it.
         for (std::size_t s = episode.firstSample;
              s < episode.lastSample; ++s) {
-            EXPECT_GE(session.samples()[s].time, episode.begin);
-            EXPECT_LE(session.samples()[s].time, episode.end);
+            EXPECT_GE(session.samples().time(s), episode.begin);
+            EXPECT_LE(session.samples().time(s), episode.end);
         }
     }
 }

@@ -235,9 +235,9 @@ TEST(LilaAgentTest, SamplesOnlyDuringEpisodes)
     const trace::Trace trace =
         record({simpleEvent(msToNs(40))}, lila_config, config);
     ASSERT_FALSE(trace.samples.empty());
-    for (const auto &sample : trace.samples) {
-        EXPECT_GE(sample.time, msToNs(1));
-        EXPECT_LE(sample.time, msToNs(45));
+    for (const TimeNs time : trace.samples.times()) {
+        EXPECT_GE(time, msToNs(1));
+        EXPECT_LE(time, msToNs(45));
     }
 }
 
@@ -250,7 +250,7 @@ TEST(LilaAgentTest, AllSamplesWhenPolicyDisabled)
     const trace::Trace trace =
         record({simpleEvent(msToNs(40))}, lila_config, config);
     // Samples cover the whole 10 s run, not just the episode.
-    EXPECT_GT(trace.samples.back().time, secToNs(1));
+    EXPECT_GT(trace.samples.times().back(), secToNs(1));
 }
 
 TEST(LilaAgentTest, InFlightEpisodeDiscardedAtSessionEnd)

@@ -431,5 +431,72 @@ TEST(ServeStore, InHandDigestsEqualFileDigests)
     EXPECT_EQ(live.post("/v1/refresh").body, none);
 }
 
+TEST(ServeStore, UnwritableAnalysisCacheStillServes)
+{
+    // The analysis directory is a regular file, so every .ares store
+    // fails (a chmod would not stop a test that runs as root).
+    const ScratchDir blocked_dir("lagalyzer-cache-serve-blocked-test");
+    const ScratchDir writable_dir("lagalyzer-cache-serve-writable-test");
+    const app::StudyConfig blocked = tinyStudy(blocked_dir.path);
+    const app::StudyConfig writable = tinyStudy(writable_dir.path);
+
+    // aggregateFromCache still returns every analysis, each equal to
+    // a fresh one, and counts every failed store.
+    {
+        engine::ThreadPool pool(2);
+        app::Study study(blocked);
+        // After validate(), which clears a stale analysis directory.
+        study.validate();
+        std::ofstream(blocked.cacheDir + "/analysis") << "not a directory";
+        const engine::ResultCache cache(blocked.cacheDir,
+                                        blocked.fingerprint());
+        std::vector<std::string> names;
+        for (const app::AppParams &params : blocked.apps)
+            names.push_back(params.name);
+        const obs::MetricsSnapshot before = obs::metrics().snapshot();
+        const engine::StudyAggregate aggregate =
+            engine::aggregateFromCache(
+                cache, names, blocked.sessionsPerApp,
+                blocked.perceptibleThreshold, pool,
+                [&study](std::size_t a, std::uint32_t s) {
+                    return study.loadSession(a, s);
+                });
+        const obs::MetricsSnapshot after = obs::metrics().snapshot();
+        const std::size_t entries = names.size() * blocked.sessionsPerApp;
+        EXPECT_EQ(after.counterValue("cache.store.failures"),
+                  before.counterValue("cache.store.failures") + entries);
+        ASSERT_EQ(aggregate.grid.size(), names.size());
+        for (std::size_t a = 0; a < names.size(); ++a) {
+            ASSERT_EQ(aggregate.grid[a].size(), blocked.sessionsPerApp);
+            for (std::uint32_t s = 0; s < blocked.sessionsPerApp; ++s) {
+                EXPECT_EQ(engine::serializeSessionAnalysis(
+                              aggregate.grid[a][s]),
+                          engine::serializeSessionAnalysis(
+                              engine::analyzeSession(
+                                  study.loadSession(a, s),
+                                  blocked.perceptibleThreshold)))
+                    << names[a] << " session " << s;
+            }
+        }
+    }
+
+    // A server over the blocked cache answers byte for byte what one
+    // over a writable cache does.
+    LiveServer served(blocked);
+    LiveServer reference(writable);
+    std::vector<std::string> targets = {"/v1/apps"};
+    for (const app::AppParams &params : blocked.apps) {
+        targets.push_back("/v1/patterns?app=" + urlEncode(params.name));
+        targets.push_back("/v1/cdf?app=" + urlEncode(params.name));
+    }
+    for (const std::string &id : core::figureIds())
+        targets.push_back("/v1/figures/" + id);
+    for (const std::string &target : targets) {
+        const ClientResult got = served.get(target);
+        EXPECT_EQ(got.status, 200) << target;
+        EXPECT_EQ(got.body, reference.get(target).body) << target;
+    }
+}
+
 } // namespace
 } // namespace lag::serve

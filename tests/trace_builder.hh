@@ -21,6 +21,14 @@
 namespace lag::test
 {
 
+/** One sampled thread of a hand-made sample. */
+struct SampleEntry
+{
+    ThreadId thread = 0;
+    trace::TraceThreadState state = trace::TraceThreadState::Runnable;
+    std::vector<trace::SampleFrame> frames; ///< innermost last
+};
+
 /** Builds a single-GUI-thread trace record by record. */
 class TraceBuilder
 {
@@ -129,27 +137,23 @@ class TraceBuilder
            const std::string &top_class = "java.awt.EventQueue",
            const std::string &top_method = "dispatchEvent")
     {
-        trace::TraceSample s;
-        s.time = t;
-        trace::SampleThread entry;
-        entry.thread = 0;
-        entry.state = state;
-        entry.frames.push_back(trace::SampleFrame{
-            trace_.strings.intern("java.lang.Thread"),
-            trace_.strings.intern("run")});
-        entry.frames.push_back(
-            trace::SampleFrame{trace_.strings.intern(top_class),
-                               trace_.strings.intern(top_method)});
-        s.threads.push_back(std::move(entry));
-        trace_.samples.push_back(std::move(s));
-        return *this;
+        const trace::SampleFrame run{trace_.strings.intern("java.lang.Thread"),
+                                     trace_.strings.intern("run")};
+        const trace::SampleFrame top{trace_.strings.intern(top_class),
+                                     trace_.strings.intern(top_method)};
+        return rawSample(t, {SampleEntry{0, state, {run, top}}});
     }
 
     /** Append a raw, fully specified sample. */
     TraceBuilder &
-    rawSample(trace::TraceSample sample)
+    rawSample(TimeNs t, const std::vector<SampleEntry> &entries)
     {
-        trace_.samples.push_back(std::move(sample));
+        trace_.samples.addSample(t);
+        for (const SampleEntry &entry : entries) {
+            trace_.samples.addEntry(entry.thread, entry.state);
+            for (const trace::SampleFrame &frame : entry.frames)
+                trace_.samples.addFrame(frame);
+        }
         return *this;
     }
 

@@ -203,7 +203,7 @@ TEST(TraceFuzz, RecordErrorsCarryOffsetAndIndex)
     const Trace full = sampleTrace();
     Trace empty = full;
     empty.events.clear();
-    empty.samples.clear();
+    empty.samples = {};
     const std::string bytes = serializeTrace(full);
     const std::string prefix = serializeTrace(empty);
     ASSERT_LT(prefix.size(), bytes.size());
@@ -501,21 +501,19 @@ expectCutsMatchFromTrace(const Trace &trace,
     engine::AnalysisPartial folded(threshold);
     Trace prefix = trace;
     prefix.events.clear();
-    prefix.samples.clear();
+    prefix.samples = {};
     std::size_t fedEvents = 0;
     std::size_t fedSamples = 0;
     const auto feedAndCompare = [&](std::size_t events,
                                     std::size_t samples) {
         builder.append(
             std::span(trace.events).subspan(fedEvents, events - fedEvents),
-            std::span(trace.samples)
-                .subspan(fedSamples, samples - fedSamples));
+            trace.samples, fedSamples, samples);
         prefix.events.assign(trace.events.begin(),
                              trace.events.begin() +
                                  static_cast<std::ptrdiff_t>(events));
-        prefix.samples.assign(trace.samples.begin(),
-                              trace.samples.begin() +
-                                  static_cast<std::ptrdiff_t>(samples));
+        prefix.samples = {};
+        prefix.samples.append(trace.samples, 0, samples);
         fedEvents = events;
         fedSamples = samples;
         std::optional<core::Session> expected;
@@ -636,20 +634,32 @@ coincidentTrace(std::uint64_t seed)
             open[k].pop_back();
         }
     }
+    // Each sample has one entry per roster thread.
+    struct Drawn
+    {
+        TimeNs time = 0;
+        std::vector<TraceThreadState> states;
+    };
+    std::vector<Drawn> drawn;
     for (std::size_t n = rng() % 8; n > 0; --n) {
-        TraceSample sample;
+        Drawn sample;
         sample.time = static_cast<TimeNs>(rng() % (time + 2));
-        for (const TraceThread &thread : trace.threads) {
-            sample.threads.push_back(SampleThread{
-                thread.id, static_cast<TraceThreadState>(rng() % 4),
-                {SampleFrame{cls, method}}});
-        }
-        trace.samples.push_back(std::move(sample));
+        for (std::size_t k = 0; k < threads; ++k)
+            sample.states.push_back(
+                static_cast<TraceThreadState>(rng() % 4));
+        drawn.push_back(std::move(sample));
     }
-    std::sort(trace.samples.begin(), trace.samples.end(),
-              [](const TraceSample &a, const TraceSample &b) {
+    std::sort(drawn.begin(), drawn.end(),
+              [](const Drawn &a, const Drawn &b) {
                   return a.time < b.time;
               });
+    for (const Drawn &sample : drawn) {
+        trace.samples.addSample(sample.time);
+        for (std::size_t k = 0; k < threads; ++k) {
+            trace.samples.addEntry(trace.threads[k].id, sample.states[k]);
+            trace.samples.addFrame(SampleFrame{cls, method});
+        }
+    }
     if (faulty && !trace.events.empty()) {
         TraceEvent &event = trace.events[rng() % trace.events.size()];
         switch (rng() % 3) {

@@ -73,14 +73,14 @@ expectTracesEqual(const Trace &a, const Trace &b)
     }
     ASSERT_EQ(a.samples.size(), b.samples.size());
     for (std::size_t i = 0; i < a.samples.size(); ++i) {
-        EXPECT_EQ(a.samples[i].time, b.samples[i].time);
-        ASSERT_EQ(a.samples[i].threads.size(),
-                  b.samples[i].threads.size());
-        for (std::size_t t = 0; t < a.samples[i].threads.size(); ++t) {
-            EXPECT_EQ(a.samples[i].threads[t].state,
-                      b.samples[i].threads[t].state);
-            EXPECT_EQ(a.samples[i].threads[t].frames.size(),
-                      b.samples[i].threads[t].frames.size());
+        EXPECT_EQ(a.samples.time(i), b.samples.time(i));
+        ASSERT_EQ(a.samples.entryBegin(i), b.samples.entryBegin(i));
+        ASSERT_EQ(a.samples.entryEnd(i), b.samples.entryEnd(i));
+        for (std::size_t e = a.samples.entryBegin(i);
+             e < a.samples.entryEnd(i); ++e) {
+            EXPECT_EQ(a.samples.state(e), b.samples.state(e));
+            EXPECT_EQ(a.samples.stack(e).size(),
+                      b.samples.stack(e).size());
         }
     }
     ASSERT_EQ(a.strings.size(), b.strings.size());

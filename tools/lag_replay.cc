@@ -112,10 +112,8 @@ main(int argc, char **argv)
 
     if (batch_json) {
         try {
-            trace::Trace trace = trace::readTraceFile(src);
-            const std::string app = trace.meta.appName;
-            core::Session session =
-                core::Session::fromTrace(std::move(trace));
+            const core::Session session = core::Session::fromFile(src);
+            const std::string &app = session.meta().appName;
             const engine::SessionAnalysis analysis =
                 engine::analyzeSession(
                     session, msToNs(threshold_ms));
