@@ -1,6 +1,7 @@
 #include "params.hh"
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <string_view>
 
@@ -123,6 +124,19 @@ parseJobsOption(int &argc, char **argv)
     }
     argc = out;
     return jobs;
+}
+
+int
+parseIntValue(std::string_view option, std::string_view value, int min)
+{
+    const std::string text(value);
+    char *end = nullptr;
+    const long long parsed = std::strtoll(text.c_str(), &end, 10);
+    if (end == text.c_str() || *end != '\0' || parsed < min ||
+        parsed > std::numeric_limits<int>::max())
+        fatal(option, " needs a whole number >= ", min, ", got '",
+              text, "'");
+    return static_cast<int>(parsed);
 }
 
 namespace

@@ -284,6 +284,14 @@ std::uint32_t defaultJobs();
  */
 std::uint32_t parseJobsOption(int &argc, char **argv);
 
+/**
+ * Parse @p value, the argument of @p option, as a whole decimal int
+ * of at least @p min. fatal() naming the option on junk, a trailing
+ * suffix ("5s"), a value below @p min or one past INT_MAX.
+ */
+int parseIntValue(std::string_view option, std::string_view value,
+                  int min);
+
 /** Analysis-cache limits parsed off a command line; 0 = unlimited. */
 struct CacheLimitOptions
 {

@@ -585,8 +585,6 @@ ResultCache::load(std::string_view app_name,
         if (digest != nullptr)
             *digest = verifiedEntryDigest(file.view());
         cacheMetrics().hit.add();
-        MutexLock lock(statsMutex_);
-        ++stats_.hits;
         return analysis;
     } catch (const trace::TraceError &e) {
         warn("result cache: discarding invalid entry '", path, "': ",
@@ -599,16 +597,7 @@ std::optional<SessionAnalysis>
 ResultCache::miss() const
 {
     cacheMetrics().missCount.add();
-    MutexLock lock(statsMutex_);
-    ++stats_.misses;
     return std::nullopt;
-}
-
-ResultCacheStats
-ResultCache::stats() const
-{
-    MutexLock lock(statsMutex_);
-    return stats_;
 }
 
 std::uint64_t
@@ -704,8 +693,6 @@ ResultCache::store(std::string_view app_name,
                       "': ", why);
     }
     cacheMetrics().storeCount.add();
-    MutexLock lock(statsMutex_);
-    ++stats_.stores;
     return verifiedEntryDigest(data);
 }
 

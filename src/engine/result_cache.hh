@@ -48,8 +48,6 @@
 #include "core/pattern_stats.hh"
 #include "core/session.hh"
 #include "core/triggers.hh"
-#include "util/mutex.hh"
-#include "util/thread_annotations.hh"
 #include "util/types.hh"
 
 namespace lag::engine
@@ -106,14 +104,6 @@ SessionAnalysis deserializeSessionAnalysis(std::string_view data);
 std::uint64_t appDigestOf(std::string_view app_name,
                           std::span<const std::uint64_t> entry_digests);
 
-/** Hit/miss/store counters for one cache over its lifetime. */
-struct ResultCacheStats
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t stores = 0;
-};
-
 /** Limits applied by ResultCache::evict(); 0 means unlimited. */
 struct CacheEvictionPolicy
 {
@@ -156,11 +146,6 @@ class ResultCache
     std::uint64_t store(std::string_view app_name,
                         std::uint32_t session_index,
                         const SessionAnalysis &analysis) const;
-
-    /** Snapshot of the hit/miss/store counters. Counters are
-     * bumped from concurrent analysis tasks; the snapshot is only
-     * deterministic once the driving pool is idle. */
-    ResultCacheStats stats() const;
 
     /**
      * Content digest (FNV-1a) of one entry. A valid entry folds its
@@ -222,12 +207,6 @@ class ResultCache
      * every entry name so evict() can spot stale generations without
      * opening the files. */
     std::string tag_;
-
-    /** Guards the counters, not the files: entries are atomic on
-     * disk (temp + rename) and distinct sessions never collide. */
-    mutable Mutex statsMutex_{LockRank::ResultCache,
-                              "result-cache-stats"};
-    mutable ResultCacheStats stats_ LAG_GUARDED_BY(statsMutex_);
 };
 
 } // namespace lag::engine

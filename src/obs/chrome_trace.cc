@@ -12,7 +12,19 @@ namespace lag::obs
 namespace
 {
 
-/** Append @p text as a JSON string literal (quotes + escapes). */
+/** Append nanoseconds as a decimal microsecond value ("12.345"). */
+void
+appendMicros(std::string &out, std::int64_t ns)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld.%03lld",
+                  static_cast<long long>(ns / 1000),
+                  static_cast<long long>(ns % 1000));
+    out += buf;
+}
+
+} // namespace
+
 void
 appendJsonString(std::string &out, std::string_view text)
 {
@@ -50,31 +62,17 @@ appendJsonString(std::string &out, std::string_view text)
     out += '"';
 }
 
-/** Append nanoseconds as a decimal microsecond value ("12.345"). */
-void
-appendMicros(std::string &out, std::int64_t ns)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                  static_cast<long long>(ns / 1000),
-                  static_cast<long long>(ns % 1000));
-    out += buf;
-}
-
-} // namespace
-
 std::string
 chromeTraceJson()
 {
-    const auto buffers = spanBuffers();
-
     std::string out;
     out += "{\"traceEvents\":[";
     bool first = true;
 
     // Thread-name metadata first: one ph:"M" event per buffer makes
     // Perfetto label each track with the lag thread name.
-    for (const auto &buffer : buffers) {
+    for (const SpanBuffer *buffer = firstSpanBuffer();
+         buffer != nullptr; buffer = buffer->next()) {
         out += first ? "\n" : ",\n";
         first = false;
         out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
@@ -85,42 +83,37 @@ chromeTraceJson()
         out += "}}";
     }
 
-    for (const auto &buffer : buffers) {
-        const std::size_t n = buffer->published();
-        for (std::size_t i = 0; i < n; ++i) {
-            const SpanEvent &event = buffer->at(i);
-            out += first ? "\n" : ",\n";
-            first = false;
-            out += "{\"name\":";
-            appendJsonString(out, event.name);
-            out += ",\"cat\":\"lag\",\"ph\":\"X\",\"ts\":";
-            appendMicros(out, event.startNs);
-            out += ",\"dur\":";
-            appendMicros(out, event.durNs);
-            out += ",\"pid\":1,\"tid\":";
-            out += std::to_string(buffer->tid());
-            const bool hasTrace =
-                (event.traceHi | event.traceLo) != 0;
-            if (event.argKey != nullptr || hasTrace) {
-                out += ",\"args\":{";
-                if (event.argKey != nullptr) {
-                    appendJsonString(out, event.argKey);
-                    out += ':';
-                    out += std::to_string(event.argValue);
-                }
-                if (hasTrace) {
-                    if (event.argKey != nullptr)
-                        out += ',';
-                    out += "\"trace\":\"";
-                    out += traceIdHex(TraceContext{event.traceHi,
-                                                   event.traceLo});
-                    out += '"';
-                }
-                out += '}';
+    forEachSpan([&](const SpanBuffer &buffer, const SpanEvent &event) {
+        out += first ? "\n" : ",\n";
+        first = false;
+        out += "{\"name\":";
+        appendJsonString(out, event.name);
+        out += ",\"cat\":\"lag\",\"ph\":\"X\",\"ts\":";
+        appendMicros(out, event.startNs);
+        out += ",\"dur\":";
+        appendMicros(out, event.durNs);
+        out += ",\"pid\":1,\"tid\":";
+        out += std::to_string(buffer.tid());
+        const bool hasTrace = (event.traceHi | event.traceLo) != 0;
+        if (event.argKey != nullptr || hasTrace) {
+            out += ",\"args\":{";
+            if (event.argKey != nullptr) {
+                appendJsonString(out, event.argKey);
+                out += ':';
+                out += std::to_string(event.argValue);
+            }
+            if (hasTrace) {
+                if (event.argKey != nullptr)
+                    out += ',';
+                out += "\"trace\":\"";
+                out += traceIdHex(
+                    TraceContext{event.traceHi, event.traceLo});
+                out += '"';
             }
             out += '}';
         }
-    }
+        out += '}';
+    });
 
     out += "\n]}\n";
     return out;

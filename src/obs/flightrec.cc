@@ -4,6 +4,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "chrome_trace.hh"
 #include "util/shutdown.hh"
 
 namespace lag::obs
@@ -13,47 +14,12 @@ namespace
 {
 
 void
-appendEscaped(std::string &out, std::string_view text)
-{
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char *digits = "0123456789abcdef";
-                out += "\\u00";
-                out += digits[(c >> 4) & 0xF];
-                out += digits[c & 0xF];
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
-
-void
 appendRequestObject(std::string &out, const RequestSummary &req)
 {
     out += "{\"method\": ";
-    appendEscaped(out, req.method);
+    appendJsonString(out, req.method);
     out += ", \"target\": ";
-    appendEscaped(out, req.target);
+    appendJsonString(out, req.target);
     out += ", \"status\": ";
     out += std::to_string(req.status);
     out += ", \"dur_us\": ";
@@ -87,16 +53,11 @@ std::vector<TreeSpan>
 collectTree(const TraceContext &ctx)
 {
     std::vector<TreeSpan> spans;
-    for (const auto &buffer : spanBuffers()) {
-        const std::size_t n = buffer->published();
-        for (std::size_t i = 0; i < n; ++i) {
-            const SpanEvent &ev = buffer->at(i);
-            if (ev.traceHi != ctx.hi || ev.traceLo != ctx.lo)
-                continue;
-            spans.push_back({ev.name, buffer->tid(), ev.startNs,
+    forEachSpan([&](const SpanBuffer &buffer, const SpanEvent &ev) {
+        if (ev.traceHi == ctx.hi && ev.traceLo == ctx.lo)
+            spans.push_back({ev.name, buffer.tid(), ev.startNs,
                              ev.durNs, 0});
-        }
-    }
+    });
     std::sort(spans.begin(), spans.end(),
               [](const TreeSpan &a, const TreeSpan &b) {
                   if (a.tid != b.tid)
@@ -135,8 +96,6 @@ FlightRecorder::configure(const FlightRecorderOptions &options)
     MutexLock lock(requestMutex_);
     if (armed_.load(std::memory_order_relaxed))
         return; // first call wins; rings must never reallocate
-    spanRing_ = std::vector<SpanSlot>(
-        std::max<std::size_t>(options.spanCapacity, 1));
     eventRing_ = std::vector<EventSlot>(
         std::max<std::size_t>(options.eventCapacity, 1));
     requestRing_ = std::vector<RequestSlot>(
@@ -148,23 +107,6 @@ FlightRecorder::configure(const FlightRecorderOptions &options)
     armed_.store(true, std::memory_order_release);
     detail::g_armedFlightRecorder.store(this,
                                         std::memory_order_release);
-}
-
-void
-FlightRecorder::recordSpan(const SpanEvent &event, std::uint32_t tid)
-{
-    const std::uint64_t i =
-        spanHead_.fetch_add(1, std::memory_order_relaxed);
-    SpanSlot &slot = spanRing_[i % spanRing_.size()];
-    // Release: the name may be an internedName() string minted just
-    // now on this thread; the store must publish its bytes to the
-    // acquire-loading live readers, not only the pointer value.
-    slot.name.store(event.name, std::memory_order_release);
-    slot.traceHi.store(event.traceHi, std::memory_order_relaxed);
-    slot.traceLo.store(event.traceLo, std::memory_order_relaxed);
-    slot.startNs.store(event.startNs, std::memory_order_relaxed);
-    slot.durNs.store(event.durNs, std::memory_order_relaxed);
-    slot.tid.store(tid, std::memory_order_relaxed);
 }
 
 void
@@ -251,11 +193,11 @@ FlightRecorder::liveJson() const
         out += "\"fatal\": null";
     } else {
         out += "\"fatal\": {\"what\": ";
-        appendEscaped(out, note.what);
+        appendJsonString(out, note.what);
         out += ", \"a\": ";
-        appendEscaped(out, note.detailA ? note.detailA : "");
+        appendJsonString(out, note.detailA ? note.detailA : "");
         out += ", \"b\": ";
-        appendEscaped(out, note.detailB ? note.detailB : "");
+        appendJsonString(out, note.detailB ? note.detailB : "");
         out += '}';
     }
 
@@ -292,11 +234,11 @@ FlightRecorder::liveJson() const
                 out += ", ";
             first = false;
             out += "{\"what\": ";
-            appendEscaped(out, what);
+            appendJsonString(out, what);
             out += ", \"a\": ";
-            appendEscaped(out, a ? a : "");
+            appendJsonString(out, a ? a : "");
             out += ", \"b\": ";
-            appendEscaped(out, b ? b : "");
+            appendJsonString(out, b ? b : "");
             out += ", \"at_ns\": ";
             out += std::to_string(
                 slot.atNs.load(std::memory_order_relaxed));
@@ -307,39 +249,24 @@ FlightRecorder::liveJson() const
 
     out += ", \"spans\": [";
     first = true;
-    if (armed()) {
-        const std::size_t cap = spanRing_.size();
-        const std::uint64_t newest =
-            spanHead_.load(std::memory_order_relaxed);
-        const std::uint64_t oldest =
-            newest > cap ? newest - cap : 0;
-        for (std::uint64_t i = oldest; i < newest; ++i) {
-            const SpanSlot &slot = spanRing_[i % cap];
-            const char *name =
-                slot.name.load(std::memory_order_acquire);
-            if (name == nullptr)
-                continue;
+    forEachSpan(
+        [&](const SpanBuffer &buffer, const SpanEvent &span) {
             if (!first)
                 out += ", ";
             first = false;
             out += "{\"name\": ";
-            appendEscaped(out, name);
+            appendJsonString(out, span.name);
             out += ", \"trace\": \"";
-            out += traceIdHex(TraceContext{
-                slot.traceHi.load(std::memory_order_relaxed),
-                slot.traceLo.load(std::memory_order_relaxed)});
+            out += traceIdHex(TraceContext{span.traceHi, span.traceLo});
             out += "\", \"tid\": ";
-            out += std::to_string(
-                slot.tid.load(std::memory_order_relaxed));
+            out += std::to_string(buffer.tid());
             out += ", \"start_ns\": ";
-            out += std::to_string(
-                slot.startNs.load(std::memory_order_relaxed));
+            out += std::to_string(span.startNs);
             out += ", \"dur_ns\": ";
-            out += std::to_string(
-                slot.durNs.load(std::memory_order_relaxed));
+            out += std::to_string(span.durNs);
             out += '}';
-        }
-    }
+        },
+        kSpansPerThread);
     out += "]}\n";
     return out;
 }
@@ -379,7 +306,7 @@ spanTreeJson(const TraceContext &ctx)
             out += ", ";
         first = false;
         out += "{\"name\": ";
-        appendEscaped(out, span.name);
+        appendJsonString(out, span.name);
         out += ", \"tid\": ";
         out += std::to_string(span.tid);
         out += ", \"depth\": ";

@@ -5,12 +5,13 @@
  *
  * Spans and metrics answer "what is the process doing over time";
  * the flight recorder answers "what was it doing *just now*" — the
- * question that matters when lagd aborts mid-request. It keeps three
- * fixed-size rings, sized once at configure() and never reallocated:
+ * question that matters when lagd aborts mid-request. It shows three
+ * kinds of record, the last two in fixed-size rings of its own,
+ * sized once at configure() and never reallocated:
  *
- *  - **spans**: the most recent closed spans from every thread, fed
- *    by SpanBuffer::append before its own capacity check, so the
- *    ring keeps rolling even after a per-thread buffer saturates.
+ *  - **spans**: each thread's newest kSpansPerThread spans, read
+ *    straight from the per-thread span rings (span.hh) — the
+ *    recorder keeps no copy of its own.
  *  - **events**: structured one-shot markers (`recordEvent`) — a
  *    lock-rank violation, a watchdog stall, a slow request — built
  *    from static-lifetime strings only.
@@ -20,17 +21,18 @@
  *
  * Concurrency model, chosen for the two readers it has to serve:
  *
- *  - Span/event slots are *all-atomic*: writers claim a slot with a
+ *  - Event slots are *all-atomic*: writers claim a slot with a
  *    fetch_add on the head counter and store each field
- *    independently. A concurrent reader may see a torn slot — name
- *    from one span, duration from another — which is acceptable for
- *    a diagnostic ring and, crucially, is not a data race, so TSan
- *    builds stay clean. Numeric fields are relaxed; pointer fields
- *    are release/acquire, because an internedName() string may be
- *    minted on the recording thread an instant before the store and
- *    its *bytes* must be published along with the pointer. All
- *    pointer fields hold stable never-freed strings (literals or
- *    internedName()).
+ *    independently. A concurrent reader may see a torn slot — a
+ *    marker from one event, a time from another — which is
+ *    acceptable for a diagnostic ring and, crucially, is not a data
+ *    race, so TSan builds stay clean. The timestamp is relaxed;
+ *    pointer fields are release/acquire, because an internedName()
+ *    string may be minted on the recording thread an instant before
+ *    the store and its *bytes* must be published along with the
+ *    pointer. All pointer fields hold stable never-freed strings
+ *    (literals or internedName()). Span slots are never torn: their
+ *    stamps let a reader skip a slot being rewritten (span.hh).
  *  - Request slots are plain structs under a LockRank::Obs mutex:
  *    they contain variable-length text, and the live /debugz reader
  *    wants coherent rows.
@@ -44,7 +46,7 @@
  * configure() takes effect on the FIRST call only: rings are sized
  * and the recorder armed exactly once, so recording threads never
  * race a reallocation. armedFlightRecorder() is the fast-path gate —
- * a single relaxed load returning nullptr until configured.
+ * a single acquire load returning nullptr until configured.
  */
 
 #ifndef LAG_OBS_FLIGHTREC_HH
@@ -66,7 +68,6 @@ namespace lag::obs
 /** Ring sizes and the fatal-dump destination. */
 struct FlightRecorderOptions
 {
-    std::size_t spanCapacity = 4096;
     std::size_t eventCapacity = 1024;
     std::size_t requestCapacity = 64;
     /** Where fatal-signal dumps go; empty disables the file (the
@@ -89,6 +90,10 @@ struct RequestSummary
 class FlightRecorder
 {
   public:
+    /** Spans per thread that liveJson() and the crash dump show:
+     * the newest of each thread's ring. */
+    static constexpr std::size_t kSpansPerThread = 256;
+
     /** The process-wide recorder (leaked singleton, like the
      * metrics registry — atexit/signal paths must never race
      * static destruction). */
@@ -108,9 +113,6 @@ class FlightRecorder
      * pointer into fixed storage — safe to read from a signal
      * handler. */
     const char *dumpPath() const { return path_; }
-
-    /** Called by SpanBuffer::append for every closed span. */
-    void recordSpan(const SpanEvent &event, std::uint32_t tid);
 
     /** Record a structured marker. All three strings must have
      * static lifetime (literals or internedName()); a and b are
@@ -152,19 +154,6 @@ class FlightRecorder
   private:
     FlightRecorder() = default;
 
-    /** One span ring slot; every field an independent atomic —
-     * numeric fields relaxed, pointers release/acquire (see file
-     * comment on torn reads). */
-    struct SpanSlot
-    {
-        std::atomic<const char *> name{nullptr};
-        std::atomic<std::uint64_t> traceHi{0};
-        std::atomic<std::uint64_t> traceLo{0};
-        std::atomic<std::int64_t> startNs{0};
-        std::atomic<std::int64_t> durNs{0};
-        std::atomic<std::uint32_t> tid{0};
-    };
-
     struct EventSlot
     {
         std::atomic<const char *> what{nullptr};
@@ -197,9 +186,6 @@ class FlightRecorder
     std::atomic<bool> armed_{false};
     char path_[256] = {};
 
-    std::vector<SpanSlot> spanRing_;
-    std::atomic<std::uint64_t> spanHead_{0};
-
     std::vector<EventSlot> eventRing_;
     std::atomic<std::uint64_t> eventHead_{0};
 
@@ -220,8 +206,8 @@ namespace detail
 extern std::atomic<FlightRecorder *> g_armedFlightRecorder;
 } // namespace detail
 
-/** The armed recorder, or nullptr before configure(). One relaxed
- * load — cheap enough for the span hot path. */
+/** The armed recorder, or nullptr before configure(). One acquire
+ * load — cheap enough for the per-request path. */
 inline FlightRecorder *
 armedFlightRecorder()
 {

@@ -11,7 +11,8 @@
 // live readers take a mutex: the crashing thread may hold that mutex,
 // and a crash dump that deadlocks is worse than one with a torn row.
 // All lengths are clamped at read time, so a torn row can garble text
-// but never index out of bounds.
+// but never index out of bounds. Spans come from the per-thread span
+// rings through the same lock-free walk the live view uses.
 
 #include "flightrec.hh"
 
@@ -213,35 +214,24 @@ flightrecDumpImpl(const FlightRecorder &rec, int fd, int sig)
 
     w.str(", \"spans\": [");
     first = true;
-    {
-        const std::size_t cap = rec.spanRing_.size();
-        const std::uint64_t newest =
-            rec.spanHead_.load(std::memory_order_relaxed);
-        const std::uint64_t oldest =
-            newest > cap ? newest - cap : 0;
-        for (std::uint64_t i = oldest; i < newest; ++i) {
-            const auto &slot = rec.spanRing_[i % cap];
-            const char *name =
-                slot.name.load(std::memory_order_relaxed);
-            if (name == nullptr)
-                continue;
+    forEachSpan(
+        [&](const SpanBuffer &buffer, const SpanEvent &span) {
             if (!first)
                 w.str(", ");
             first = false;
             w.str("{\"name\": ");
-            w.quoted(name, 256);
+            w.quoted(span.name, 256);
             w.str(", \"trace\": \"");
-            w.hex128(slot.traceHi.load(std::memory_order_relaxed),
-                     slot.traceLo.load(std::memory_order_relaxed));
+            w.hex128(span.traceHi, span.traceLo);
             w.str("\", \"tid\": ");
-            w.u64(slot.tid.load(std::memory_order_relaxed));
+            w.u64(buffer.tid());
             w.str(", \"start_ns\": ");
-            w.i64(slot.startNs.load(std::memory_order_relaxed));
+            w.i64(span.startNs);
             w.str(", \"dur_ns\": ");
-            w.i64(slot.durNs.load(std::memory_order_relaxed));
+            w.i64(span.durNs);
             w.ch('}');
-        }
-    }
+        },
+        FlightRecorder::kSpansPerThread);
     w.str("]}\n");
 }
 

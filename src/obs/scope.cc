@@ -63,9 +63,8 @@ install(const ObsOptions &options)
         setSpansEnabled(true);
     if (!options.flightrecPath.empty()) {
         // Arm the flight recorder (first configure wins) and route
-        // fatal signals through its dump. The rings are fed from
-        // span recording, so spans must be on for the black box to
-        // contain anything.
+        // fatal signals through its dump. Its span view reads the
+        // span rings, so spans must be on for it to show any.
         FlightRecorderOptions recorder_options;
         recorder_options.dumpPath = options.flightrecPath;
         FlightRecorder::instance().configure(recorder_options);
@@ -94,13 +93,20 @@ flush()
 
     if (!g_options->selfTracePath.empty()) {
         // Stop recording first so the drain below sees a quiesced
-        // count from this thread; workers may still append, and the
-        // acquire walk only reads fully published entries anyway.
+        // ring from this thread; workers may still append, and the
+        // walk skips any slot rewritten while it reads.
         setSpansEnabled(false);
         if (writeChromeTrace(g_options->selfTracePath)) {
-            inform("self-trace: wrote ", publishedSpanCount(),
+            std::uint64_t recorded = 0;
+            std::uint64_t overwritten = 0;
+            for (const SpanBuffer *buffer = firstSpanBuffer();
+                 buffer != nullptr; buffer = buffer->next()) {
+                recorded += buffer->recorded();
+                overwritten += buffer->overwritten();
+            }
+            inform("self-trace: wrote ", recorded - overwritten,
                    " spans to '", g_options->selfTracePath, "' (",
-                   droppedSpanCount(), " dropped)");
+                   overwritten, " overwritten)");
         }
     }
 

@@ -1,8 +1,10 @@
 #include "span.hh"
 
-#include <deque>
+#include <sys/mman.h>
 
-#include "flightrec.hh"
+#include <deque>
+#include <new>
+
 #include "util/mutex.hh"
 #include "util/thread_annotations.hh"
 
@@ -12,32 +14,25 @@ namespace lag::obs
 namespace
 {
 
-/** Spans one thread can hold before dropping (≈2.5 MB of slots).
- * Session-sized work records tens of spans per task; 64k covers
- * hours of study pipeline before a single drop. */
-constexpr std::size_t kSpanCapacity = std::size_t{1} << 16;
+constexpr std::uint64_t kSlotMask = kSpanCapacity - 1;
+static_assert((kSpanCapacity & kSlotMask) == 0,
+              "ring capacity must be a power of two");
+
+/** Head of the buffer list: newest first, push-only, never freed,
+ * so at-exit exports and crash dumps can walk exited threads'
+ * rings. */
+std::atomic<const SpanBuffer *> g_firstBuffer{nullptr};
 
 Mutex &
-registryMutex()
+internMutex()
 {
-    static Mutex mutex{LockRank::Obs, "obs-span-registry"};
+    static Mutex mutex{LockRank::Obs, "obs-span-intern"};
     return mutex;
-}
-
-/** Registered buffers; shared_ptrs keep them alive past thread
- * exit so an at-exit export still sees worker spans. Leaked on
- * purpose: atexit exporters must never race static destruction. */
-std::vector<std::shared_ptr<SpanBuffer>> &
-registry() LAG_REQUIRES(registryMutex())
-{
-    static auto *buffers =
-        new std::vector<std::shared_ptr<SpanBuffer>>();
-    return *buffers;
 }
 
 /** Interned dynamic names; deque keeps addresses stable. */
 std::deque<std::string> &
-internTable() LAG_REQUIRES(registryMutex())
+internTable() LAG_REQUIRES(internMutex())
 {
     static auto *table = new std::deque<std::string>();
     return *table;
@@ -45,29 +40,60 @@ internTable() LAG_REQUIRES(registryMutex())
 
 } // namespace
 
-SpanBuffer::SpanBuffer(std::uint32_t tid, std::string threadName,
-                       std::size_t capacity)
-    : slots_(capacity), tid_(tid), threadName_(std::move(threadName))
+SpanBuffer::SpanBuffer(std::uint32_t tid, std::string threadName)
+    : tid_(tid), threadName_(std::move(threadName))
 {
+    // Fresh anonymous pages read as zero and are committed only
+    // when first written, so a ring costs memory only as it fills.
+    void *ring = ::mmap(nullptr, kSpanCapacity * sizeof(Slot),
+                        PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (ring == MAP_FAILED)
+        throw std::bad_alloc();
+    slots_ = static_cast<Slot *>(ring);
 }
 
 void
 SpanBuffer::append(const SpanEvent &event)
 {
-    // Feed the flight recorder before the capacity check: its ring
-    // keeps rolling even after this thread's buffer saturates, so a
-    // crash dump always shows the most recent work.
-    if (FlightRecorder *rec = armedFlightRecorder())
-        rec->recordSpan(event, tid_);
-    const std::size_t i = size_.load(std::memory_order_relaxed);
-    if (i >= slots_.size()) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
-    slots_[i] = event;
-    // Release pairs with published()'s acquire: a drainer that
-    // observes count i+1 also observes the slot write above.
-    size_.store(i + 1, std::memory_order_release);
+    const std::uint64_t i = head_.load(std::memory_order_relaxed);
+    Slot &slot = slots_[i & kSlotMask];
+    // Odd stamp first; each field store is a release, so a reader
+    // that acquires any new field value also sees this stamp and
+    // rejects the slot. The release on the name also publishes the
+    // bytes of an internedName() string minted on this thread.
+    constexpr auto release = std::memory_order_release;
+    std::atomic_ref(slot.stamp).store(2 * i + 1, std::memory_order_relaxed);
+    std::atomic_ref(slot.name).store(event.name, release);
+    std::atomic_ref(slot.argKey).store(event.argKey, release);
+    std::atomic_ref(slot.argValue).store(event.argValue, release);
+    std::atomic_ref(slot.startNs).store(event.startNs, release);
+    std::atomic_ref(slot.durNs).store(event.durNs, release);
+    std::atomic_ref(slot.traceHi).store(event.traceHi, release);
+    std::atomic_ref(slot.traceLo).store(event.traceLo, release);
+    std::atomic_ref(slot.stamp).store(2 * i + 2, release);
+    head_.store(i + 1, std::memory_order_release);
+}
+
+bool
+SpanBuffer::read(std::uint64_t index, SpanEvent &out) const
+{
+    Slot &slot = slots_[index & kSlotMask];
+    constexpr auto acquire = std::memory_order_acquire;
+    const std::uint64_t whole = 2 * index + 2;
+    if (std::atomic_ref(slot.stamp).load(acquire) != whole)
+        return false;
+    out.name = std::atomic_ref(slot.name).load(acquire);
+    out.argKey = std::atomic_ref(slot.argKey).load(acquire);
+    out.argValue = std::atomic_ref(slot.argValue).load(acquire);
+    out.startNs = std::atomic_ref(slot.startNs).load(acquire);
+    out.durNs = std::atomic_ref(slot.durNs).load(acquire);
+    out.traceHi = std::atomic_ref(slot.traceHi).load(acquire);
+    out.traceLo = std::atomic_ref(slot.traceLo).load(acquire);
+    // The acquire field loads keep this load after them: a field
+    // taken from a later write makes the stamp differ here.
+    return std::atomic_ref(slot.stamp).load(std::memory_order_relaxed) ==
+           whole;
 }
 
 namespace detail
@@ -78,12 +104,17 @@ std::atomic<bool> g_spansEnabled{false};
 SpanBuffer &
 threadBuffer()
 {
-    thread_local std::shared_ptr<SpanBuffer> t_buffer;
-    if (!t_buffer) {
-        t_buffer = std::make_shared<SpanBuffer>(
-            currentThreadId(), currentThreadName(), kSpanCapacity);
-        MutexLock lock(registryMutex());
-        registry().push_back(t_buffer);
+    thread_local SpanBuffer *t_buffer = nullptr;
+    if (t_buffer == nullptr) {
+        auto *buffer =
+            new SpanBuffer(currentThreadId(), currentThreadName());
+        buffer->next_ = g_firstBuffer.load(std::memory_order_relaxed);
+        // Release: a walker that sees the buffer sees its fields.
+        while (!g_firstBuffer.compare_exchange_weak(
+            buffer->next_, buffer, std::memory_order_release,
+            std::memory_order_relaxed)) {
+        }
+        t_buffer = buffer;
     }
     return *t_buffer;
 }
@@ -100,7 +131,7 @@ setSpansEnabled(bool enabled)
 const char *
 internedName(std::string_view name)
 {
-    MutexLock lock(registryMutex());
+    MutexLock lock(internMutex());
     std::deque<std::string> &table = internTable();
     for (const std::string &entry : table) {
         if (entry == name)
@@ -110,29 +141,10 @@ internedName(std::string_view name)
     return table.back().c_str();
 }
 
-std::vector<std::shared_ptr<SpanBuffer>>
-spanBuffers()
+const SpanBuffer *
+firstSpanBuffer()
 {
-    MutexLock lock(registryMutex());
-    return registry();
-}
-
-std::size_t
-publishedSpanCount()
-{
-    std::size_t total = 0;
-    for (const auto &buffer : spanBuffers())
-        total += buffer->published();
-    return total;
-}
-
-std::uint64_t
-droppedSpanCount()
-{
-    std::uint64_t total = 0;
-    for (const auto &buffer : spanBuffers())
-        total += buffer->dropped();
-    return total;
+    return g_firstBuffer.load(std::memory_order_acquire);
 }
 
 } // namespace lag::obs

@@ -15,17 +15,27 @@
  *    near-zero-cost mode every production run pays.
  *
  *  - **Enabled** (`--self-trace`, obs::setSpansEnabled): each thread
- *    appends to its own fixed-capacity buffer with a release store
- *    of the published count — no lock, no CAS, no sharing. Drainers
- *    (the Chrome-trace exporter, tests) read the count with acquire
- *    and the entries below it; the release/acquire pair makes the
- *    entries visible without ever pausing the recording thread.
- *    A full buffer drops further spans and counts the drops — the
- *    recorder never blocks and never reallocates.
+ *    writes its own ring of kSpanCapacity one-cache-line slots,
+ *    overwriting the oldest span once the ring is full — no lock, no
+ *    CAS, no sharing, never a block or a reallocation. A thread's
+ *    ring is the only place its spans are stored: the Chrome-trace
+ *    export, the per-request span trees and the flight recorder's
+ *    live view and crash dump all read it through forEachSpan().
  *
- * Buffers register themselves (under LockRank::Obs) on a thread's
- * first span and are kept alive by shared ownership past thread
- * exit, so an at-exit export still sees every worker's spans.
+ * Every slot field is read and written atomically, and each slot
+ * carries a sequence stamp (a seqlock): the owner marks the slot
+ * odd, stores the fields with release, then stamps it with its write
+ * index. A reader loads the stamp (acquire), the fields (acquire)
+ * and the stamp again, and skips the slot unless both stamps name
+ * the index it expected — so a slot its owner is rewriting is
+ * skipped, never read torn, and the walk is race-free under TSan
+ * while the owner keeps recording.
+ *
+ * Buffers sit on a push-only list that is never freed: a thread's
+ * first span maps its ring and links it in with a CAS, and the ring
+ * outlives the thread, so an at-exit export still sees every
+ * worker's spans. Walking the list and the slots takes no lock and
+ * allocates nothing, so a fatal-signal handler can do it.
  *
  * Span names must be pointers of static lifetime: string literals,
  * or dynamic names pinned once via internedName(). Timestamps come
@@ -35,18 +45,35 @@
 #ifndef LAG_OBS_SPAN_HH
 #define LAG_OBS_SPAN_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "trace_context.hh"
 #include "util/thread_name.hh"
 
 namespace lag::obs
 {
+
+/** Spans one thread's ring holds (up to 4 MiB of slots, committed
+ * as the ring fills); the oldest span is overwritten by each span
+ * past this. */
+inline constexpr std::size_t kSpanCapacity = std::size_t{1} << 16;
+
+class SpanBuffer;
+
+namespace detail
+{
+
+extern std::atomic<bool> g_spansEnabled;
+
+/** The calling thread's buffer, created and linked into the buffer
+ * list on first use (name/tid snapshotted from util/thread_name). */
+SpanBuffer &threadBuffer();
+
+} // namespace detail
 
 /** One recorded span (or instant, when durNs == 0 is meaningful). */
 struct SpanEvent
@@ -64,56 +91,93 @@ struct SpanEvent
 };
 
 /**
- * One thread's span storage: a fixed slot array written only by the
- * owning thread, published entry-by-entry through an atomic count.
+ * One thread's span ring: written only by the owning thread, read by
+ * any thread (or signal handler) through forEach().
  */
 class SpanBuffer
 {
   public:
-    SpanBuffer(std::uint32_t tid, std::string threadName,
-               std::size_t capacity);
+    SpanBuffer(std::uint32_t tid, std::string threadName);
 
     SpanBuffer(const SpanBuffer &) = delete;
     SpanBuffer &operator=(const SpanBuffer &) = delete;
 
-    /** Owner thread only: publish @p event (or count a drop). */
+    /** Owner thread only: store @p event over the oldest slot. */
     void append(const SpanEvent &event);
 
-    /** Any thread: entries published so far (acquire). Entries with
-     * index < published() are safe to read concurrently. */
-    std::size_t published() const
+    /**
+     * Any thread: call @p fn(const SpanEvent &) for each of the
+     * newest @p newest spans still in the ring, oldest first. A slot
+     * being rewritten meanwhile is skipped. Allocation-free and
+     * lock-free, so safe in a signal handler.
+     */
+    template <typename Fn>
+    void forEach(Fn &&fn, std::size_t newest = kSpanCapacity) const
     {
-        return size_.load(std::memory_order_acquire);
+        const std::uint64_t end = recorded();
+        const std::uint64_t count =
+            std::min<std::uint64_t>({end, newest, kSpanCapacity});
+        SpanEvent event;
+        for (std::uint64_t i = end - count; i < end; ++i) {
+            if (read(i, event))
+                fn(event);
+        }
     }
 
-    const SpanEvent &at(std::size_t i) const { return slots_[i]; }
-
-    std::uint64_t dropped() const
+    /** Spans this thread has recorded in its lifetime. */
+    std::uint64_t recorded() const
     {
-        return dropped_.load(std::memory_order_relaxed);
+        return head_.load(std::memory_order_acquire);
+    }
+
+    /** Spans lost to wrap-around (recorded minus capacity). */
+    std::uint64_t overwritten() const
+    {
+        const std::uint64_t n = recorded();
+        return n > kSpanCapacity ? n - kSpanCapacity : 0;
     }
 
     std::uint32_t tid() const { return tid_; }
     const std::string &threadName() const { return threadName_; }
 
+    /** The buffer registered before this one; nullptr at the end
+     * of the list firstSpanBuffer() starts. */
+    const SpanBuffer *next() const { return next_; }
+
   private:
-    std::vector<SpanEvent> slots_;
-    std::atomic<std::size_t> size_{0};
-    std::atomic<std::uint64_t> dropped_{0};
+    /** One cache line; see the file comment for the stamp protocol.
+     * A slot written as index i is stamped 2i+1 while its fields
+     * change and 2i+2 once they are whole. The fields are plain so
+     * a ring can be fresh zero pages that no constructor touches;
+     * every access goes through std::atomic_ref. */
+    struct alignas(64) Slot
+    {
+        std::uint64_t stamp;
+        const char *name;
+        const char *argKey;
+        std::uint64_t argValue;
+        std::int64_t startNs;
+        std::int64_t durNs;
+        std::uint64_t traceHi;
+        std::uint64_t traceLo;
+    };
+    static_assert(sizeof(Slot) == 64, "one slot, one cache line");
+    static_assert(std::atomic_ref<std::uint64_t>::is_always_lock_free &&
+                      std::atomic_ref<const char *>::is_always_lock_free,
+                  "signal handlers read the slots");
+
+    /** Copy write @p index into @p out; false when that slot has
+     * been (or is being) overwritten by a later write. */
+    bool read(std::uint64_t index, SpanEvent &out) const;
+
+    friend SpanBuffer &detail::threadBuffer();
+
+    Slot *slots_; ///< kSpanCapacity slots, mapped once, never freed
+    std::atomic<std::uint64_t> head_{0};
     std::uint32_t tid_;
     std::string threadName_;
+    const SpanBuffer *next_ = nullptr;
 };
-
-namespace detail
-{
-
-extern std::atomic<bool> g_spansEnabled;
-
-/** The calling thread's buffer, created and registered on first
- * use (name/tid snapshotted from util/thread_name). */
-SpanBuffer &threadBuffer();
-
-} // namespace detail
 
 /** Flip span recording; metrics counters are unaffected (always
  * on). Enabled by obs::install when --self-trace was given. */
@@ -133,17 +197,26 @@ spansEnabled()
  */
 const char *internedName(std::string_view name);
 
+/** The most recently linked buffer; follow SpanBuffer::next() for
+ * the rest. Lock-free and signal-safe. */
+const SpanBuffer *firstSpanBuffer();
+
 /**
- * Stable snapshot handles of every registered buffer. Buffers are
- * append-only; a drainer walks [0, published()) of each.
+ * The one span walk: call @p fn(const SpanBuffer &, const SpanEvent &)
+ * for each thread's newest @p newest spans (SpanBuffer::forEach).
+ * Allocation-free and lock-free, so a signal handler may call it.
  */
-std::vector<std::shared_ptr<SpanBuffer>> spanBuffers();
-
-/** Total spans published across all buffers (tests, export log). */
-std::size_t publishedSpanCount();
-
-/** Total spans dropped to full buffers across all threads. */
-std::uint64_t droppedSpanCount();
+template <typename Fn>
+void
+forEachSpan(Fn &&fn, std::size_t newest = kSpanCapacity)
+{
+    for (const SpanBuffer *buffer = firstSpanBuffer();
+         buffer != nullptr; buffer = buffer->next()) {
+        buffer->forEach(
+            [&](const SpanEvent &event) { fn(*buffer, event); },
+            newest);
+    }
+}
 
 /** RAII region timer behind LAG_SPAN; see the file comment. */
 class Span

@@ -113,9 +113,7 @@ main(int argc, char **argv)
         if (arg == "--quick") {
             quick = true;
             if (i + 1 < argc && argv[i + 1][0] != '-')
-                quick_seconds = std::atoi(argv[++i]);
-            if (quick_seconds <= 0)
-                fatal("--quick needs a positive session length");
+                quick_seconds = app::parseIntValue(arg, argv[++i], 1);
         } else if (arg == "--cache-dir") {
             if (i + 1 >= argc)
                 fatal("--cache-dir needs a path");
@@ -131,14 +129,10 @@ main(int argc, char **argv)
         } else if (arg == "--slow-request-ms") {
             if (i + 1 >= argc)
                 fatal("--slow-request-ms needs a value");
-            slow_request_ms = std::atoi(argv[++i]);
-            if (slow_request_ms < 0)
-                fatal("--slow-request-ms must be >= 0");
+            slow_request_ms = app::parseIntValue(arg, argv[++i], 0);
         } else if (arg.rfind("--slow-request-ms=", 0) == 0) {
-            slow_request_ms =
-                std::atoi(std::string(arg.substr(18)).c_str());
-            if (slow_request_ms < 0)
-                fatal("--slow-request-ms must be >= 0");
+            slow_request_ms = app::parseIntValue(
+                "--slow-request-ms", arg.substr(18), 0);
         } else if (arg == "--follow") {
             if (i + 1 >= argc)
                 fatal("--follow needs a directory");
@@ -148,24 +142,17 @@ main(int argc, char **argv)
         } else if (arg == "--epoch-ms") {
             if (i + 1 >= argc)
                 fatal("--epoch-ms needs a value");
-            epoch_ms = std::atoi(argv[++i]);
-            if (epoch_ms <= 0)
-                fatal("--epoch-ms must be > 0");
+            epoch_ms = app::parseIntValue(arg, argv[++i], 1);
         } else if (arg.rfind("--epoch-ms=", 0) == 0) {
-            epoch_ms = std::atoi(std::string(arg.substr(11)).c_str());
-            if (epoch_ms <= 0)
-                fatal("--epoch-ms must be > 0");
+            epoch_ms =
+                app::parseIntValue("--epoch-ms", arg.substr(11), 1);
         } else if (arg == "--watchdog-ms") {
             if (i + 1 >= argc)
                 fatal("--watchdog-ms needs a value");
-            watchdog_ms = std::atoi(argv[++i]);
-            if (watchdog_ms < 0)
-                fatal("--watchdog-ms must be >= 0");
+            watchdog_ms = app::parseIntValue(arg, argv[++i], 0);
         } else if (arg.rfind("--watchdog-ms=", 0) == 0) {
             watchdog_ms =
-                std::atoi(std::string(arg.substr(14)).c_str());
-            if (watchdog_ms < 0)
-                fatal("--watchdog-ms must be >= 0");
+                app::parseIntValue("--watchdog-ms", arg.substr(14), 0);
         } else {
             fatal("lagd: unknown argument '", arg, "'");
         }

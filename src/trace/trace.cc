@@ -9,13 +9,19 @@ namespace lag::trace
 StringTable::StringTable()
 {
     strings_.emplace_back();
-    index_.emplace("", 0);
 }
 
 SymbolId
 StringTable::intern(std::string_view s)
 {
-    const auto it = index_.find(std::string(s));
+    if (index_.empty()) {
+        // First intern: index every string, keeping the first id of
+        // a string a deserialized list holds twice.
+        index_.reserve(strings_.size());
+        for (SymbolId id = 0; id < strings_.size(); ++id)
+            index_.emplace(strings_[id], id);
+    }
+    const auto it = index_.find(s);
     if (it != index_.end())
         return it->second;
     const auto id = static_cast<SymbolId>(strings_.size());
@@ -42,9 +48,6 @@ StringTable::fromList(std::vector<std::string> strings)
         throw TraceError("string table must start with the empty string");
     StringTable table;
     table.strings_ = std::move(strings);
-    table.index_.clear();
-    for (SymbolId id = 0; id < table.strings_.size(); ++id)
-        table.index_.emplace(table.strings_[id], id);
     return table;
 }
 

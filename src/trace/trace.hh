@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -96,8 +97,23 @@ class StringTable
     static StringTable fromList(std::vector<std::string> strings);
 
   private:
+    /** Hashes std::string and std::string_view alike, so intern()
+     * looks a key up without building a string. */
+    struct KeyHash
+    {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view s) const noexcept
+        {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+
     std::vector<std::string> strings_;
-    std::unordered_map<std::string, SymbolId> index_;
+    /** String -> first id holding it. Built by the first intern(),
+     * so a decoded table that is only looked up never pays for it
+     * (nor do its copies). */
+    std::unordered_map<std::string, SymbolId, KeyHash, std::equal_to<>>
+        index_;
 };
 
 /** Trace-level interval kinds (Table I, minus Dispatch and GC which

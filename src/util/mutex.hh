@@ -69,9 +69,6 @@ enum class LockRank : int
      * returned, so it never nests around a pool lock. */
     ForkJoin = 500,
 
-    /** ResultCache statistics (engine/result_cache). */
-    ResultCache = 400,
-
     /** Simulation-kernel global counters (sim/event_queue). */
     SimStats = 300,
 
@@ -86,11 +83,11 @@ enum class LockRank : int
     PoolInjector = 110,
 
     /**
-     * Observability bookkeeping (src/obs): span-buffer registry,
-     * metric registry, name-intern table. Below every engine rank
-     * because instrumented code may register a metric or a span
-     * buffer while holding pool locks; span *recording* itself is
-     * lock-free and takes no rank at all.
+     * Observability bookkeeping (src/obs): metric registry,
+     * span-name intern table, flight-recorder request ring. Below
+     * every engine rank because instrumented code may register a
+     * metric while holding pool locks; span recording and the span
+     * rings' list are lock-free and take no rank at all.
      */
     Obs = 50,
 

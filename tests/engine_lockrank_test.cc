@@ -16,6 +16,7 @@
 
 #include "engine/pool.hh"
 #include "engine/result_cache.hh"
+#include "obs/metrics.hh"
 #include "scratch_dir.hh"
 #include "util/logging.hh"
 #include "util/mutex.hh"
@@ -99,7 +100,7 @@ TEST(LockRank, TryLockParticipates)
 TEST(LockRank, StudyPipelineRunsCleanUnderChecker)
 {
     // Drive every engine lock from worker threads: parallelFor's
-    // join and the pool locks, result-cache counters, client locks
+    // join and the pool locks, result-cache loads, client locks
     // inside the body and the logging leaf rank. Any rank inversion
     // would abort the process, so completing is the assertion; the
     // explicit checks document the outputs.
@@ -108,6 +109,8 @@ TEST(LockRank, StudyPipelineRunsCleanUnderChecker)
 
     engine::ThreadPool pool(4);
     Mutex stageMutex(LockRank::Client, "stage-state");
+    const obs::Counter &misses = obs::metrics().counter("cache.miss");
+    const std::uint64_t misses_before = misses.value();
     std::vector<std::uint64_t> touched(3 * 4, 0);
 
     engine::parallelFor(pool, touched.size(), [&](std::size_t k) {
@@ -125,7 +128,7 @@ TEST(LockRank, StudyPipelineRunsCleanUnderChecker)
 
     for (const std::uint64_t count : touched)
         EXPECT_EQ(count, 1u);
-    EXPECT_EQ(cache.stats().misses, 12u);
+    EXPECT_EQ(misses.value() - misses_before, 12u);
     EXPECT_EQ(detail::lockRankHeldDepth(), 0);
 }
 

@@ -3,8 +3,9 @@
  * Flight-recorder tests: configure-once semantics, the bounded
  * request/event rings (wrap, most-recent-first reads), live JSON
  * and crash-dump output both passing the strict flightrec shape
- * checker, the /debugz/requests trace filter, and the per-request
- * span tree (containment nesting across scopes).
+ * checker and showing each thread's newest spans, the
+ * /debugz/requests trace filter, and the per-request span tree
+ * (containment nesting across scopes).
  *
  * The recorder is a process-wide singleton configured on first call,
  * so every test funnels through configuredRecorder() — whichever
@@ -18,6 +19,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/flightrec.hh"
@@ -40,7 +42,6 @@ obs::FlightRecorder &
 configuredRecorder()
 {
     obs::FlightRecorderOptions options;
-    options.spanCapacity = 64;
     options.eventCapacity = 8;
     options.requestCapacity = 4;
     options.dumpPath = kDumpPath;
@@ -201,6 +202,50 @@ TEST(Flightrec, SpansReachTheRingEvenWithoutContext)
     EXPECT_NE(live.find("test.flightrec.ringfeed"),
               std::string::npos)
         << live;
+}
+
+/** Occurrences of @p needle in @p text. */
+std::size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    std::size_t count = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        ++count;
+    return count;
+}
+
+TEST(Flightrec, LiveJsonAndCrashDumpShowEachThreadsNewestSpans)
+{
+    obs::FlightRecorder &rec = configuredRecorder();
+    const SpansOn on;
+    std::thread recorder([] {
+        for (int i = 0; i < 10; ++i) {
+            LAG_SPAN("test.flightrec.older");
+        }
+        for (std::size_t i = 0; i < obs::FlightRecorder::kSpansPerThread;
+             ++i) {
+            LAG_SPAN("test.flightrec.newest");
+        }
+    });
+    recorder.join();
+
+    const std::string live = rec.liveJson();
+    EXPECT_TRUE(obs::checkFlightrec(live).ok);
+    EXPECT_EQ(countOf(live, "test.flightrec.newest"),
+              obs::FlightRecorder::kSpansPerThread);
+    EXPECT_EQ(countOf(live, "test.flightrec.older"), 0u);
+
+    ASSERT_TRUE(rec.dumpToPath(0));
+    std::ifstream in(rec.dumpPath(), std::ios::binary);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    const std::string dump = buffer.str();
+    std::remove(rec.dumpPath());
+    EXPECT_TRUE(obs::checkFlightrec(dump).ok);
+    EXPECT_EQ(countOf(dump, "test.flightrec.newest"),
+              obs::FlightRecorder::kSpansPerThread);
+    EXPECT_EQ(countOf(dump, "test.flightrec.older"), 0u);
 }
 
 TEST(Flightrec, DumpToPathWritesValidCrashDump)

@@ -3,57 +3,71 @@
  * Span recorder tests: the disabled path records nothing, the
  * enabled path publishes name/arg/duration, concurrent recording
  * and draining is race-free (this file carries the `engine` label
- * so the TSan leg covers it), buffer overflow counts drops instead
- * of blocking, and the Chrome-trace export of real recorded spans
- * passes the strict JSON + trace-shape checker.
+ * so the TSan leg covers it), a full ring overwrites its oldest
+ * spans instead of blocking or dropping new ones, a walk racing a
+ * wrapping ring reads only whole spans, and the Chrome-trace export
+ * of real recorded spans passes the strict JSON + trace-shape
+ * checker.
  *
- * Span buffers are process-global and append-only, so tests count
- * only their own uniquely-named spans and never assume the buffers
- * start empty.
+ * Span rings are process-global, so tests count only their own
+ * uniquely-named spans and never assume the rings start empty.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "obs/chrome_trace.hh"
+#include "obs/flightrec.hh"
 #include "obs/json_check.hh"
 #include "obs/span.hh"
+#include "obs/trace_context.hh"
 
 namespace
 {
 
 using namespace lag;
 
-/** Published spans named @p name, across every thread's buffer. */
+/** Spans named @p name still in any thread's ring. */
 std::size_t
 countSpans(std::string_view name)
 {
     std::size_t count = 0;
-    for (const auto &buffer : obs::spanBuffers()) {
-        const std::size_t published = buffer->published();
-        for (std::size_t i = 0; i < published; ++i) {
-            if (buffer->at(i).name == name)
-                ++count;
-        }
-    }
+    obs::forEachSpan([&](const obs::SpanBuffer &,
+                         const obs::SpanEvent &event) {
+        if (event.name == name)
+            ++count;
+    });
     return count;
 }
 
-/** First published span named @p name, or nullptr. */
-const obs::SpanEvent *
+/** A copy of the first span named @p name, if any ring holds one. */
+std::optional<obs::SpanEvent>
 findSpan(std::string_view name)
 {
-    for (const auto &buffer : obs::spanBuffers()) {
-        const std::size_t published = buffer->published();
-        for (std::size_t i = 0; i < published; ++i) {
-            if (buffer->at(i).name == name)
-                return &buffer->at(i);
-        }
+    std::optional<obs::SpanEvent> found;
+    obs::forEachSpan([&](const obs::SpanBuffer &,
+                         const obs::SpanEvent &event) {
+        if (!found && event.name == name)
+            found = event;
+    });
+    return found;
+}
+
+/** The ring of the thread with id @p tid. */
+const obs::SpanBuffer *
+bufferOf(std::uint32_t tid)
+{
+    for (const obs::SpanBuffer *buffer = obs::firstSpanBuffer();
+         buffer != nullptr; buffer = buffer->next()) {
+        if (buffer->tid() == tid)
+            return buffer;
     }
     return nullptr;
 }
@@ -80,8 +94,9 @@ TEST(ObsSpan, EnabledPublishesNameArgAndDuration)
     {
         LAG_SPAN_ARG("test.span.basic", "bytes", 42);
     }
-    const obs::SpanEvent *event = findSpan("test.span.basic");
-    ASSERT_NE(event, nullptr);
+    const std::optional<obs::SpanEvent> event =
+        findSpan("test.span.basic");
+    ASSERT_TRUE(event.has_value());
     EXPECT_STREQ(event->argKey, "bytes");
     EXPECT_EQ(event->argValue, 42u);
     EXPECT_GE(event->durNs, 0);
@@ -104,20 +119,17 @@ TEST(ObsSpan, ConcurrentRecordAndDrain)
     const SpansOn on;
 
     std::atomic<bool> stop{false};
-    // Drainer: continuously walk published entries while writers
-    // record — the acquire/release pair must make this race-free
-    // (the TSan engine leg proves it).
+    // Drainer: continuously walk the rings while writers record —
+    // the stamped slots must make this race-free (the TSan engine
+    // leg proves it).
     std::thread drainer([&stop] {
         std::size_t seen = 0;
         while (!stop.load(std::memory_order_relaxed)) {
-            for (const auto &buffer : obs::spanBuffers()) {
-                const std::size_t published = buffer->published();
-                for (std::size_t i = 0; i < published; ++i) {
-                    const obs::SpanEvent &event = buffer->at(i);
-                    if (event.name != nullptr && event.durNs >= 0)
-                        ++seen;
-                }
-            }
+            obs::forEachSpan([&](const obs::SpanBuffer &,
+                                 const obs::SpanEvent &event) {
+                if (event.name != nullptr && event.durNs >= 0)
+                    ++seen;
+            });
         }
         EXPECT_GT(seen, 0u);
     });
@@ -136,8 +148,8 @@ TEST(ObsSpan, ConcurrentRecordAndDrain)
     stop.store(true, std::memory_order_relaxed);
     drainer.join();
 
-    // Each writer thread owns a fresh, far-from-full buffer: no
-    // drops, so every span must be visible after the joins.
+    // Each writer thread owns a fresh ring that never wraps, so
+    // every span must be visible after the joins.
     EXPECT_EQ(countSpans("test.span.concurrent"),
               static_cast<std::size_t>(kWriters) * kSpansPerWriter);
 }
@@ -168,20 +180,112 @@ TEST(ObsSpan, ChromeTraceExportIsValid)
     EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
 }
 
-TEST(ObsSpan, FullBufferCountsDropsWithoutBlocking)
+TEST(ObsSpan, FullRingKeepsTheNewestSpans)
 {
     const SpansOn on;
-    const std::uint64_t dropped_before = obs::droppedSpanCount();
-    // A fresh thread gets a fresh fixed-capacity buffer; overrun it.
-    std::thread flooder([] {
-        for (int i = 0; i < (1 << 16) + 64; ++i) {
-            LAG_SPAN("test.span.flood");
+    const obs::TraceContext ctx = obs::mintTraceContext();
+    constexpr std::size_t kFlood = obs::kSpanCapacity + 64;
+    std::uint32_t tid = 0;
+    // A fresh thread gets a fresh ring: wrap it, then record one
+    // span under a request context, as a long-lived worker would.
+    std::thread flooder([&] {
+        tid = currentThreadId();
+        for (std::size_t i = 0; i < kFlood; ++i) {
+            LAG_SPAN_ARG("test.span.flood", "i", i);
         }
+        obs::TraceContextScope scope(ctx);
+        LAG_SPAN("test.span.after-flood");
     });
     flooder.join();
-    EXPECT_GT(obs::droppedSpanCount(), dropped_before);
-    // The flood published up to capacity and dropped the rest.
-    EXPECT_GE(countSpans("test.span.flood"), 1u);
+
+    const std::string tree = obs::spanTreeJson(ctx);
+    EXPECT_NE(tree.find("test.span.after-flood"), std::string::npos)
+        << tree;
+
+    // The ring holds exactly the newest kSpanCapacity spans: the
+    // first 65 flood spans (64 + room for the last one) are gone.
+    const obs::SpanBuffer *buffer = bufferOf(tid);
+    ASSERT_NE(buffer, nullptr);
+    EXPECT_EQ(buffer->recorded(), kFlood + 1);
+    EXPECT_EQ(buffer->overwritten(), 65u);
+    std::uint64_t oldest = kFlood;
+    std::size_t floods = 0;
+    buffer->forEach([&](const obs::SpanEvent &event) {
+        if (std::string_view(event.name) != "test.span.flood")
+            return;
+        ++floods;
+        oldest = std::min(oldest, event.argValue);
+    });
+    EXPECT_EQ(floods, obs::kSpanCapacity - 1);
+    EXPECT_EQ(oldest, 65u);
+}
+
+/** Names and arg keys of the wrap test's two span kinds: a torn read
+ * would pair a name with the other kind's key or trace. */
+constexpr const char *kWrapA = "test.span.wrap-a";
+constexpr const char *kWrapB = "test.span.wrap-b";
+
+TEST(ObsSpan, WalksRacingAWrappingRingReadWholeSpans)
+{
+    const SpansOn on;
+    const obs::TraceContext ctx_a = obs::mintTraceContext();
+    const obs::TraceContext ctx_b = obs::mintTraceContext();
+    std::atomic<std::uint64_t> written{0};
+    std::atomic<bool> readerDone{false};
+
+    // Writer: alternate the two kinds until the ring has wrapped
+    // twice and the reader has finished its walks.
+    std::thread writer([&] {
+        for (std::uint64_t i = 0;
+             i < 2 * obs::kSpanCapacity ||
+             !readerDone.load(std::memory_order_relaxed);
+             ++i) {
+            const bool a = i % 2 == 0;
+            obs::TraceContextScope scope(a ? ctx_a : ctx_b);
+            obs::Span span(a ? kWrapA : kWrapB, a ? "a" : "b", i);
+            written.store(i + 1, std::memory_order_relaxed);
+        }
+    });
+
+    // Reader: start once the ring is about to wrap, then export
+    // while the writer keeps overwriting.
+    while (written.load(std::memory_order_relaxed) <
+           obs::kSpanCapacity - 1024)
+        std::this_thread::yield();
+    std::size_t chrome_spans = 0;
+    std::size_t tree_spans = 0;
+    for (int round = 0; round < 3; ++round) {
+        std::istringstream lines(obs::chromeTraceJson());
+        for (std::string line; std::getline(lines, line);) {
+            const bool is_a = line.find(kWrapA) != std::string::npos;
+            const bool is_b = line.find(kWrapB) != std::string::npos;
+            if (!is_a && !is_b)
+                continue;
+            ++chrome_spans;
+            EXPECT_EQ(line.find("\"dur\":-"), std::string::npos)
+                << line;
+            EXPECT_NE(line.find(is_a ? "{\"a\":" : "{\"b\":"),
+                      std::string::npos)
+                << line;
+            EXPECT_NE(line.find(obs::traceIdHex(is_a ? ctx_a : ctx_b)),
+                      std::string::npos)
+                << line;
+        }
+        const std::string tree = obs::spanTreeJson(ctx_a);
+        EXPECT_TRUE(obs::checkJson(tree).ok);
+        std::size_t at = 0;
+        while ((at = tree.find("{\"name\": ", at)) != std::string::npos) {
+            at += 9;
+            ++tree_spans;
+            EXPECT_EQ(tree.compare(at, 18, "\"test.span.wrap-a\""), 0)
+                << tree.substr(at, 40);
+        }
+        EXPECT_EQ(tree.find("\"dur_ns\": -"), std::string::npos);
+    }
+    readerDone.store(true, std::memory_order_relaxed);
+    writer.join();
+    EXPECT_GT(chrome_spans, 0u);
+    EXPECT_GT(tree_spans, 0u);
 }
 
 } // namespace

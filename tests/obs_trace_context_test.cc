@@ -6,13 +6,14 @@
  * submits, parallelFor) so spans recorded on pool workers carry the
  * submitting request's id all the way into the Chrome-trace export.
  *
- * Span buffers are process-global and append-only, so tests use
- * uniquely named spans and never assume the buffers start empty.
+ * Span rings are process-global, so tests use uniquely named spans
+ * and never assume the rings start empty.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -35,18 +36,17 @@ struct SpansOn
     ~SpansOn() { obs::setSpansEnabled(false); }
 };
 
-/** First published span named @p name, or nullptr. */
-const obs::SpanEvent *
+/** A copy of the first span named @p name, if any ring holds one. */
+std::optional<obs::SpanEvent>
 findSpan(std::string_view name)
 {
-    for (const auto &buffer : obs::spanBuffers()) {
-        const std::size_t published = buffer->published();
-        for (std::size_t i = 0; i < published; ++i) {
-            if (buffer->at(i).name == name)
-                return &buffer->at(i);
-        }
-    }
-    return nullptr;
+    std::optional<obs::SpanEvent> found;
+    obs::forEachSpan([&](const obs::SpanBuffer &,
+                         const obs::SpanEvent &event) {
+        if (!found && event.name == name)
+            found = event;
+    });
+    return found;
 }
 
 TEST(TraceContext, MintedIdsAreActiveAndUnique)
@@ -182,15 +182,15 @@ TEST(TraceContext, SpansStampTheActiveContext)
         LAG_SPAN("test.trace_context.unstamped");
     }
 
-    const obs::SpanEvent *stamped =
+    const std::optional<obs::SpanEvent> stamped =
         findSpan("test.trace_context.stamped");
-    ASSERT_NE(stamped, nullptr);
+    ASSERT_TRUE(stamped.has_value());
     EXPECT_EQ(stamped->traceHi, ctx.hi);
     EXPECT_EQ(stamped->traceLo, ctx.lo);
 
-    const obs::SpanEvent *unstamped =
+    const std::optional<obs::SpanEvent> unstamped =
         findSpan("test.trace_context.unstamped");
-    ASSERT_NE(unstamped, nullptr);
+    ASSERT_TRUE(unstamped.has_value());
     EXPECT_EQ(unstamped->traceHi, 0u);
     EXPECT_EQ(unstamped->traceLo, 0u);
 }

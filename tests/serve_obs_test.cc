@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -81,14 +82,15 @@ armRecorder()
  */
 struct ObsServer
 {
-    engine::ThreadPool pool{2};
+    engine::ThreadPool pool;
     HotStore store;
     obs::TraceContext loadTrace;
     HttpServer server;
 
     explicit ObsServer(const app::StudyConfig &config,
-                       ServerConfig server_config = {})
-        : store(config, pool),
+                       ServerConfig server_config = {},
+                       std::size_t workers = 2)
+        : pool(workers), store(config, pool),
           server(server_config, loadedRoutes(), pool)
     {
         server.start();
@@ -135,26 +137,18 @@ TEST(ServeObs, ColdLoadStampsEngineSpansWithTheRequestTrace)
     // stamped, and so must spans recorded on *other* threads — the
     // engine-pool workers the load fanned out to.
     bool load_span_stamped = false;
-    std::size_t stamped_buffers = 0;
-    for (const auto &buffer : obs::spanBuffers()) {
-        bool any = false;
-        const std::size_t published = buffer->published();
-        for (std::size_t i = 0; i < published; ++i) {
-            const obs::SpanEvent &event = buffer->at(i);
-            if (event.traceHi != ctx.hi ||
-                event.traceLo != ctx.lo)
-                continue;
-            any = true;
-            if (std::string_view(event.name) ==
-                "serve.store.load")
-                load_span_stamped = true;
-        }
-        if (any)
-            ++stamped_buffers;
-    }
+    std::set<std::uint32_t> stamped_threads;
+    obs::forEachSpan([&](const obs::SpanBuffer &buffer,
+                         const obs::SpanEvent &event) {
+        if (event.traceHi != ctx.hi || event.traceLo != ctx.lo)
+            return;
+        stamped_threads.insert(buffer.tid());
+        if (std::string_view(event.name) == "serve.store.load")
+            load_span_stamped = true;
+    });
     EXPECT_TRUE(load_span_stamped);
     // The loading thread plus at least one pool worker.
-    EXPECT_GE(stamped_buffers, 2u);
+    EXPECT_GE(stamped_threads.size(), 2u);
 
     // And the attribution survives into the Chrome-trace export:
     // multiple events carry the id as a "trace" arg.
@@ -297,6 +291,50 @@ TEST(ServeObs, TraceHeaderCorrelatesWithDebugRequests)
         obs::checkFlightrec(rec.body);
     EXPECT_TRUE(shape.ok)
         << shape.message << " at byte " << shape.errorOffset;
+}
+
+TEST(ServeObs, LatestRequestKeepsItsSpanTreeAfterTheWorkerRingWraps)
+{
+    armRecorder();
+    const SpansOn on;
+    const ScratchDir cache_dir("lagalyzer-cache-serve-obs-wrap");
+    ObsServer live(tinyStudy(cache_dir.path), {}, /*workers=*/1);
+
+    // The one worker records pool.idle, pool.task and serve.request
+    // for each request, so ~22k requests fill its 64 Ki-span ring.
+    // Keep going (bounded) until the worker's ring has wrapped.
+    const auto worker_ring_wrapped = [] {
+        bool wrapped = false;
+        obs::forEachSpan(
+            [&](const obs::SpanBuffer &buffer,
+                const obs::SpanEvent &event) {
+                if (std::string_view(event.name) == "serve.request" &&
+                    buffer.overwritten() > 0)
+                    wrapped = true;
+            },
+            /*newest=*/4);
+        return wrapped;
+    };
+    std::string trace;
+    int requests = 0;
+    while (requests < 22000 ||
+           (requests < 40000 &&
+            (requests % 500 != 0 || !worker_ring_wrapped()))) {
+        const ClientResult health = live.get("/healthz");
+        ASSERT_EQ(health.status, 200);
+        trace = std::string(health.header("x-lag-trace-id"));
+        ++requests;
+    }
+    ASSERT_TRUE(worker_ring_wrapped()) << requests << " requests";
+
+    // The newest request's tree still has its serve.request span.
+    const ClientResult tree =
+        live.get("/debugz/requests?trace=" + trace);
+    EXPECT_EQ(tree.status, 200);
+    EXPECT_TRUE(obs::checkJson(tree.body).ok) << tree.body;
+    EXPECT_NE(tree.body.find("\"name\": \"serve.request\""),
+              std::string::npos)
+        << tree.body;
 }
 
 TEST(ServeObs, SlowRequestsAreFlaggedInTheFlightRecorder)

@@ -210,8 +210,16 @@ TEST(StringTableTest, FromListValidatesHead)
 {
     EXPECT_THROW(StringTable::fromList({"not-empty"}), TraceError);
     EXPECT_THROW(StringTable::fromList({}), TraceError);
-    const StringTable table = StringTable::fromList({"", "a", "b"});
+    StringTable table = StringTable::fromList({"", "a", "b", "a"});
     EXPECT_EQ(table.lookup(2), "b");
+    // Interning into a decoded table finds what the list holds (the
+    // first id of a duplicate) and appends what it does not.
+    EXPECT_EQ(table.intern("a"), 1u);
+    EXPECT_EQ(table.intern(""), 0u);
+    EXPECT_EQ(table.intern("a-new-name-longer-than-sso"), 4u);
+    EXPECT_EQ(table.lookup(4), "a-new-name-longer-than-sso");
+    EXPECT_EQ(table.intern("a-new-name-longer-than-sso"), 4u);
+    EXPECT_EQ(table.size(), 5u);
 }
 
 TEST(TraceValidateTest, OutOfOrderEventsRejected)
