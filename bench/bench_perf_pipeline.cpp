@@ -19,12 +19,13 @@
  * More JSON lines quantify the zero-copy decode and the session
  * build: `decode_mb_per_s` (readTraceFile's mmap path, with
  * per-decode allocation counts and bytes), `session_build_ms`
- * (the one-pass flat build, with its allocations) and `ingest`
- * (live-ingest throughput and per-epoch cost), plus `obs_pipeline`
- * (pool steal
- * ratio, cache hit rate, queue-depth high-water mark from the
- * always-on metrics registry). `--smoke` prints only those lines
- * with few iterations — that mode backs the `perf` CTest label.
+ * (the one-pass flat build, with its allocations), `render` (the
+ * fixture's full /v1/patterns body: MB/s and allocations per
+ * render), `ingest` (live-ingest throughput and per-epoch cost),
+ * plus `obs_pipeline` (pool steal ratio, cache hit rate, queue-depth
+ * high-water mark from the always-on metrics registry). `--smoke`
+ * prints only those lines with few iterations — that mode backs the
+ * `perf` CTest label.
  */
 
 #include <benchmark/benchmark.h>
@@ -48,7 +49,9 @@
 #include "app/session_runner.hh"
 #include "app/study.hh"
 #include "study_util.hh"
+#include "core/aggregate.hh"
 #include "core/concurrency.hh"
+#include "core/figure_json.hh"
 #include "core/location.hh"
 #include "core/overview.hh"
 #include "core/pattern.hh"
@@ -387,6 +390,59 @@ reportSessionBuild(const Fixture &f, int iterations)
         "\"allocs\":%llu,\"alloc_bytes\":%llu}\n",
         ms, static_cast<unsigned long long>(allocs.count),
         static_cast<unsigned long long>(allocs.bytes));
+    std::fflush(stdout);
+}
+
+/**
+ * `/v1/patterns` render cost as one JSON line: the fixture session's
+ * full pattern list (mined, merged as a one-session app) rendered by
+ * core::patternsJson, with MB/s and heap allocations per render.
+ * The same render of the first half of the patterns reports
+ * `half_allocs`: the body is reserved once, so the count is a
+ * constant, not a function of the pattern count.
+ */
+void
+reportRender(const Fixture &f, int iterations)
+{
+    const core::PatternMiner miner(msToNs(100));
+    const core::MergedPatternSet merged =
+        core::mergePatternSets({miner.mine(f.session)});
+    core::MergedPatternSet half;
+    half.sessionCount = merged.sessionCount;
+    half.patterns.assign(
+        merged.patterns.begin(),
+        merged.patterns.begin() +
+            static_cast<std::ptrdiff_t>(merged.patterns.size() / 2));
+
+    const auto allocsPerRender = [&](const core::MergedPatternSet &set,
+                                     std::size_t &body_bytes) {
+        const AllocSnapshot start = allocNow();
+        for (int i = 0; i < iterations; ++i) {
+            const std::string body =
+                core::patternsJson("GanttProject", set, "episodes", 0);
+            body_bytes = body.size();
+            benchmark::DoNotOptimize(body.data());
+        }
+        return allocSince(start).count /
+               static_cast<std::uint64_t>(iterations);
+    };
+    std::size_t half_bytes = 0;
+    const std::uint64_t half_allocs = allocsPerRender(half, half_bytes);
+    std::size_t bytes = 0;
+    std::uint64_t allocs = 0;
+    const double ms = timedMs([&] {
+        allocs = allocsPerRender(merged, bytes);
+    }) / iterations;
+
+    const double mb = static_cast<double>(bytes) / (1024.0 * 1024.0);
+    std::printf("{\"bench\":\"render\",\"patterns\":%zu,"
+                "\"body_mb\":%.3f,\"render_ms\":%.3f,"
+                "\"render_mb_per_s\":%.1f,\"allocs\":%llu,"
+                "\"half_allocs\":%llu}\n",
+                merged.patterns.size(), mb, ms,
+                ms > 0.0 ? mb / (ms / 1000.0) : 0.0,
+                static_cast<unsigned long long>(allocs),
+                static_cast<unsigned long long>(half_allocs));
     std::fflush(stdout);
 }
 
@@ -791,6 +847,7 @@ main(int argc, char **argv)
         const Fixture &f = Fixture::get();
         reportDecodeThroughput(f, 3);
         reportSessionBuild(f, 3);
+        reportRender(f, 20);
         reportIngestThroughput(f, jobs, 16);
         reportQueryLatency(jobs, 40);
         reportObsMetrics();
@@ -806,6 +863,7 @@ main(int argc, char **argv)
     const Fixture &f = Fixture::get();
     reportDecodeThroughput(f, 10);
     reportSessionBuild(f, 10);
+    reportRender(f, 100);
     reportIngestThroughput(f, jobs, 64);
     reportQueryLatency(jobs, 200);
     reportObsMetrics();

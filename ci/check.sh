@@ -7,7 +7,8 @@
 # with --self-trace / --metrics-out, and strict-validates both files
 # with trace_check. The bench smokes are collected into a
 # schema-checked bench/BENCH_smoke.json artifact, the smoke decode
-# must stay under its allocation gate, and stages more
+# and the smoke /v1/patterns render must stay under their allocation
+# gates, and stages more
 # than 10 % slower than the newest committed BENCH_<n>.json are
 # printed (never fatal: numbers from different hosts do not
 # compare); the serve smoke
@@ -99,6 +100,26 @@ for line in open(sys.argv[1]):
         print(f"mapped_allocs {allocs} (gate {limit})")
         sys.exit(0 if allocs <= limit else 1)
 print("no decode_mb_per_s line in the smoke output", file=sys.stderr)
+sys.exit(1)
+PY
+
+echo "== render allocation gate (smoke render allocs <= 4 at any pattern count)"
+# patternsJson reserves its body once and appends every field into
+# it: a full /v1/patterns render takes 2 allocations (the sort order
+# and the body) for the fixture's patterns and for half of them.
+# A per-field temporary would make the count grow with the patterns.
+python3 - "$bench_art" <<'PY'
+import json
+import sys
+
+limit = 4
+for line in open(sys.argv[1]):
+    record = json.loads(line)
+    if record.get("bench") == "render":
+        allocs, half = record["allocs"], record["half_allocs"]
+        print(f"render allocs {allocs}, half_allocs {half} (gate {limit})")
+        sys.exit(0 if allocs <= limit and half <= limit else 1)
+print("no render line in the smoke output", file=sys.stderr)
 sys.exit(1)
 PY
 

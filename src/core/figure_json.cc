@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
-#include <cstdio>
 #include <numeric>
 
 #include "pattern.hh"
-#include "util/logging.hh"
+#include "util/json.hh"
 
 namespace lag::core
 {
@@ -15,11 +13,18 @@ namespace lag::core
 namespace
 {
 
-/** Small append-only JSON builder: keeps emission sites terse and
- * the comma discipline in one place. */
+/** Small append-only JSON builder over the util/json.hh writers:
+ * keeps emission sites terse and the comma discipline in one place.
+ * Every field appends straight into the one output string. */
 class JsonOut
 {
   public:
+    void
+    reserve(std::size_t bytes)
+    {
+        out_.reserve(bytes);
+    }
+
     void
     raw(std::string_view text)
     {
@@ -29,34 +34,44 @@ class JsonOut
     void
     str(std::string_view s)
     {
-        out_.push_back('"');
-        out_.append(jsonEscape(s));
-        out_.push_back('"');
+        appendJsonString(out_, s);
     }
 
+    /** @p name is one of the emitters' literal field names, which
+     * need no escapes. */
     void
     key(std::string_view name)
     {
-        str(name);
-        out_.push_back(':');
+        out_.push_back('"');
+        out_.append(name);
+        out_.append("\":");
+    }
+
+    /** A pattern key as a quoted patternKeyHex() string. */
+    void
+    hexKey(std::uint64_t key)
+    {
+        out_.push_back('"');
+        appendHex16(out_, key);
+        out_.push_back('"');
     }
 
     void
     num(double v)
     {
-        out_.append(jsonNumber(v));
+        appendJsonNumber(out_, v);
     }
 
     void
     num(std::uint64_t v)
     {
-        out_.append(std::to_string(v));
+        appendJsonNumber(out_, v);
     }
 
     void
     num(std::int64_t v)
     {
-        out_.append(std::to_string(v));
+        appendJsonNumber(out_, v);
     }
 
     void
@@ -175,60 +190,11 @@ perAppFigure(std::string_view id,
 } // namespace
 
 std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            out.append("\\\"");
-            break;
-        case '\\':
-            out.append("\\\\");
-            break;
-        case '\n':
-            out.append("\\n");
-            break;
-        case '\r':
-            out.append("\\r");
-            break;
-        case '\t':
-            out.append("\\t");
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out.append(buf);
-            } else {
-                out.push_back(c);
-            }
-            break;
-        }
-    }
-    return out;
-}
-
-std::string
-jsonNumber(double v)
-{
-    lag_assert(std::isfinite(v), "NaN/Inf cannot be emitted as JSON");
-    char buf[32];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    lag_assert(res.ec == std::errc(), "double to_chars failed");
-    return std::string(buf, res.ptr);
-}
-
-std::string
 patternKeyHex(std::uint64_t key)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(key));
-    return std::string(buf);
+    std::string out;
+    appendHex16(out, key);
+    return out;
 }
 
 bool
@@ -256,17 +222,28 @@ patternsJson(std::string_view app, const MergedPatternSet &set,
     if (!known)
         return std::string();
 
-    // Indices, not patterns, move: stable sort keeps the set's
-    // most-populous-first order on ties, so the output is
-    // deterministic for any input.
-    std::vector<std::size_t> order(set.patterns.size());
+    // Indices, not patterns, move. Ties keep the set's
+    // most-populous-first order (index ascending), so the order is
+    // the stable one and the output deterministic for any input;
+    // with that tie-break a `limit` only has to select its first
+    // `count` indices, not sort them all.
+    const std::size_t n = set.patterns.size();
+    const std::size_t count = limit > 0 && limit < n ? limit : n;
+    std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), std::size_t{0});
     const auto by = [&](auto get) {
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return get(set.patterns[a]) >
-                                    get(set.patterns[b]);
-                         });
+        const auto before = [&](std::size_t a, std::size_t b) {
+            const auto va = get(set.patterns[a]);
+            const auto vb = get(set.patterns[b]);
+            return va > vb || (va == vb && a < b);
+        };
+        if (count < n)
+            std::partial_sort(order.begin(),
+                              order.begin() +
+                                  static_cast<std::ptrdiff_t>(count),
+                              order.end(), before);
+        else
+            std::sort(order.begin(), order.end(), before);
     };
     if (sort == "total_lag")
         by([](const MergedPattern &p) { return p.totalLag; });
@@ -275,11 +252,18 @@ patternsJson(std::string_view app, const MergedPatternSet &set,
     else if (sort == "avg_lag")
         by([](const MergedPattern &p) { return p.avgLag(); });
 
-    std::size_t count = order.size();
-    if (limit > 0 && limit < count)
-        count = limit;
+    // One reserve for the whole body: per pattern, the most its
+    // other fields can render (keys and punctuation, 20 characters
+    // per number, the longest occurrence class) plus its signature.
+    // Only text that needs escapes can outgrow it.
+    constexpr std::size_t kPatternFieldsBound = 400;
+    std::size_t bytes = 128 + app.size() + sort.size();
+    for (std::size_t i = 0; i < count; ++i)
+        bytes += kPatternFieldsBound +
+                 set.patterns[order[i]].signature.size();
 
     JsonOut j;
+    j.reserve(bytes);
     j.raw("{");
     j.key("app");
     j.str(app);
@@ -301,7 +285,7 @@ patternsJson(std::string_view app, const MergedPatternSet &set,
             j.comma();
         j.raw("{");
         j.key("key");
-        j.str(patternKeyHex(p.key));
+        j.hexKey(p.key);
         j.comma();
         j.key("signature");
         j.str(p.signature);
@@ -381,7 +365,7 @@ episodesJson(std::string_view app, const MergedPattern &pattern,
     j.str(app);
     j.comma();
     j.key("key");
-    j.str(patternKeyHex(pattern.key));
+    j.hexKey(pattern.key);
     j.comma();
     j.key("signature");
     j.str(pattern.signature);

@@ -14,7 +14,9 @@
  * through std::to_chars shortest round-trip form (never NaN/Inf —
  * asserted), strings are escaped, and 64-bit pattern keys are
  * emitted as hex *strings* so JavaScript clients never round them
- * through a double.
+ * through a double. Each emitter appends every field straight into
+ * one output string through the util/json.hh writers; patternsJson()
+ * reserves its body once.
  */
 
 #ifndef LAG_CORE_FIGURE_JSON_HH
@@ -50,14 +52,6 @@ struct AppFigureData
     /** Session-averaged pattern CDF on the percent grid (0..100). */
     std::vector<double> cdfEpisodesAtPatternPercent;
 };
-
-/** Escape @p s for inclusion inside a JSON string literal (without
- * the surrounding quotes). */
-std::string jsonEscape(std::string_view s);
-
-/** Shortest round-trip decimal form of @p v; lag_asserts that @p v
- * is finite (NaN/Inf are not JSON). */
-std::string jsonNumber(double v);
 
 /** Pattern keys as fixed-width hex strings ("0x%016x" without the
  * prefix), the `pattern=` query-parameter form. */

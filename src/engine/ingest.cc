@@ -7,9 +7,9 @@
 #include <span>
 #include <utility>
 
-#include "core/figure_json.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/thread_name.hh"
 
@@ -43,14 +43,6 @@ ingestMetrics()
         obs::metrics().gauge("ingest.lag.ms"),
     };
     return metrics;
-}
-
-void
-appendJsonString(std::string &out, std::string_view value)
-{
-    out += '"';
-    out += core::jsonEscape(value);
-    out += '"';
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 
 #include "span.hh"
 #include "trace_context.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace lag::obs
@@ -24,43 +25,6 @@ appendMicros(std::string &out, std::int64_t ns)
 }
 
 } // namespace
-
-void
-appendJsonString(std::string &out, std::string_view text)
-{
-    out += '"';
-    for (const char ch : text) {
-        switch (ch) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(ch)));
-                out += buf;
-            } else {
-                out += ch;
-            }
-            break;
-        }
-    }
-    out += '"';
-}
 
 std::string
 chromeTraceJson()

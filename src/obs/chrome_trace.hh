@@ -19,14 +19,9 @@
 #define LAG_OBS_CHROME_TRACE_HH
 
 #include <string>
-#include <string_view>
 
 namespace lag::obs
 {
-
-/** Append @p text as a JSON string literal (quotes + escapes);
- * shared by the obs JSON writers. */
-void appendJsonString(std::string &out, std::string_view text);
 
 /** Render every span still in the rings as Chrome trace-event JSON. */
 std::string chromeTraceJson();

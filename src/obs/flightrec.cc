@@ -4,7 +4,7 @@
 #include <cstring>
 #include <sstream>
 
-#include "chrome_trace.hh"
+#include "util/json.hh"
 #include "util/shutdown.hh"
 
 namespace lag::obs

@@ -4,6 +4,7 @@
 #include <map>
 #include <sstream>
 
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/mutex.hh"
 #include "util/thread_annotations.hh"
@@ -77,38 +78,6 @@ tables() LAG_REQUIRES(metricsMutex())
 {
     static auto *t = new Tables();
     return *t;
-}
-
-void
-appendJsonKey(std::string &out, const std::string &name)
-{
-    // Plain names are dotted ASCII, but labeled instruments render
-    // as `base{key="value"}` — the quotes (and anything a label
-    // value carries) need real escaping.
-    out += '"';
-    for (const char c : name) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char *digits = "0123456789abcdef";
-                out += "\\u00";
-                out += digits[(c >> 4) & 0xF];
-                out += digits[c & 0xF];
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
 }
 
 /** `base{key="v"}` → {base, `key="v"`}; plain name → {name, ""}. */
@@ -349,7 +318,7 @@ MetricsRegistry::dumpJson() const
     for (const auto &c : snap.counters) {
         out += first ? "\n    " : ",\n    ";
         first = false;
-        appendJsonKey(out, c.name);
+        appendJsonString(out, c.name);
         out += ": ";
         out += std::to_string(c.value);
     }
@@ -358,7 +327,7 @@ MetricsRegistry::dumpJson() const
     for (const auto &g : snap.gauges) {
         out += first ? "\n    " : ",\n    ";
         first = false;
-        appendJsonKey(out, g.name);
+        appendJsonString(out, g.name);
         out += ": {\"value\": ";
         out += std::to_string(g.value);
         out += ", \"max\": ";
@@ -370,7 +339,7 @@ MetricsRegistry::dumpJson() const
     for (const auto &h : snap.histograms) {
         out += first ? "\n    " : ",\n    ";
         first = false;
-        appendJsonKey(out, h.name);
+        appendJsonString(out, h.name);
         out += ": {\"bounds\": [";
         for (std::size_t i = 0; i < h.bounds.size(); ++i) {
             if (i > 0)

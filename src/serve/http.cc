@@ -4,7 +4,7 @@
 #include <cctype>
 #include <charconv>
 
-#include "core/figure_json.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace lag::serve
@@ -288,10 +288,10 @@ statusText(int status)
 }
 
 std::string
-serializeResponse(const HttpResponse &response)
+serializeResponseHead(const HttpResponse &response)
 {
     std::string out;
-    out.reserve(128 + response.body.size());
+    out.reserve(256);
     out += "HTTP/1.1 ";
     out += std::to_string(response.status);
     out += ' ';
@@ -312,7 +312,6 @@ serializeResponse(const HttpResponse &response)
     out += "Connection: close";
     out += kCrlf;
     out += kCrlf;
-    out += response.body;
     return out;
 }
 
@@ -321,11 +320,11 @@ errorResponse(int status, std::string_view message)
 {
     HttpResponse response;
     response.status = status;
-    response.body = "{\"error\":\"";
-    response.body += core::jsonEscape(message);
-    response.body += "\",\"status\":";
-    response.body += std::to_string(status);
-    response.body += "}";
+    response.body = "{\"error\":";
+    appendJsonString(response.body, message);
+    response.body += ",\"status\":";
+    appendJsonNumber(response.body, static_cast<std::int64_t>(status));
+    response.body += '}';
     return response;
 }
 

@@ -94,8 +94,11 @@ struct HttpResponse
 /** Reason phrase for the status codes this server emits. */
 std::string_view statusText(int status);
 
-/** Wire form of @p response (status line, headers, body). */
-std::string serializeResponse(const HttpResponse &response);
+/** Wire form of @p response's head: status line and headers, up to
+ * and including the blank line. The body follows it on the wire
+ * unchanged, so the server sends both in one gather write without
+ * copying the body. */
+std::string serializeResponseHead(const HttpResponse &response);
 
 /** A strict-JSON {"error":...} body with the given status. */
 HttpResponse errorResponse(int status, std::string_view message);

@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -315,12 +316,30 @@ HttpServer::writeResponse(int fd, const HttpResponse &response)
     const auto deadline =
         Clock::now() +
         std::chrono::milliseconds(config_.writeTimeoutMs);
-    const std::string wire = serializeResponse(response);
+    // Head and body leave in one gather write: the body is sent
+    // from the response itself, never copied behind the head.
+    const std::string head = serializeResponseHead(response);
+    const std::string_view parts[] = {head, response.body};
     std::size_t sent = 0;
-    while (sent < wire.size()) {
-        const ssize_t n =
-            ::send(fd, wire.data() + sent, wire.size() - sent,
-                   MSG_NOSIGNAL);
+    const std::size_t total = head.size() + response.body.size();
+    while (sent < total) {
+        iovec iov[2];
+        std::size_t count = 0;
+        std::size_t skip = sent;
+        for (const std::string_view part : parts) {
+            if (skip >= part.size()) {
+                skip -= part.size();
+                continue;
+            }
+            iov[count].iov_base = const_cast<char *>(part.data() + skip);
+            iov[count].iov_len = part.size() - skip;
+            ++count;
+            skip = 0;
+        }
+        msghdr msg{};
+        msg.msg_iov = iov;
+        msg.msg_iovlen = count;
+        const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
         if (n > 0) {
             sent += static_cast<std::size_t>(n);
             continue;

@@ -8,6 +8,7 @@
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "obs/trace_context.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 
 namespace lag::serve
@@ -34,18 +35,18 @@ appsJson(const std::vector<std::string> &names,
     lag_assert(names.size() == merged.size(),
                "appsJson: names/merged size mismatch");
     std::string out = "{\"sessions_per_app\":";
-    out += std::to_string(sessions_per_app);
+    appendJsonNumber(out, std::uint64_t{sessions_per_app});
     out += ",\"apps\":[";
     for (std::size_t a = 0; a < names.size(); ++a) {
         if (a > 0)
             out += ',';
-        out += "{\"name\":\"";
-        out += core::jsonEscape(names[a]);
-        out += "\",\"patterns\":";
-        out += std::to_string(merged[a].patterns.size());
+        out += "{\"name\":";
+        appendJsonString(out, names[a]);
+        out += ",\"patterns\":";
+        appendJsonNumber(out, std::uint64_t{merged[a].patterns.size()});
         out += ",\"recurring\":";
-        out += std::to_string(merged[a].recurringCount());
-        out += "}";
+        appendJsonNumber(out, std::uint64_t{merged[a].recurringCount()});
+        out += '}';
     }
     out += "]}";
     return out;
@@ -58,13 +59,11 @@ refreshJson(const RefreshResult &result)
     for (std::size_t i = 0; i < result.recomputedApps.size(); ++i) {
         if (i > 0)
             out += ',';
-        out += '"';
-        out += core::jsonEscape(result.recomputedApps[i]);
-        out += '"';
+        appendJsonString(out, result.recomputedApps[i]);
     }
     out += "],\"unchanged\":";
-    out += std::to_string(result.unchanged);
-    out += "}";
+    appendJsonNumber(out, std::uint64_t{result.unchanged});
+    out += '}';
     return out;
 }
 

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -34,8 +36,17 @@ namespace
 
 using namespace lag;
 
-constexpr const char *kDumpPath =
-    "lagalyzer-flightrec-test.flightrec";
+/** The crash-dump path, one per process: ctest runs the dumping
+ * cases as concurrent processes in one directory, and each removes
+ * its dump when done. */
+const std::string &
+dumpPath()
+{
+    static const std::string path = "lagalyzer-flightrec-test-" +
+                                    std::to_string(::getpid()) +
+                                    ".flightrec";
+    return path;
+}
 
 /** Configure (first call wins) and return the recorder. */
 obs::FlightRecorder &
@@ -44,7 +55,7 @@ configuredRecorder()
     obs::FlightRecorderOptions options;
     options.eventCapacity = 8;
     options.requestCapacity = 4;
-    options.dumpPath = kDumpPath;
+    options.dumpPath = dumpPath();
     obs::FlightRecorder::instance().configure(options);
     return obs::FlightRecorder::instance();
 }
@@ -75,7 +86,7 @@ TEST(Flightrec, ConfigureFirstCallWins)
     obs::FlightRecorder &rec = configuredRecorder();
     EXPECT_TRUE(rec.armed());
     EXPECT_EQ(obs::armedFlightRecorder(), &rec);
-    EXPECT_STREQ(rec.dumpPath(), kDumpPath);
+    EXPECT_EQ(rec.dumpPath(), dumpPath());
 
     // A second configure with different options must be ignored:
     // rings never reallocate under concurrent writers.
@@ -83,7 +94,7 @@ TEST(Flightrec, ConfigureFirstCallWins)
     other.requestCapacity = 999;
     other.dumpPath = "somewhere-else.flightrec";
     rec.configure(other);
-    EXPECT_STREQ(rec.dumpPath(), kDumpPath);
+    EXPECT_EQ(rec.dumpPath(), dumpPath());
 }
 
 TEST(Flightrec, RequestRingKeepsMostRecentFirst)

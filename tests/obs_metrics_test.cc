@@ -113,6 +113,18 @@ TEST(ObsDump, JsonIsWellFormed)
         << json;
 }
 
+TEST(ObsDump, JsonEscapesControlBytesInLabels)
+{
+    // A label value keeps \t and \r raw in the registry key; the
+    // JSON dump writes them as short escapes.
+    metrics().counter("test.dump.json.ctl", "v", "a\tb\rc").add(1);
+    const std::string json = metrics().dumpJson();
+    EXPECT_TRUE(lag::obs::checkJson(json).ok) << json;
+    EXPECT_NE(json.find("\"test.dump.json.ctl{v=\\\"a\\tb\\rc\\\"}\": 1"),
+              std::string::npos)
+        << json;
+}
+
 TEST(ObsSummary, NamesNonzeroCounters)
 {
     metrics().counter("test.summary.hits").add(12);

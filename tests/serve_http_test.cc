@@ -329,9 +329,11 @@ TEST(ServeHttp, ResponsesSerializeStrictJsonErrors)
 {
     const HttpResponse error = errorResponse(404, "no \"thing\"");
     EXPECT_TRUE(obs::checkJson(error.body).ok) << error.body;
-    const std::string wire = serializeResponse(error);
-    EXPECT_NE(wire.find("HTTP/1.1 404 Not Found\r\n"),
-              std::string::npos);
+    const std::string wire = serializeResponseHead(error);
+    EXPECT_EQ(wire.rfind("HTTP/1.1 404 Not Found\r\n", 0), 0u);
+    // The head ends at the blank line; the body is sent after it.
+    EXPECT_EQ(wire.find("\r\n\r\n"), wire.size() - 4);
+    EXPECT_EQ(wire.find(error.body), std::string::npos);
     EXPECT_NE(wire.find("Connection: close\r\n"),
               std::string::npos);
     EXPECT_NE(wire.find("Content-Length: " +

@@ -34,6 +34,7 @@
 #include "serve/router.hh"
 #include "serve/server.hh"
 #include "serve/store.hh"
+#include "util/json.hh"
 #include "scratch_dir.hh"
 
 namespace lag::serve
@@ -55,6 +56,15 @@ tinyStudy(const std::string &cache_dir, std::size_t apps = 2)
     config.sessionsPerApp = 2;
     config.cacheDir = cache_dir;
     return config;
+}
+
+/** @p text as a JSON string literal, quotes included. */
+std::string
+jsonQuoted(std::string_view text)
+{
+    std::string out;
+    appendJsonString(out, text);
+    return out;
 }
 
 /** Percent-encode anything a query value cannot carry raw. */
@@ -331,8 +341,8 @@ TEST(ServeStore, RefreshRecomputesExactlyTheDirtiedApp)
         const ClientResult result = live.post("/v1/refresh");
         EXPECT_EQ(result.status, 200);
         EXPECT_EQ(result.body,
-                  "{\"recomputed\":[\"" + core::jsonEscape(dirty) +
-                      "\"],\"unchanged\":" +
+                  "{\"recomputed\":[" + jsonQuoted(dirty) +
+                      "],\"unchanged\":" +
                       std::to_string(config.apps.size() - 1) + "}");
     }
     const auto after = counters();
@@ -417,10 +427,9 @@ TEST(ServeStore, InHandDigestsEqualFileDigests)
     flipByte(cache.entryPath(config.apps[2].name, 1), 13);
     const obs::MetricsSnapshot before = obs::metrics().snapshot();
     EXPECT_EQ(live.post("/v1/refresh").body,
-              "{\"recomputed\":[\"" +
-                  core::jsonEscape(config.apps[0].name) + "\",\"" +
-                  core::jsonEscape(config.apps[2].name) +
-                  "\"],\"unchanged\":1}");
+              "{\"recomputed\":[" + jsonQuoted(config.apps[0].name) +
+                  "," + jsonQuoted(config.apps[2].name) +
+                  "],\"unchanged\":1}");
     const obs::MetricsSnapshot after = obs::metrics().snapshot();
     EXPECT_EQ(after.counterValue("serve.refresh.recomputed"),
               before.counterValue("serve.refresh.recomputed") + 2);

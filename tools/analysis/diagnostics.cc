@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <map>
 
+#include "util/json.hh"
+
 namespace lag::analysis
 {
 
@@ -93,57 +95,34 @@ Diagnostics::printText(const char *tool) const
 }
 
 std::string
-jsonEscape(std::string_view text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
 Diagnostics::json(const char *tool) const
 {
-    std::string out = "{\"tool\": \"";
-    out += jsonEscape(tool);
-    out += "\", \"findings\": [";
+    std::string out = "{\"tool\": ";
+    appendJsonString(out, tool);
+    out += ", \"findings\": [";
     bool first = true;
     for (const Finding &f : findings_) {
         if (!first)
             out += ", ";
         first = false;
-        out += "{\"file\": \"" + jsonEscape(f.file) +
-               "\", \"line\": " + std::to_string(f.line) +
-               ", \"rule\": \"" + jsonEscape(f.rule) +
-               "\", \"message\": \"" + jsonEscape(f.message) +
-               "\"}";
+        out += "{\"file\": ";
+        appendJsonString(out, f.file);
+        out += ", \"line\": " + std::to_string(f.line) + ", \"rule\": ";
+        appendJsonString(out, f.rule);
+        out += ", \"message\": ";
+        appendJsonString(out, f.message);
+        out += "}";
     }
     out += "], \"counts\": {\"total\": " +
            std::to_string(findings_.size());
     std::map<std::string, std::size_t> byRule;
     for (const Finding &f : findings_)
         ++byRule[f.rule];
-    for (const auto &[rule, count] : byRule)
-        out += ", \"" + jsonEscape(rule) +
-               "\": " + std::to_string(count);
+    for (const auto &[rule, count] : byRule) {
+        out += ", ";
+        appendJsonString(out, rule);
+        out += ": " + std::to_string(count);
+    }
     out += "}}\n";
     return out;
 }
@@ -154,12 +133,14 @@ Diagnostics::summaryLine(const char *tool) const
     std::map<std::string, std::size_t> byRule;
     for (const Finding &f : findings_)
         ++byRule[f.rule];
-    std::string out = "{\"tool\": \"" + jsonEscape(tool) +
-                      "\", \"findings\": " +
-                      std::to_string(findings_.size());
-    for (const auto &[rule, count] : byRule)
-        out += ", \"" + jsonEscape(rule) +
-               "\": " + std::to_string(count);
+    std::string out = "{\"tool\": ";
+    appendJsonString(out, tool);
+    out += ", \"findings\": " + std::to_string(findings_.size());
+    for (const auto &[rule, count] : byRule) {
+        out += ", ";
+        appendJsonString(out, rule);
+        out += ": " + std::to_string(count);
+    }
     out += "}";
     return out;
 }

@@ -84,10 +84,6 @@ class Diagnostics
     std::vector<Finding> findings_;
 };
 
-/** JSON string escaping (RFC 8259: quotes, backslash, control
- * characters) used by the report emitters. */
-std::string jsonEscape(std::string_view text);
-
 } // namespace lag::analysis
 
 #endif // LAG_TOOLS_ANALYSIS_DIAGNOSTICS_HH
