@@ -67,9 +67,9 @@ analyzeStudy(app::Study &study)
     // Cached `.ares` entries where possible, decode + analyze (and
     // store back) only on a miss; only the manifest is validated up
     // front, so a warm analysis cache never opens a trace. The
-    // per-app figure inputs come out of engine::averageSessionAnalyses
-    // — the same code lagd's hot store serves — in [app][session]
-    // order, so every bit matches at any worker count.
+    // per-app figure inputs come out of engine::finishApp — the same
+    // code lagd's hot store serves — in [app][session] order, so
+    // every bit matches at any worker count.
     engine::ThreadPool pool(config.jobs);
     engine::StudyAggregate aggregate = engine::aggregateFromCache(
         cache, names, config.sessionsPerApp,
@@ -87,7 +87,11 @@ analyzeStudy(app::Study &study)
     const engine::CacheEvictionPolicy policy{
         config.cacheMaxBytes, config.cacheMaxAgeSeconds};
     cache.evict(policy);
-    return std::move(aggregate.figures);
+    std::vector<AppAnalysis> apps;
+    apps.reserve(aggregate.apps.size());
+    for (engine::AppAggregate &app : aggregate.apps)
+        apps.push_back(std::move(app.figures));
+    return apps;
 }
 
 double

@@ -53,7 +53,7 @@ app::StudyConfig selectStudyConfig(int argc = 0,
  * Everything analyses need from one app, session-averaged. Now the
  * shared core figure-input struct: the bench harnesses and lagd's
  * hot store consume the identical type, averaged by the identical
- * code (engine::averageSessionAnalyses), so their figure bytes
+ * code (engine::finishApp), so their figure bytes
  * cannot drift apart.
  */
 using AppAnalysis = core::AppFigureData;

@@ -21,10 +21,11 @@
 # Optionally sweep the sanitizer
 # matrix: `ci/check.sh --sanitize TSAN` (or ASAN / UBSAN) builds an
 # instrumented tree in build-<san> and runs the engine label under
-# it (TSAN also the serve label: the hot store's load fans out over
-# the pool; ASAN and UBSAN also the core label: the session builder
-# and the flat-tree walks are index arithmetic over arrays). Exits
-# nonzero on the first failure.
+# it (TSAN also the serve label: the hot store's readers render
+# lock-free from a published snapshot while its writers, serialised
+# by one mutex, refresh and ingest on the pool; ASAN and UBSAN also
+# the core label: the session builder and the flat-tree walks are
+# index arithmetic over arrays). Exits nonzero on the first failure.
 #
 # Usage:
 #   ci/check.sh                  # static analysis + lint + tier-1

@@ -163,7 +163,7 @@ emitStates(JsonOut &j, const char *label, const GuiStateShares &s)
 template <typename BodyFn>
 std::string
 perAppFigure(std::string_view id,
-             const std::vector<AppFigureData> &apps,
+             const std::vector<const AppFigureData *> &apps,
              const BodyFn &body)
 {
     JsonOut j;
@@ -178,9 +178,9 @@ perAppFigure(std::string_view id,
             j.comma();
         j.raw("{");
         j.key("app");
-        j.str(apps[a].name);
+        j.str(apps[a]->name);
         j.comma();
-        body(j, apps[a]);
+        body(j, *apps[a]);
         j.raw("}");
     }
     j.raw("]}");
@@ -420,7 +420,7 @@ figureIds()
 
 std::string
 figureJson(std::string_view id,
-           const std::vector<AppFigureData> &apps)
+           const std::vector<const AppFigureData *> &apps)
 {
     if (id == "fig3") {
         return perAppFigure(id, apps,

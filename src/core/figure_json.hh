@@ -97,10 +97,11 @@ std::vector<std::string> figureIds();
  * across all apps — "fig3" (pattern CDFs), "fig4" (occurrence),
  * "fig5" (triggers), "fig6" (location), "fig7" (concurrency),
  * "fig8" (thread states), "table3" (overview rows). Unknown id
- * returns an empty string — the caller's 404.
+ * returns an empty string — the caller's 404. @p apps points at
+ * figure inputs owned elsewhere (each non-null), in app order.
  */
 std::string figureJson(std::string_view id,
-                       const std::vector<AppFigureData> &apps);
+                       const std::vector<const AppFigureData *> &apps);
 
 } // namespace lag::core
 

@@ -29,16 +29,16 @@ aggregateMetrics()
     return metrics;
 }
 
-/** Borrow each analysis's pattern summary, in session order — what
- * core::mergeAnalyses merges without copying. */
-std::vector<const core::PatternSetSummary *>
-summariesOf(const std::vector<SessionAnalysis> &sessions)
+/** Borrow each analysis, in session order — what finishApp()
+ * takes. */
+std::vector<const SessionAnalysis *>
+borrowAll(const std::vector<SessionAnalysis> &sessions)
 {
-    std::vector<const core::PatternSetSummary *> summaries;
-    summaries.reserve(sessions.size());
+    std::vector<const SessionAnalysis *> borrowed;
+    borrowed.reserve(sessions.size());
     for (const SessionAnalysis &analysis : sessions)
-        summaries.push_back(&analysis.patternSummary);
-    return summaries;
+        borrowed.push_back(&analysis);
+    return borrowed;
 }
 
 /**
@@ -66,25 +66,23 @@ sessionFromCache(const ResultCache &cache, const std::string &app_name,
     return analysis;
 }
 
-/**
- * Finish one app from its analyses and their entry digests, both in
- * session order: the cross-session merge, the figure inputs and the
- * app digest (session counts left at zero). The one per-app step of
- * both aggregateFromCache() and aggregateAppFromCache().
- */
+} // namespace
+
 AppAggregate
-finishApp(const std::string &app_name,
-          const std::vector<SessionAnalysis> &sessions,
-          const std::vector<std::uint64_t> &entry_digests)
+finishApp(std::string name,
+          const std::vector<const SessionAnalysis *> &sessions,
+          std::span<const std::uint64_t> entry_digests)
 {
+    std::vector<const core::PatternSetSummary *> summaries;
+    summaries.reserve(sessions.size());
+    for (const SessionAnalysis *analysis : sessions)
+        summaries.push_back(&analysis->patternSummary);
     AppAggregate out;
-    out.merged = core::mergeAnalyses(summariesOf(sessions));
-    out.figures = averageSessionAnalyses(app_name, sessions);
-    out.digest = appDigestOf(app_name, entry_digests);
+    out.merged = core::mergeAnalyses(summaries);
+    out.digest = appDigestOf(name, entry_digests);
+    out.figures = averageSessionAnalyses(std::move(name), sessions);
     return out;
 }
-
-} // namespace
 
 StudyAggregate
 aggregateFromCache(const ResultCache &cache,
@@ -132,15 +130,10 @@ aggregateFromCache(const ResultCache &cache,
     // can never leak into the result — byte-identical at any
     // worker count.
     LAG_SPAN_ARG("cache.aggregate.merge", "apps", apps);
-    out.merged.resize(apps);
-    out.figures.resize(apps);
-    out.digests.resize(apps);
+    out.apps.resize(apps);
     parallelFor(pool, apps, [&](std::size_t a) {
-        AppAggregate app =
-            finishApp(app_names[a], out.grid[a], entry_digests[a]);
-        out.merged[a] = std::move(app.merged);
-        out.figures[a] = std::move(app.figures);
-        out.digests[a] = app.digest;
+        out.apps[a] = finishApp(app_names[a], borrowAll(out.grid[a]),
+                                entry_digests[a]);
     });
     return out;
 }
@@ -171,23 +164,9 @@ aggregateAppFromCache(const ResultCache &cache,
             ++from_cache;
     }
 
-    AppAggregate out = finishApp(app_name, sessions, entry_digests);
-    out.sessionsFromCache = from_cache;
-    out.sessionsRecomputed = sessions_per_app - from_cache;
-    aggregateMetrics().cached.add(out.sessionsFromCache);
-    aggregateMetrics().recomputed.add(out.sessionsRecomputed);
-    return out;
-}
-
-core::AppFigureData
-averageSessionAnalyses(std::string name,
-                       const std::vector<SessionAnalysis> &sessions)
-{
-    std::vector<const SessionAnalysis *> borrowed;
-    borrowed.reserve(sessions.size());
-    for (const SessionAnalysis &sa : sessions)
-        borrowed.push_back(&sa);
-    return averageSessionAnalyses(std::move(name), borrowed);
+    aggregateMetrics().cached.add(from_cache);
+    aggregateMetrics().recomputed.add(sessions_per_app - from_cache);
+    return finishApp(app_name, borrowAll(sessions), entry_digests);
 }
 
 core::AppFigureData

@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,23 @@ namespace lag::engine
 using SessionLoader = std::function<core::Session(
     std::size_t app_index, std::uint32_t session_index)>;
 
+/** One app's finished cross-session state: its merge, figure
+ * inputs and app digest. An app's name is its `figures.name`. */
+struct AppAggregate
+{
+    /** Cross-session pattern merge; byte-identical to
+     * core::minePatternsAcrossSessions over the app's sessions. */
+    core::MergedPatternSet merged;
+
+    /** Figure inputs (averageSessionAnalyses). */
+    core::AppFigureData figures;
+
+    /** appDigestOf() over the entry digests the cache reported while
+     * loading or storing each session — equal to
+     * ResultCache::appDigest() of the entries this state came from. */
+    std::uint64_t digest = 0;
+};
+
 /** Everything the study harnesses aggregate across sessions. */
 struct StudyAggregate
 {
@@ -58,17 +76,8 @@ struct StudyAggregate
      * session directly. */
     std::vector<std::vector<SessionAnalysis>> grid;
 
-    /** Per-app cross-session pattern merges; byte-identical to
-     * core::minePatternsAcrossSessions over each app's sessions. */
-    std::vector<core::MergedPatternSet> merged;
-
-    /** Per-app figure inputs (averageSessionAnalyses). */
-    std::vector<core::AppFigureData> figures;
-
-    /** Per-app appDigestOf() over the entry digests the cache
-     * reported while loading or storing each session — equal to
-     * ResultCache::appDigest() of the entries this state came from. */
-    std::vector<std::uint64_t> digests;
+    /** Per-app finished state, in app order (finishApp). */
+    std::vector<AppAggregate> apps;
 
     /** Sessions answered from `.ares` entries alone. */
     std::size_t sessionsFromCache = 0;
@@ -78,6 +87,20 @@ struct StudyAggregate
 };
 
 /**
+ * Finish one app from borrowed analyses (each pointer non-null) and
+ * their entry digests, both in session order: the cross-session
+ * merge (core::mergeAnalyses), the figure inputs
+ * (averageSessionAnalyses) and the app digest (appDigestOf). The one
+ * per-app finish of the batch aggregation, the per-app refresh and
+ * live ingest — which is what makes their bytes agree. Live ingest
+ * has no cache entries and passes no digests.
+ */
+AppAggregate
+finishApp(std::string name,
+          const std::vector<const SessionAnalysis *> &sessions,
+          std::span<const std::uint64_t> entry_digests);
+
+/**
  * Rebuild every cross-session aggregate for a
  * @p app_names.size() x @p sessions_per_app study grid from
  * @p cache, falling back per session to @p load_session + analyze
@@ -85,9 +108,9 @@ struct StudyAggregate
  * cache loads and recomputations fan out over @p pool, one
  * parallelFor task (span `aggregate`) per session; then one
  * parallelFor task per app (span `cache.aggregate.merge` around
- * them all) finishes each app exactly as aggregateAppFromCache()
- * does. Instrumented with the `cache.aggregate` span and the
- * `cache.aggregate.cached` / `cache.aggregate.recomputed` counters.
+ * them all) finishes each app with finishApp(). Instrumented with
+ * the `cache.aggregate` span and the `cache.aggregate.cached` /
+ * `cache.aggregate.recomputed` counters.
  */
 StudyAggregate
 aggregateFromCache(const ResultCache &cache,
@@ -96,28 +119,16 @@ aggregateFromCache(const ResultCache &cache,
                    DurationNs perceptible_threshold, ThreadPool &pool,
                    const SessionLoader &load_session);
 
-/** One app rebuilt from the cache: its cross-session merge, figure
- * inputs and app digest — one app's slots of a StudyAggregate. */
-struct AppAggregate
-{
-    core::MergedPatternSet merged;
-    core::AppFigureData figures;
-    std::uint64_t digest = 0;
-    std::size_t sessionsFromCache = 0;
-    std::size_t sessionsRecomputed = 0;
-};
-
 /**
  * The per-app form of aggregateFromCache(): rebuild one app's
  * sessions (cache hit, or load + analyze + store back), then finish
- * the app — merge, figure inputs, digest — through the same function.
- * Deliberately serial — the serve layer calls this from a pool
- * worker during `/v1/refresh`, where fanning sub-tasks onto the same
- * pool and waiting would deadlock. The engine's
- * determinism contract makes the result byte-identical to the
- * corresponding slice of a full aggregateFromCache() at any worker
- * count. Bumps the same `cache.aggregate.cached` / `.recomputed`
- * counters.
+ * the app with finishApp(). Deliberately serial — the serve layer
+ * calls this from a pool worker during `/v1/refresh`, where fanning
+ * sub-tasks onto the same pool and waiting would deadlock. The
+ * engine's determinism contract makes the result byte-identical
+ * to the corresponding slice of a full aggregateFromCache() at any
+ * worker count. Bumps the same `cache.aggregate.cached` /
+ * `.recomputed` counters.
  */
 AppAggregate
 aggregateAppFromCache(const ResultCache &cache,
@@ -134,14 +145,8 @@ aggregateAppFromCache(const ResultCache &cache,
  * arithmetic the bench harnesses' analyzeStudy() has always used —
  * bench and serve now share this one implementation, so figure
  * bytes agree between the batch and the server by construction.
+ * @p sessions points at analyses owned elsewhere (each non-null).
  */
-core::AppFigureData
-averageSessionAnalyses(std::string name,
-                       const std::vector<SessionAnalysis> &sessions);
-
-/** Borrowing form: @p sessions points at analyses owned elsewhere
- * (each pointer non-null). Byte-identical to averaging the
- * pointed-to analyses by value. */
 core::AppFigureData
 averageSessionAnalyses(
     std::string name,

@@ -227,14 +227,38 @@ IngestPipeline::runEpoch()
         advance(work[i], epoch_number);
     });
 
-    // Phase 3 — refresh the status copies readers see.
+    // Phase 3 — publish the batch with no pipeline lock held (the
+    // callback may take Serve-ranked locks above ours), before the
+    // status copies move: a status that reads complete then always
+    // has its answer published.
+    std::vector<IngestUpdate> updates;
+    for (Work &item : work) {
+        if (item.update)
+            updates.push_back(std::move(*item.update));
+    }
+    std::size_t published = updates.size();
+    IngestMetrics &metrics = ingestMetrics();
+    if (published > 0 && publish_) {
+        LAG_SPAN_ARG("ingest.publish", "updates", published);
+        try {
+            publish_(std::move(updates));
+        } catch (const std::exception &e) {
+            // The epoch's sources have advanced either way; a failed
+            // publish must not take the driver thread down.
+            metrics.publishFailures.add(1);
+            published = 0;
+            warn("ingest: publishing epoch ", epoch_number,
+                 " failed: ", e.what());
+        }
+    }
+
+    // Phase 4 — refresh the status copies readers see.
     std::uint64_t new_records = 0;
     std::uint64_t recomputed = 0;
     std::uint64_t backlog = 0;
-    std::vector<IngestUpdate> updates;
     {
         MutexLock lock(mutex_);
-        for (Work &item : work) {
+        for (const Work &item : work) {
             const Source &source = *item.source;
             const trace::TraceTailer &tailer = source.tailer;
             const trace::TraceDecoder &decoded = tailer.decoded();
@@ -256,26 +280,6 @@ IngestPipeline::runEpoch()
                 backlog += tailer.backlogBytes();
             new_records += item.newRecords;
             recomputed += item.recomputedEpisodes;
-            if (item.update)
-                updates.push_back(std::move(*item.update));
-        }
-    }
-
-    // Phase 4 — publish the batch with no pipeline lock held (the
-    // callback may take Serve-ranked locks above ours).
-    std::size_t published = updates.size();
-    IngestMetrics &metrics = ingestMetrics();
-    if (published > 0 && publish_) {
-        LAG_SPAN_ARG("ingest.publish", "updates", published);
-        try {
-            publish_(std::move(updates));
-        } catch (const std::exception &e) {
-            // The epoch's sources have advanced either way; a failed
-            // publish must not take the driver thread down.
-            metrics.publishFailures.add(1);
-            published = 0;
-            warn("ingest: publishing epoch ", epoch_number,
-                 " failed: ", e.what());
         }
     }
 

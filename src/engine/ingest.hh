@@ -10,7 +10,7 @@
  * and hand the epoch's fresh SessionAnalysis values to the publish
  * callback as one batch. The callback side (for lagd,
  * serve::HotStore::applyIngest) merges the partial-session v2
- * summaries into the hot aggregate with core::mergeAnalyses, once
+ * summaries into the hot aggregate with engine::finishApp, once
  * per touched app, so a session is queryable while it is still
  * running.
  *
@@ -42,9 +42,11 @@
  * no lock held. Only the epoch touches a tailer or a live session.
  * The pipeline's mutex (LockRank::Ingest) guards the source list
  * and a per-source IngestSourceStatus copy, which the epoch
- * refreshes after the fan-out; status(), allComplete() and
- * `/v1/ingest` read that copy, so they never wait for a poll. The
- * lock is never held across the fan-out or the publish.
+ * refreshes after the fan-out and the publish; status(),
+ * allComplete() and `/v1/ingest` read that copy, so they never wait
+ * for a poll, and a source they report complete has its final
+ * analysis published already. The lock is never held across the
+ * fan-out or the publish.
  *
  * The driver paces epochs start to start: an epoch begins every
  * epochMillis, or at once when the previous one overran.
@@ -154,10 +156,10 @@ class IngestPipeline
 
     /**
      * Cut one epoch synchronously: poll and analyze every source in
-     * parallel on the pool, refresh the status copies, publish the
-     * updates. Returns the number of updates published. Epochs must
-     * not overlap: call from one thread, and not while the driver
-     * thread runs.
+     * parallel on the pool, publish the updates, then refresh the
+     * status copies. Returns the number of updates published. Epochs
+     * must not overlap: call from one thread, and not while the
+     * driver thread runs.
      */
     std::size_t runEpoch();
 

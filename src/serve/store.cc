@@ -28,24 +28,23 @@ refreshRecomputedCounter()
 } // namespace
 
 std::string
-appsJson(const std::vector<std::string> &names,
-         std::uint32_t sessions_per_app,
-         const std::vector<core::MergedPatternSet> &merged)
+appsJson(std::uint32_t sessions_per_app,
+         const std::vector<const engine::AppAggregate *> &apps)
 {
-    lag_assert(names.size() == merged.size(),
-               "appsJson: names/merged size mismatch");
     std::string out = "{\"sessions_per_app\":";
     appendJsonNumber(out, std::uint64_t{sessions_per_app});
     out += ",\"apps\":[";
-    for (std::size_t a = 0; a < names.size(); ++a) {
+    for (std::size_t a = 0; a < apps.size(); ++a) {
         if (a > 0)
             out += ',';
         out += "{\"name\":";
-        appendJsonString(out, names[a]);
+        appendJsonString(out, apps[a]->figures.name);
         out += ",\"patterns\":";
-        appendJsonNumber(out, std::uint64_t{merged[a].patterns.size()});
+        appendJsonNumber(out,
+                         std::uint64_t{apps[a]->merged.patterns.size()});
         out += ",\"recurring\":";
-        appendJsonNumber(out, std::uint64_t{merged[a].recurringCount()});
+        appendJsonNumber(out,
+                         std::uint64_t{apps[a]->merged.recurringCount()});
         out += '}';
     }
     out += "]}";
@@ -73,48 +72,68 @@ HotStore::HotStore(app::StudyConfig config, engine::ThreadPool &pool)
              study_.config().fingerprint()),
       pool_(pool)
 {
-    appNames_.reserve(study_.config().apps.size());
-    for (const app::AppParams &params : study_.config().apps)
-        appNames_.push_back(params.name);
+}
+
+std::shared_ptr<const HotStore::Served>
+HotStore::snapshot() const
+{
+    MutexLock lock(servedMutex_);
+    return served_;
+}
+
+void
+HotStore::publish(
+    std::vector<std::shared_ptr<const engine::AppAggregate>> apps)
+{
+    std::shared_ptr<const Served> next =
+        std::make_shared<const Served>(Served{std::move(apps)});
+    {
+        MutexLock lock(servedMutex_);
+        served_.swap(next);
+    }
+    // `next` now holds the previous generation: freed here, outside
+    // the pointer lock, unless a reader still renders from it.
 }
 
 void
 HotStore::load()
 {
-    LAG_SPAN_ARG("serve.store.load", "apps", appNames_.size());
+    const app::StudyConfig &config = study_.config();
+    LAG_SPAN_ARG("serve.store.load", "apps", config.apps.size());
     study_.validate();
 
+    std::vector<std::string> names;
+    names.reserve(config.apps.size());
+    for (const app::AppParams &params : config.apps)
+        names.push_back(params.name);
     engine::StudyAggregate aggregate = engine::aggregateFromCache(
-        cache_, appNames_, study_.config().sessionsPerApp,
-        study_.config().perceptibleThreshold, pool_,
+        cache_, names, config.sessionsPerApp,
+        config.perceptibleThreshold, pool_,
         [this](std::size_t a, std::uint32_t s) {
             return study_.loadSession(a, s);
         });
 
     // Every app was finished on the pool; the lock only covers the
-    // hand-over.
+    // publish.
+    std::vector<std::shared_ptr<const engine::AppAggregate>> apps;
+    apps.reserve(aggregate.apps.size());
+    for (engine::AppAggregate &app : aggregate.apps)
+        apps.push_back(
+            std::make_shared<const engine::AppAggregate>(std::move(app)));
     MutexLock lock(mutex_);
-    merged_ = std::move(aggregate.merged);
-    figures_ = std::move(aggregate.figures);
-    digests_ = std::move(aggregate.digests);
-    loaded_ = true;
+    publish(std::move(apps));
 }
 
 void
 HotStore::startFollow()
 {
     MutexLock lock(mutex_);
-    lag_assert(!loaded_, "startFollow() after load()");
+    lag_assert(snapshot() == nullptr, "startFollow() after load()");
     // Live mode starts empty: the config's app list describes the
     // batch study, not what will stream in. Apps materialize as
     // ingest updates arrive.
-    appNames_.clear();
-    merged_.clear();
-    figures_.clear();
-    digests_.clear();
-    liveSessions_.clear();
     followMode_ = true;
-    loaded_ = true;
+    publish({});
 }
 
 void
@@ -131,39 +150,36 @@ HotStore::applyIngest(std::vector<engine::IngestUpdate> updates)
     lag_assert(followMode_, "applyIngest() outside follow mode");
     std::vector<std::size_t> touched;
     for (engine::IngestUpdate &update : updates) {
-        const auto found = std::find(appNames_.begin(),
-                                     appNames_.end(), update.appName);
+        const auto found = std::find_if(
+            liveApps_.begin(), liveApps_.end(),
+            [&](const LiveApp &live) {
+                return live.name == update.appName;
+            });
         const auto a =
-            static_cast<std::size_t>(found - appNames_.begin());
-        if (found == appNames_.end()) {
-            appNames_.push_back(update.appName);
-            merged_.emplace_back();
-            figures_.emplace_back();
-            digests_.emplace_back();
-            liveSessions_.emplace_back();
-        }
-        liveSessions_[a][update.path] = std::move(update.analysis);
+            static_cast<std::size_t>(found - liveApps_.begin());
+        if (found == liveApps_.end())
+            liveApps_.push_back(LiveApp{update.appName, {}});
+        liveApps_[a].sessions[update.path] = std::move(update.analysis);
         if (std::find(touched.begin(), touched.end(), a) ==
             touched.end())
             touched.push_back(a);
     }
-    // Rebuild each touched app once, from every live session's v2
-    // summary — same merge/average functions as the batch path, so
-    // completion implies byte-equal query responses. The live
-    // analyses are borrowed, not copied.
+    // Finish each touched app once, from every live session's v2
+    // summary — the batch path's finish, so completion implies
+    // byte-equal query responses. The live analyses are borrowed,
+    // not copied; untouched apps keep their published pointer.
+    std::vector<std::shared_ptr<const engine::AppAggregate>> apps =
+        snapshot()->apps;
+    apps.resize(liveApps_.size());
     for (const std::size_t a : touched) {
-        std::vector<const core::PatternSetSummary *> summaries;
         std::vector<const engine::SessionAnalysis *> sessions;
-        summaries.reserve(liveSessions_[a].size());
-        sessions.reserve(liveSessions_[a].size());
-        for (const auto &[path, analysis] : liveSessions_[a]) {
-            summaries.push_back(&analysis.patternSummary);
+        sessions.reserve(liveApps_[a].sessions.size());
+        for (const auto &[path, analysis] : liveApps_[a].sessions)
             sessions.push_back(&analysis);
-        }
-        merged_[a] = core::mergeAnalyses(summaries);
-        figures_[a] =
-            engine::averageSessionAnalyses(appNames_[a], sessions);
+        apps[a] = std::make_shared<const engine::AppAggregate>(
+            engine::finishApp(liveApps_[a].name, sessions, {}));
     }
+    publish(std::move(apps));
     applied.add(updates.size());
     rebuilds.add(touched.size());
 }
@@ -171,70 +187,85 @@ HotStore::applyIngest(std::vector<engine::IngestUpdate> updates)
 RefreshResult
 HotStore::refresh()
 {
-    LAG_SPAN_ARG("serve.store.refresh", "apps", appNames_.size());
-    RefreshResult result;
-
     MutexLock lock(mutex_);
-    lag_assert(loaded_, "refresh() before load()");
+    const std::shared_ptr<const Served> current = snapshot();
+    lag_assert(current != nullptr, "refresh() before load()");
+    LAG_SPAN_ARG("serve.store.refresh", "apps", current->apps.size());
+    RefreshResult result;
     if (followMode_) {
         // Live apps have no cache digests to diff; every source is
         // already refreshed per epoch by the ingest pipeline.
-        result.unchanged = appNames_.size();
+        result.unchanged = current->apps.size();
         return result;
     }
-    for (std::size_t a = 0; a < appNames_.size(); ++a) {
-        const std::uint64_t digest = cache_.appDigest(
-            appNames_[a], study_.config().sessionsPerApp);
-        if (digest == digests_[a]) {
+    std::vector<std::shared_ptr<const engine::AppAggregate>> apps =
+        current->apps;
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        const std::string &name = current->apps[a]->figures.name;
+        const std::uint64_t digest =
+            cache_.appDigest(name, study_.config().sessionsPerApp);
+        if (digest == current->apps[a]->digest) {
             ++result.unchanged;
             continue;
         }
-        engine::AppAggregate aggregate =
+        apps[a] = std::make_shared<const engine::AppAggregate>(
             engine::aggregateAppFromCache(
-                cache_, appNames_[a], a,
-                study_.config().sessionsPerApp,
+                cache_, name, a, study_.config().sessionsPerApp,
                 study_.config().perceptibleThreshold,
                 [this](std::size_t app, std::uint32_t s) {
                     return study_.loadSession(app, s);
-                });
-        merged_[a] = std::move(aggregate.merged);
-        figures_[a] = std::move(aggregate.figures);
-        digests_[a] = aggregate.digest;
+                }));
         refreshRecomputedCounter().add(1);
-        result.recomputedApps.push_back(appNames_[a]);
+        result.recomputedApps.push_back(name);
     }
+    if (!result.recomputedApps.empty())
+        publish(std::move(apps));
     return result;
 }
 
 std::size_t
 HotStore::appCount() const
 {
-    MutexLock lock(mutex_);
-    return appNames_.size();
+    const std::shared_ptr<const Served> served = snapshot();
+    return served ? served->apps.size() : study_.config().apps.size();
 }
 
-std::ptrdiff_t
-HotStore::appIndex(const HttpRequest &request) const
+HotStore::View
+HotStore::resolve(const HttpRequest &request, bool per_app) const
 {
-    const std::string *app = request.queryParam("app");
-    if (app == nullptr)
-        return -1;
-    for (std::size_t a = 0; a < appNames_.size(); ++a) {
-        if (appNames_[a] == *app)
-            return static_cast<std::ptrdiff_t>(a);
+    View out;
+    out.served = snapshot();
+    if (out.served == nullptr) {
+        out.error = errorResponse(503, "store not loaded");
+        return out;
     }
-    return -1;
+    if (!per_app)
+        return out;
+    if (const std::string *app = request.queryParam("app")) {
+        for (const auto &candidate : out.served->apps) {
+            if (candidate->figures.name == *app) {
+                out.app = candidate.get();
+                break;
+            }
+        }
+    }
+    if (out.app == nullptr)
+        out.error = errorResponse(404, "unknown app");
+    return out;
 }
 
 HttpResponse
-HotStore::handleApps(const HttpRequest &)
+HotStore::handleApps(const HttpRequest &request)
 {
-    MutexLock lock(mutex_);
-    if (!loaded_)
-        return errorResponse(503, "store not loaded");
+    View view = resolve(request, false);
+    if (view.error)
+        return std::move(*view.error);
+    std::vector<const engine::AppAggregate *> apps;
+    apps.reserve(view.served->apps.size());
+    for (const auto &app : view.served->apps)
+        apps.push_back(app.get());
     HttpResponse response;
-    response.body = appsJson(
-        appNames_, study_.config().sessionsPerApp, merged_);
+    response.body = appsJson(study_.config().sessionsPerApp, apps);
     return response;
 }
 
@@ -253,16 +284,12 @@ HotStore::handlePatterns(const HttpRequest &request)
             return errorResponse(400, "malformed limit");
     }
 
-    MutexLock lock(mutex_);
-    if (!loaded_)
-        return errorResponse(503, "store not loaded");
-    const std::ptrdiff_t a = appIndex(request);
-    if (a < 0)
-        return errorResponse(404, "unknown app");
+    View view = resolve(request, true);
+    if (view.error)
+        return std::move(*view.error);
     HttpResponse response;
-    response.body = core::patternsJson(
-        appNames_[static_cast<std::size_t>(a)],
-        merged_[static_cast<std::size_t>(a)], sort, limit);
+    response.body = core::patternsJson(view.app->figures.name,
+                                       view.app->merged, sort, limit);
     if (response.body.empty())
         return errorResponse(400, "unknown sort key");
     return response;
@@ -271,17 +298,13 @@ HotStore::handlePatterns(const HttpRequest &request)
 HttpResponse
 HotStore::handleCdf(const HttpRequest &request)
 {
-    MutexLock lock(mutex_);
-    if (!loaded_)
-        return errorResponse(503, "store not loaded");
-    const std::ptrdiff_t a = appIndex(request);
-    if (a < 0)
-        return errorResponse(404, "unknown app");
+    View view = resolve(request, true);
+    if (view.error)
+        return std::move(*view.error);
     HttpResponse response;
-    response.body = core::cdfJson(
-        appNames_[static_cast<std::size_t>(a)],
-        figures_[static_cast<std::size_t>(a)]
-            .cdfEpisodesAtPatternPercent);
+    response.body =
+        core::cdfJson(view.app->figures.name,
+                      view.app->figures.cdfEpisodesAtPatternPercent);
     return response;
 }
 
@@ -295,20 +318,15 @@ HotStore::handleEpisodes(const HttpRequest &request)
     if (!core::parsePatternKeyHex(*pattern, key))
         return errorResponse(400, "malformed pattern key");
 
-    MutexLock lock(mutex_);
-    if (!loaded_)
-        return errorResponse(503, "store not loaded");
-    const std::ptrdiff_t a = appIndex(request);
-    if (a < 0)
-        return errorResponse(404, "unknown app");
-    const core::MergedPatternSet &merged =
-        merged_[static_cast<std::size_t>(a)];
+    View view = resolve(request, true);
+    if (view.error)
+        return std::move(*view.error);
+    const core::MergedPatternSet &merged = view.app->merged;
     for (const core::MergedPattern &p : merged.patterns) {
         if (p.key == key) {
             HttpResponse response;
             response.body = core::episodesJson(
-                appNames_[static_cast<std::size_t>(a)], p,
-                merged.sessionCount);
+                view.app->figures.name, p, merged.sessionCount);
             return response;
         }
     }
@@ -322,11 +340,15 @@ HotStore::handleFigure(const HttpRequest &request)
     const std::string_view id =
         std::string_view(request.path).substr(prefix.size());
 
-    MutexLock lock(mutex_);
-    if (!loaded_)
-        return errorResponse(503, "store not loaded");
+    View view = resolve(request, false);
+    if (view.error)
+        return std::move(*view.error);
+    std::vector<const core::AppFigureData *> figures;
+    figures.reserve(view.served->apps.size());
+    for (const auto &app : view.served->apps)
+        figures.push_back(&app->figures);
     HttpResponse response;
-    response.body = core::figureJson(id, figures_);
+    response.body = core::figureJson(id, figures);
     if (response.body.empty())
         return errorResponse(404, "unknown figure id");
     return response;
@@ -335,12 +357,13 @@ HotStore::handleFigure(const HttpRequest &request)
 HttpResponse
 HotStore::handleHealth(const HttpRequest &)
 {
-    MutexLock lock(mutex_);
+    const std::shared_ptr<const Served> served = snapshot();
     HttpResponse response;
     response.body = "{\"status\":\"";
-    response.body += loaded_ ? "ok" : "loading";
+    response.body += served ? "ok" : "loading";
     response.body += "\",\"apps\":";
-    response.body += std::to_string(appNames_.size());
+    response.body += std::to_string(
+        served ? served->apps.size() : study_.config().apps.size());
     response.body += "}";
     return response;
 }

@@ -1,44 +1,9 @@
 #include "event_queue.hh"
 
 #include "util/logging.hh"
-#include "util/mutex.hh"
-#include "util/thread_annotations.hh"
 
 namespace lag::sim
 {
-
-namespace
-{
-
-Mutex g_statsMutex{LockRank::SimStats, "sim-kernel-stats"};
-KernelStats g_stats LAG_GUARDED_BY(g_statsMutex);
-
-/** Fold one runUntil() batch into the process-wide totals. One
- * lock round-trip per batch, not per event, keeps this off the
- * simulation hot path. */
-void
-addBatch(std::uint64_t serviced)
-{
-    MutexLock lock(g_statsMutex);
-    g_stats.eventsServiced += serviced;
-    ++g_stats.runCalls;
-}
-
-} // namespace
-
-KernelStats
-kernelStats()
-{
-    MutexLock lock(g_statsMutex);
-    return g_stats;
-}
-
-void
-resetKernelStats()
-{
-    MutexLock lock(g_statsMutex);
-    g_stats = KernelStats{};
-}
 
 EventId
 EventQueue::schedule(TimeNs when, EventFn fn, EventPriority prio)
@@ -106,7 +71,6 @@ EventQueue::runUntil(TimeNs until)
     }
     if (now_ < until)
         now_ = until;
-    addBatch(fired);
     return fired;
 }
 

@@ -42,31 +42,6 @@ enum class EventPriority : std::uint8_t
 };
 
 /**
- * Process-wide simulation-kernel counters, aggregated across every
- * EventQueue. One study runs many sessions concurrently on the
- * engine pool, each with its own (single-threaded) queue; these
- * totals are the only state the queues share, and they are guarded
- * by an annotated mutex (LockRank::SimStats). Totals are
- * deterministic once the driving pool is idle; snapshots taken
- * mid-run race only with their own staleness, never with a data
- * race.
- */
-struct KernelStats
-{
-    /** Events serviced by runUntil()/step() across all queues. */
-    std::uint64_t eventsServiced = 0;
-
-    /** runUntil() invocations across all queues. */
-    std::uint64_t runCalls = 0;
-};
-
-/** Snapshot of the process-wide kernel counters. */
-KernelStats kernelStats();
-
-/** Reset the process-wide kernel counters (tests). */
-void resetKernelStats();
-
-/**
  * Deterministic time-ordered event queue with cancellation.
  *
  * Cancellation is lazy: cancelled entries stay in the heap and are

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <system_error>
 
 #include "bytes.hh"
@@ -13,7 +12,6 @@
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "util/hash.hh"
-#include "util/strings.hh"
 #include "util/thread_name.hh"
 #include "wire.hh"
 
@@ -152,65 +150,6 @@ readTraceFile(const std::string &path)
 {
     const MappedFile file(path);
     return deserializeTrace(file.view());
-}
-
-std::string
-toJsonl(const Trace &trace)
-{
-    std::ostringstream out;
-    out << "{\"record\":\"meta\",\"app\":\""
-        << xmlEscape(trace.meta.appName) << "\",\"session\":"
-        << trace.meta.sessionIndex << ",\"seed\":" << trace.meta.seed
-        << ",\"start\":" << trace.meta.startTime << ",\"end\":"
-        << trace.meta.endTime << ",\"filtered\":"
-        << trace.meta.filteredShortEpisodes << "}\n";
-    for (const auto &thread : trace.threads) {
-        out << "{\"record\":\"thread\",\"id\":" << thread.id
-            << ",\"name\":\"" << xmlEscape(thread.name)
-            << "\",\"gui\":" << (thread.isGui ? "true" : "false")
-            << "}\n";
-    }
-    for (const auto &event : trace.events) {
-        out << "{\"record\":\"event\",\"type\":\""
-            << eventTypeName(event.type) << "\",\"t\":" << event.time;
-        if (event.type == EventType::IntervalBegin ||
-            event.type == EventType::IntervalEnd) {
-            out << ",\"kind\":\"" << intervalKindName(event.kind) << '"';
-        }
-        if (event.type == EventType::IntervalBegin) {
-            out << ",\"class\":\""
-                << xmlEscape(trace.strings.lookup(event.classSym))
-                << "\",\"method\":\""
-                << xmlEscape(trace.strings.lookup(event.methodSym))
-                << '"';
-        }
-        if (event.type == EventType::GcBegin) {
-            out << ",\"gc\":\""
-                << (event.gcKind == TraceGcKind::Major ? "major"
-                                                       : "minor")
-                << '"';
-        }
-        if (event.type != EventType::GcBegin &&
-            event.type != EventType::GcEnd) {
-            out << ",\"thread\":" << event.thread;
-        }
-        out << "}\n";
-    }
-    const SampleColumns &samples = trace.samples;
-    for (std::size_t s = 0; s < samples.size(); ++s) {
-        out << "{\"record\":\"sample\",\"t\":" << samples.time(s)
-            << ",\"threads\":[";
-        for (std::size_t e = samples.entryBegin(s);
-             e < samples.entryEnd(s); ++e) {
-            if (e > samples.entryBegin(s))
-                out << ',';
-            out << "{\"id\":" << samples.thread(e) << ",\"state\":\""
-                << traceThreadStateName(samples.state(e))
-                << "\",\"depth\":" << samples.stack(e).size() << '}';
-        }
-        out << "]}\n";
-    }
-    return out.str();
 }
 
 } // namespace lag::trace

@@ -85,13 +85,6 @@ void writeTraceFileAtomic(const Trace &trace,
  */
 Trace readTraceFile(const std::string &path);
 
-/**
- * Export a human-readable JSON-lines rendering of @p trace (one
- * record per line: meta, threads, events, samples). For debugging
- * and interoperability; the binary format is the system of record.
- */
-std::string toJsonl(const Trace &trace);
-
 } // namespace lag::trace
 
 #endif // LAG_TRACE_IO_HH

@@ -49,9 +49,12 @@ namespace lag
  */
 enum class LockRank : int
 {
-    /** Serve-layer hot state (serve::HotStore, HttpServer
-     * bookkeeping): held while whole engine aggregations run
-     * underneath, so it sits above every other rank. */
+    /** Serve-layer writers (serve::HotStore's publishes and
+     * follow-mode live sessions) and HttpServer bookkeeping.
+     * HotStore readers never take it: they copy the published
+     * generation's pointer under ServeSnapshot. A refresh holds it
+     * while a whole engine aggregation runs underneath, so it sits
+     * above every other rank. */
     Serve = 1100,
 
     /** Ad-hoc client/test state built on top of the engine. */
@@ -68,9 +71,6 @@ enum class LockRank : int
      * error (engine/pool). Taken by its tasks only after their body
      * returned, so it never nests around a pool lock. */
     ForkJoin = 500,
-
-    /** Simulation-kernel global counters (sim/event_queue). */
-    SimStats = 300,
 
     /** ThreadPool idle/error accounting (engine/pool). */
     PoolIdle = 200,
@@ -90,6 +90,12 @@ enum class LockRank : int
      * rings' list are lock-free and take no rank at all.
      */
     Obs = 50,
+
+    /** serve::HotStore's published-generation pointer: held only to
+     * copy or swap that one pointer, with nothing acquired inside,
+     * by readers with no other lock held and by writers under Serve.
+     */
+    ServeSnapshot = 30,
 
     /** Log sink; leaf rank so any code may log while holding any
      * other lock (panic paths do). */

@@ -109,17 +109,6 @@ Rng::exponential(double mean)
     return -mean * std::log(u);
 }
 
-double
-Rng::paretoBounded(double lo, double hi, double alpha)
-{
-    lag_assert(lo > 0.0 && hi > lo && alpha > 0.0,
-               "paretoBounded needs 0 < lo < hi and alpha > 0");
-    const double u = nextDouble();
-    const double la = std::pow(lo, alpha);
-    const double ha = std::pow(hi, alpha);
-    return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-}
-
 int
 Rng::poisson(double mean)
 {

@@ -88,12 +88,6 @@ class Rng
     /** Exponential draw with the given mean. */
     double exponential(double mean);
 
-    /**
-     * Bounded Pareto draw on [lo, hi] with tail index alpha.
-     * Used for think-time bursts and pathological handler tails.
-     */
-    double paretoBounded(double lo, double hi, double alpha);
-
     /** Poisson draw (Knuth for small means, normal approx above 64). */
     int poisson(double mean);
 

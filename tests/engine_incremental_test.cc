@@ -142,7 +142,7 @@ TEST(EngineIncremental, MatchesDirectAnalysisAcrossCacheStates)
         EXPECT_EQ(aggregate.sessionsRecomputed, expect_recomputed)
             << label;
         ASSERT_EQ(aggregate.grid.size(), names.size()) << label;
-        ASSERT_EQ(aggregate.merged.size(), names.size()) << label;
+        ASSERT_EQ(aggregate.apps.size(), names.size()) << label;
         for (std::size_t a = 0; a < names.size(); ++a) {
             ASSERT_EQ(aggregate.grid[a].size(),
                       config.sessionsPerApp)
@@ -154,7 +154,7 @@ TEST(EngineIncremental, MatchesDirectAnalysisAcrossCacheStates)
                     reference_grid[a][s])
                     << label << ": app " << a << " session " << s;
             }
-            EXPECT_EQ(dumpMerged(aggregate.merged[a]),
+            EXPECT_EQ(dumpMerged(aggregate.apps[a].merged),
                       reference_merged[a])
                 << label << ": app " << a;
         }
@@ -182,7 +182,7 @@ dumpFigures(const core::AppFigureData &figures)
     std::string out = core::cdfJson(
         figures.name, figures.cdfEpisodesAtPatternPercent);
     for (const std::string &id : core::figureIds())
-        out += '\n' + core::figureJson(id, {figures});
+        out += '\n' + core::figureJson(id, {&figures});
     return out;
 }
 
@@ -216,10 +216,8 @@ TEST(EngineIncremental, FinishedAppsIdenticalAtAnyJobsAndPerApp)
               names.size() * config.sessionsPerApp);
     ASSERT_EQ(parallel.sessionsFromCache,
               names.size() * config.sessionsPerApp);
-    ASSERT_EQ(serial.figures.size(), names.size());
-    ASSERT_EQ(parallel.figures.size(), names.size());
-    ASSERT_EQ(serial.digests.size(), names.size());
-    ASSERT_EQ(parallel.digests.size(), names.size());
+    ASSERT_EQ(serial.apps.size(), names.size());
+    ASSERT_EQ(parallel.apps.size(), names.size());
 
     for (std::size_t a = 0; a < names.size(); ++a) {
         const AppAggregate app = aggregateAppFromCache(
@@ -227,26 +225,28 @@ TEST(EngineIncremental, FinishedAppsIdenticalAtAnyJobsAndPerApp)
             config.perceptibleThreshold, loader);
         for (const StudyAggregate *study_aggregate :
              {&serial, &parallel}) {
-            EXPECT_EQ(dumpMerged(study_aggregate->merged[a]),
+            const AppAggregate &finished = study_aggregate->apps[a];
+            EXPECT_EQ(dumpMerged(finished.merged),
                       dumpMerged(app.merged))
                 << "app " << a;
-            EXPECT_EQ(dumpFigures(study_aggregate->figures[a]),
+            EXPECT_EQ(dumpFigures(finished.figures),
                       dumpFigures(app.figures))
                 << "app " << a;
-            EXPECT_EQ(study_aggregate->digests[a], app.digest)
-                << "app " << a;
+            EXPECT_EQ(finished.digest, app.digest) << "app " << a;
         }
         // The figure inputs are the session average of the grid row.
-        EXPECT_EQ(dumpFigures(parallel.figures[a]),
-                  dumpFigures(averageSessionAnalyses(
-                      names[a], parallel.grid[a])))
+        std::vector<const SessionAnalysis *> row;
+        for (const SessionAnalysis &analysis : parallel.grid[a])
+            row.push_back(&analysis);
+        EXPECT_EQ(dumpFigures(parallel.apps[a].figures),
+                  dumpFigures(averageSessionAnalyses(names[a], row)))
             << "app " << a;
         // The digest in hand is the digest on disk.
         EXPECT_EQ(app.digest,
                   cache.appDigest(names[a], config.sessionsPerApp))
             << "app " << a;
     }
-    EXPECT_NE(parallel.digests[0], parallel.digests[1]);
+    EXPECT_NE(parallel.apps[0].digest, parallel.apps[1].digest);
 }
 
 TEST(EngineIncremental, LoadAndStoreReportTheEntryDigest)

@@ -4,15 +4,19 @@
  * applyIngest into the same emitters the batch path uses, so once a
  * source completes, `/v1/patterns` serves byte-for-byte the batch
  * answer — while partial sessions are queryable along the way. Also
- * covers `/v1/ingest` (strict JSON, all_complete transition) and
- * the follow-mode refresh no-op.
+ * covers `/v1/ingest` (strict JSON, all_complete transition), the
+ * follow-mode refresh no-op, and readers plus refreshes racing the
+ * epochs' publishes.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -234,8 +238,11 @@ TEST(ServeIngest, OneEpochRebuildsEachTouchedAppOnce)
     const std::string name = config.apps[0].name;
     const std::string expectedPatterns = core::patternsJson(
         name, core::mergeAnalyses(summaries), "episodes", 0);
+    std::vector<const engine::SessionAnalysis *> borrowed;
+    for (const engine::SessionAnalysis &analysis : analyses)
+        borrowed.push_back(&analysis);
     const std::string expectedCdf = core::cdfJson(
-        name, engine::averageSessionAnalyses(name, analyses)
+        name, engine::averageSessionAnalyses(name, borrowed)
                   .cdfEpisodesAtPatternPercent);
 
     engine::ThreadPool pool(config.jobs);
@@ -284,6 +291,140 @@ TEST(ServeIngest, OneEpochRebuildsEachTouchedAppOnce)
     EXPECT_EQ(batches, 1u);
     EXPECT_EQ(counter("serve.ingest.app_rebuilds") - rebuildsBefore,
               1u);
+}
+
+TEST(ServeIngest, ReadersAndRefreshRaceEpochPublishes)
+{
+    // Readers render and POST /v1/refresh while epochs publish. Every
+    // handler renders from one published generation with no lock
+    // held, and refresh sizes its span from a generation, never from
+    // state an ingest publish is changing — so nothing races (this
+    // test runs under TSan), every body is strict JSON, a complete
+    // /v1/ingest status is never ahead of its answers, and the final
+    // answer is the batch one.
+    const ScratchDir cache("lagalyzer-cache-test-serve-race");
+    const ScratchDir live("lagalyzer-serve-ingest-race");
+
+    app::StudyConfig config = app::StudyConfig::quickStudy(3);
+    config.apps.resize(2);
+    config.sessionsPerApp = 1;
+    config.cacheDir = cache.path;
+    config.jobs = 2;
+    app::Study study(config);
+    const auto tracePaths = study.ensureTraces();
+
+    std::vector<std::string> appNames;
+    std::vector<std::string> expected;
+    for (std::size_t a = 0; a < config.apps.size(); ++a) {
+        const core::Session session = study.loadSession(a, 0);
+        const engine::SessionAnalysis analysis =
+            engine::analyzeSession(session,
+                                   config.perceptibleThreshold);
+        appNames.push_back(session.meta().appName);
+        expected.push_back(core::patternsJson(
+            session.meta().appName,
+            core::mergeAnalyses({analysis.patternSummary}),
+            "episodes", 0));
+    }
+
+    engine::ThreadPool pool(config.jobs);
+    HotStore store(config, pool);
+    store.startFollow();
+    engine::IngestOptions options;
+    options.perceptibleThreshold = config.perceptibleThreshold;
+    // A slow publish, as a paper-size finish is, holds open the
+    // window in which a status could run ahead of its answer.
+    engine::IngestPipeline pipeline(
+        pool, options,
+        [&store](std::vector<engine::IngestUpdate> updates) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            store.applyIngest(std::move(updates));
+        });
+    Router router;
+    store.installRoutes(router);
+
+    HttpRequest refresh;
+    refresh.method = "POST";
+    refresh.path = "/v1/refresh";
+    const std::vector<HttpRequest> requests = {
+        getRequest("/v1/apps"),
+        getRequest("/v1/patterns", {{"app", appNames[0]}}),
+        getRequest("/v1/figures/fig3"),
+        // Location shares come from the samples, which a trace
+        // carries last: this body moves until the final epoch.
+        getRequest("/v1/figures/fig6"), refresh};
+
+    std::atomic<std::size_t> answers{0};
+    // Per reader, each (request, body) read after /v1/ingest already
+    // said complete; every one must be the final answer.
+    std::vector<std::vector<std::pair<std::size_t, std::string>>>
+        afterComplete(3);
+    // jthreads: stopped and joined on every way out of the test.
+    std::vector<std::jthread> readers;
+    for (std::size_t r = 0; r < afterComplete.size(); ++r) {
+        readers.emplace_back([&, r](const std::stop_token &stop) {
+            while (!stop.stop_requested()) {
+                const bool complete = pipeline.allComplete();
+                for (std::size_t i = 0; i < requests.size(); ++i) {
+                    const HttpResponse response =
+                        router.dispatch(requests[i]);
+                    // 404 only while app 0 has not published yet.
+                    EXPECT_TRUE(response.status == 200 ||
+                                response.status == 404)
+                        << requests[i].path << ": " << response.status;
+                    EXPECT_TRUE(obs::checkJson(response.body).ok)
+                        << requests[i].path << ": " << response.body;
+                    if (complete)
+                        afterComplete[r].emplace_back(i, response.body);
+                    answers.fetch_add(1);
+                }
+            }
+        });
+    }
+
+    // Both sessions grow in eight steps, one epoch each, then drain;
+    // every reader gets a turn between two publishes.
+    const auto letReadersRun = [&] {
+        const std::size_t seen = answers.load();
+        while (answers.load() < seen + readers.size() * requests.size())
+            std::this_thread::yield();
+    };
+    const std::vector<std::string> bytes = {slurp(tracePaths[0][0]),
+                                            slurp(tracePaths[1][0])};
+    const std::vector<std::string> dests = {
+        live.path + "/session0.lag", live.path + "/session1.lag"};
+    constexpr std::size_t kSteps = 8;
+    for (std::size_t step = 1; step <= kSteps; ++step) {
+        for (std::size_t i = 0; i < dests.size(); ++i)
+            writeBytes(dests[i], bytes[i],
+                       bytes[i].size() * step / kSteps);
+        pipeline.scanDirectory(live.path);
+        pipeline.runEpoch();
+        letReadersRun();
+    }
+    for (int i = 0; i < 10 && !pipeline.allComplete(); ++i) {
+        pipeline.runEpoch();
+        letReadersRun();
+    }
+    readers.clear(); // stop and join
+    ASSERT_TRUE(pipeline.allComplete());
+    EXPECT_GT(answers.load(), 0u);
+    for (const auto &seen : afterComplete) {
+        for (const auto &[i, body] : seen) {
+            EXPECT_EQ(body, router.dispatch(requests[i]).body)
+                << requests[i].path
+                << ": /v1/ingest said complete before this answer";
+        }
+    }
+
+    for (std::size_t a = 0; a < appNames.size(); ++a) {
+        const HttpResponse response = router.dispatch(getRequest(
+            "/v1/patterns", {{"app", appNames[a]}}));
+        EXPECT_EQ(response.status, 200);
+        EXPECT_EQ(response.body, expected[a])
+            << "follow-mode /v1/patterns diverges from batch for "
+            << appNames[a];
+    }
 }
 
 } // namespace

@@ -89,6 +89,18 @@ urlEncode(const std::string &text)
     return out;
 }
 
+/** Pointers to every element of @p items, in order — the borrowed
+ * form the emitters take. */
+template <typename T>
+std::vector<const T *>
+borrow(const std::vector<T> &items)
+{
+    std::vector<const T *> out;
+    for (const T &item : items)
+        out.push_back(&item);
+    return out;
+}
+
 /** The batch side of the equivalence: a cold full aggregation over
  * a fresh, private result cache (so it never reads the served
  * `.ares` entries) pushed through the same emitters the server
@@ -96,7 +108,7 @@ urlEncode(const std::string &text)
 struct Reference
 {
     std::vector<std::string> names;
-    std::vector<core::MergedPatternSet> merged;
+    std::vector<engine::AppAggregate> apps;
     std::vector<core::AppFigureData> figures;
 
     Reference(const app::StudyConfig &config,
@@ -109,17 +121,17 @@ struct Reference
         const ScratchDir fresh("lagalyzer-cache-test-serve-ref");
         const engine::ResultCache cache(fresh.path,
                                         config.fingerprint());
-        const engine::StudyAggregate aggregate =
+        engine::StudyAggregate aggregate =
             engine::aggregateFromCache(
                 cache, names, config.sessionsPerApp,
                 config.perceptibleThreshold, pool,
                 [&study](std::size_t a, std::uint32_t s) {
                     return study.loadSession(a, s);
                 });
-        merged = aggregate.merged;
+        apps = std::move(aggregate.apps);
         for (std::size_t a = 0; a < names.size(); ++a)
             figures.push_back(engine::averageSessionAnalyses(
-                names[a], aggregate.grid[a]));
+                names[a], borrow(aggregate.grid[a])));
     }
 };
 
@@ -189,8 +201,7 @@ TEST(ServeStore, ResponsesByteIdenticalToBatchReference)
         const ClientResult result = live.get("/v1/apps");
         EXPECT_EQ(result.status, 200);
         EXPECT_EQ(result.body,
-                  appsJson(reference.names, config.sessionsPerApp,
-                           reference.merged));
+                  appsJson(config.sessionsPerApp, borrow(reference.apps)));
     }
 
     for (std::size_t a = 0; a < reference.names.size(); ++a) {
@@ -208,7 +219,7 @@ TEST(ServeStore, ResponsesByteIdenticalToBatchReference)
                 EXPECT_EQ(result.status, 200) << target;
                 EXPECT_EQ(result.body,
                           core::patternsJson(reference.names[a],
-                                             reference.merged[a],
+                                             reference.apps[a].merged,
                                              sort, limit))
                     << target;
             }
@@ -220,7 +231,7 @@ TEST(ServeStore, ResponsesByteIdenticalToBatchReference)
                 live.get("/v1/patterns?app=" + app);
             EXPECT_EQ(result.body,
                       core::patternsJson(reference.names[a],
-                                         reference.merged[a],
+                                         reference.apps[a].merged,
                                          "episodes", 0));
         }
 
@@ -238,7 +249,7 @@ TEST(ServeStore, ResponsesByteIdenticalToBatchReference)
 
         // /v1/episodes for every merged pattern of this app.
         for (const core::MergedPattern &pattern :
-             reference.merged[a].patterns) {
+             reference.apps[a].merged.patterns) {
             const std::string target =
                 "/v1/episodes?app=" + app + "&pattern=" +
                 core::patternKeyHex(pattern.key);
@@ -247,7 +258,7 @@ TEST(ServeStore, ResponsesByteIdenticalToBatchReference)
             EXPECT_EQ(result.body,
                       core::episodesJson(
                           reference.names[a], pattern,
-                          reference.merged[a].sessionCount))
+                          reference.apps[a].merged.sessionCount))
                 << target;
         }
     }
@@ -257,7 +268,7 @@ TEST(ServeStore, ResponsesByteIdenticalToBatchReference)
         const ClientResult result = live.get("/v1/figures/" + id);
         EXPECT_EQ(result.status, 200) << id;
         EXPECT_EQ(result.body,
-                  core::figureJson(id, reference.figures))
+                  core::figureJson(id, borrow(reference.figures)))
             << id;
     }
 
@@ -364,13 +375,12 @@ TEST(ServeStore, RefreshRecomputesExactlyTheDirtiedApp)
         EXPECT_EQ(result.status, 200);
         EXPECT_EQ(result.body,
                   core::patternsJson(reference.names[a],
-                                     reference.merged[a],
+                                     reference.apps[a].merged,
                                      "total_lag", 0));
     }
     const ClientResult apps = live.get("/v1/apps");
     EXPECT_EQ(apps.body,
-              appsJson(reference.names, config.sessionsPerApp,
-                       reference.merged));
+              appsJson(config.sessionsPerApp, borrow(reference.apps)));
 
     // And a second refresh right after is a no-op again.
     const ClientResult again = live.post("/v1/refresh");

@@ -248,17 +248,6 @@ TEST(TraceValidateTest, EndBeforeStartRejected)
     EXPECT_THROW(trace.validate(), TraceError);
 }
 
-TEST(TraceIoTest, JsonlContainsRecords)
-{
-    const std::string jsonl = toJsonl(sampleTrace());
-    EXPECT_NE(jsonl.find("\"record\":\"meta\""), std::string::npos);
-    EXPECT_NE(jsonl.find("\"record\":\"thread\""), std::string::npos);
-    EXPECT_NE(jsonl.find("\"record\":\"event\""), std::string::npos);
-    EXPECT_NE(jsonl.find("\"record\":\"sample\""), std::string::npos);
-    EXPECT_NE(jsonl.find("app.A"), std::string::npos);
-    EXPECT_NE(jsonl.find("\"gc\":\"major\""), std::string::npos);
-}
-
 /** Property sweep: randomized traces round-trip bit-exactly. */
 class RandomTraceRoundTrip : public ::testing::TestWithParam<int>
 {

@@ -115,16 +115,6 @@ TEST(RngTest, ExponentialMean)
     EXPECT_NEAR(stats.mean(), 10.0, 0.3);
 }
 
-TEST(RngTest, ParetoBoundedStaysInRange)
-{
-    Rng rng(23);
-    for (int i = 0; i < 10000; ++i) {
-        const double v = rng.paretoBounded(1.0, 100.0, 1.5);
-        ASSERT_GE(v, 1.0);
-        ASSERT_LE(v, 100.0);
-    }
-}
-
 TEST(RngTest, PoissonMeanSmall)
 {
     Rng rng(29);

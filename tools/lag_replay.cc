@@ -13,8 +13,8 @@
  *
  * --batch-json instead prints the batch-analysis reference answer
  * for SRC — the exact `/v1/patterns` body lagd serves once a follow
- * of this trace completes (core::patternsJson over
- * core::mergeAnalyses of the single session's summary). The CI
+ * of this trace completes (core::patternsJson over the single
+ * session's engine::finishApp merge). The CI
  * ingest smoke diffs the live answer against this output.
  *
  * Usage: ./lag_replay SRC.lag DEST.lag [--rps N] [--chunk BYTES]
@@ -32,9 +32,9 @@
 #include <string>
 #include <thread>
 
-#include "core/aggregate.hh"
 #include "core/figure_json.hh"
 #include "core/session.hh"
+#include "engine/incremental.hh"
 #include "engine/result_cache.hh"
 #include "trace/io.hh"
 
@@ -117,9 +117,9 @@ main(int argc, char **argv)
             const engine::SessionAnalysis analysis =
                 engine::analyzeSession(
                     session, msToNs(threshold_ms));
-            const core::MergedPatternSet merged =
-                core::mergeAnalyses({analysis.patternSummary});
-            std::cout << core::patternsJson(app, merged,
+            const engine::AppAggregate finished =
+                engine::finishApp(app, {&analysis}, {});
+            std::cout << core::patternsJson(app, finished.merged,
                                             "episodes", 0)
                       << '\n';
         } catch (const std::exception &e) {
