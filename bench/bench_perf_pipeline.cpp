@@ -22,7 +22,7 @@
  * (the one-pass flat build, with its allocations), `render` (the
  * fixture's full /v1/patterns body: MB/s and allocations per
  * render), `ingest` (live-ingest throughput and per-epoch cost),
- * plus `obs_pipeline` (pool steal ratio, cache hit rate, queue-depth
+ * plus `obs_pipeline` (pool task count, cache hit rate, queue-depth
  * high-water mark from the always-on metrics registry). `--smoke`
  * prints only those lines with few iterations — that mode backs the
  * `perf` CTest label.
@@ -766,27 +766,18 @@ reportQueryLatency(std::uint32_t jobs, int requests)
 
 /**
  * Engine self-observation totals for the whole bench run, as one
- * JSON line: how well the pool balanced (steal ratio), how much the
- * result cache saved (hit rate), the deepest queue backlog, and the
- * decode volume behind the numbers above. Reads the always-on
- * metrics registry (src/obs), so it reflects every pass that ran
- * before it.
+ * JSON line: how many tasks the pool ran, how much the result cache
+ * saved (hit rate), the deepest queue backlog, and the decode volume
+ * behind the numbers above. Reads the always-on metrics registry
+ * (src/obs), so it reflects every pass that ran before it.
  */
 void
 reportObsMetrics()
 {
     const obs::MetricsSnapshot snap = obs::metrics().snapshot();
-    const std::uint64_t steals =
-        snap.counterValue("pool.steal.success");
-    const std::uint64_t failed_steals =
-        snap.counterValue("pool.steal.fail");
     const std::uint64_t tasks = snap.counterValue("pool.task.count");
     const std::uint64_t hits = snap.counterValue("cache.hit");
     const std::uint64_t misses = snap.counterValue("cache.miss");
-    const double steal_ratio =
-        tasks > 0 ? static_cast<double>(steals) /
-                        static_cast<double>(tasks)
-                  : 0.0;
     const double hit_rate =
         hits + misses > 0 ? static_cast<double>(hits) /
                                 static_cast<double>(hits + misses)
@@ -794,14 +785,11 @@ reportObsMetrics()
 
     std::printf(
         "{\"bench\":\"obs_pipeline\",\"pool_tasks\":%llu,"
-        "\"pool_steals\":%llu,\"pool_failed_steals\":%llu,"
-        "\"pool_steal_ratio\":%.3f,\"queue_depth_max\":%lld,"
+        "\"queue_depth_max\":%lld,"
         "\"cache_hits\":%llu,\"cache_misses\":%llu,"
         "\"cache_hit_rate\":%.3f,\"decode_count\":%llu,"
         "\"decode_bytes\":%llu}\n",
         static_cast<unsigned long long>(tasks),
-        static_cast<unsigned long long>(steals),
-        static_cast<unsigned long long>(failed_steals), steal_ratio,
         static_cast<long long>(snap.gaugeMax("pool.queue.depth")),
         static_cast<unsigned long long>(hits),
         static_cast<unsigned long long>(misses), hit_rate,

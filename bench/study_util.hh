@@ -10,7 +10,7 @@
  * shrink).
  *
  * Simulation, decoding and analysis fan out across the engine's
- * work-stealing pool; per-session analysis results are cached on
+ * thread pool; per-session analysis results are cached on
  * disk (engine::ResultCache) and cross-session aggregates are
  * answered incrementally from those `.ares` entries
  * (engine::aggregateFromCache) — a warm re-run never opens a trace

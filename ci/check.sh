@@ -23,7 +23,9 @@
 # instrumented tree in build-<san> and runs the engine label under
 # it (TSAN also the serve label: the hot store's readers render
 # lock-free from a published snapshot while its writers, serialised
-# by one mutex, refresh and ingest on the pool; ASAN and UBSAN also
+# by one mutex, refresh and ingest on the pool; TSAN then repeats the
+# EnginePool, EngineParallelFor and TraceContext cases five times
+# each; ASAN and UBSAN also
 # the core label: the session builder and the flat-tree walks are
 # index arithmetic over arrays). Exits nonzero on the first failure.
 #
@@ -388,6 +390,13 @@ if [ -n "$sanitize" ]; then
     esac
     (cd "$san_build" &&
         ctest -L "$san_labels" --output-on-failure -j "$jobs")
+    if [ "$san_labels" = "engine|serve" ]; then
+        # The pool, its one join and the trace context that rides
+        # every task: repeated, since a race need not show on one run.
+        (cd "$san_build" &&
+            ctest -R '^(EnginePool|EngineParallelFor|TraceContext)\.' \
+                --repeat until-fail:5 --output-on-failure -j "$jobs")
+    fi
 fi
 
 echo "== ci/check.sh: all gates passed"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -243,37 +242,6 @@ Study::loadApp(std::size_t app_index)
     for (std::uint32_t s = 0; s < config_.sessionsPerApp; ++s)
         loaded.sessions.push_back(loadSession(app_index, s));
     return loaded;
-}
-
-std::vector<AppSessions>
-Study::loadAll()
-{
-    ensureTraces();
-
-    const std::size_t sessions = config_.sessionsPerApp;
-    const std::size_t total = config_.apps.size() * sessions;
-    std::vector<std::optional<core::Session>> staging(total);
-
-    engine::ThreadPool pool(config_.jobs);
-    engine::parallelFor(pool, total, [&](std::size_t i) {
-        staging[i] = loadSession(
-            i / sessions, static_cast<std::uint32_t>(i % sessions));
-    });
-
-    // Deterministic merge: results move into [app][session] order
-    // regardless of which worker decoded what.
-    std::vector<AppSessions> all;
-    all.reserve(config_.apps.size());
-    for (std::size_t a = 0; a < config_.apps.size(); ++a) {
-        AppSessions loaded;
-        loaded.params = config_.apps[a];
-        loaded.sessions.reserve(sessions);
-        for (std::size_t s = 0; s < sessions; ++s)
-            loaded.sessions.push_back(
-                std::move(*staging[a * sessions + s]));
-        all.push_back(std::move(loaded));
-    }
-    return all;
 }
 
 } // namespace lag::app

@@ -9,11 +9,11 @@
  * The cache is keyed by a fingerprint of the full configuration —
  * recalibrating any model parameter invalidates it.
  *
- * Simulation, encoding and decoding fan out across the engine's
- * work-stealing pool (src/engine). Parallelism is execution-only:
- * every session is derived from its (app, session) seed and written
- * to its own [app][session] slot, so the study's output is
- * byte-identical to a serial run at any worker count.
+ * Simulation and encoding fan out across the engine's thread pool
+ * (src/engine). Parallelism is execution-only: every session is
+ * derived from its (app, session) seed and written to its own
+ * [app][session] slot, so the study's output is byte-identical to a
+ * serial run at any worker count.
  */
 
 #ifndef LAG_APP_STUDY_HH
@@ -121,13 +121,6 @@ class Study
 
     /** Load (and, if needed, first generate) one app's sessions. */
     AppSessions loadApp(std::size_t app_index);
-
-    /**
-     * Load every app (memory-heavy; benches prefer per-app).
-     * Sessions decode in parallel on the engine pool; the result is
-     * merged deterministically by [app][session] index.
-     */
-    std::vector<AppSessions> loadAll();
 
   private:
     /** Path of one session's trace file. */

@@ -748,16 +748,6 @@ Session::fromFile(const std::string &path)
     return fromTrace(trace::decodeTrace(file.view()));
 }
 
-const FlatTree &
-Session::threadTree(ThreadId id) const
-{
-    for (const auto &tree : flat_.trees()) {
-        if (tree.id == id)
-            return tree;
-    }
-    throw trace::TraceError("unknown thread id " + std::to_string(id));
-}
-
 void
 Session::throwNoGui()
 {

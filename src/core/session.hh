@@ -102,9 +102,6 @@ class Session
         return strings_.lookup(id);
     }
 
-    /** The tree of the thread with @p id; throws if unknown. */
-    const FlatTree &threadTree(ThreadId id) const;
-
     /** The tree holding @p episode's dispatch interval. */
     const FlatTree &
     episodeTree(const Episode &episode) const

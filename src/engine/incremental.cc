@@ -41,31 +41,6 @@ borrowAll(const std::vector<SessionAnalysis> &sessions)
     return borrowed;
 }
 
-/**
- * One session's analysis: the cache entry on a hit, else load +
- * analyze (+ store back). Sets @p from_cache to which it was and
- * @p digest to the entry's digest as loaded or stored.
- */
-SessionAnalysis
-sessionFromCache(const ResultCache &cache, const std::string &app_name,
-                 std::size_t app_index, std::uint32_t session_index,
-                 DurationNs perceptible_threshold,
-                 const SessionLoader &load_session, bool &from_cache,
-                 std::uint64_t &digest)
-{
-    from_cache = false;
-    if (auto hit = cache.load(app_name, session_index, &digest)) {
-        from_cache = true;
-        return std::move(*hit);
-    }
-    const core::Session session =
-        load_session(app_index, session_index);
-    SessionAnalysis analysis =
-        analyzeSession(session, perceptible_threshold);
-    digest = cache.store(app_name, session_index, analysis);
-    return analysis;
-}
-
 } // namespace
 
 AppAggregate
@@ -111,12 +86,17 @@ aggregateFromCache(const ResultCache &cache,
         const std::size_t a = k / sessions_per_app;
         const auto s = static_cast<std::uint32_t>(k % sessions_per_app);
         LAG_SPAN_ARG("aggregate", "item", s);
-        bool hit = false;
-        out.grid[a][s] = sessionFromCache(
-            cache, app_names[a], a, s, perceptible_threshold,
-            load_session, hit, entry_digests[a][s]);
-        if (hit)
+        // The cache entry on a hit, else load + analyze + store back;
+        // either way the entry's digest as loaded or stored.
+        std::uint64_t &digest = entry_digests[a][s];
+        if (auto hit = cache.load(app_names[a], s, &digest)) {
+            out.grid[a][s] = std::move(*hit);
             from_cache.fetch_add(1, std::memory_order_relaxed);
+            return;
+        }
+        const core::Session session = load_session(a, s);
+        out.grid[a][s] = analyzeSession(session, perceptible_threshold);
+        digest = cache.store(app_names[a], s, out.grid[a][s]);
     });
 
     out.sessionsFromCache =
@@ -136,37 +116,6 @@ aggregateFromCache(const ResultCache &cache,
                                 entry_digests[a]);
     });
     return out;
-}
-
-AppAggregate
-aggregateAppFromCache(const ResultCache &cache,
-                      const std::string &app_name,
-                      std::size_t app_index,
-                      std::uint32_t sessions_per_app,
-                      DurationNs perceptible_threshold,
-                      const SessionLoader &load_session)
-{
-    LAG_SPAN_ARG("cache.aggregate.app", "sessions",
-                 sessions_per_app);
-    lag_assert(load_session != nullptr,
-               "aggregateAppFromCache needs a session loader");
-
-    std::vector<SessionAnalysis> sessions;
-    sessions.reserve(sessions_per_app);
-    std::vector<std::uint64_t> entry_digests(sessions_per_app);
-    std::size_t from_cache = 0;
-    for (std::uint32_t s = 0; s < sessions_per_app; ++s) {
-        bool hit = false;
-        sessions.push_back(sessionFromCache(
-            cache, app_name, app_index, s, perceptible_threshold,
-            load_session, hit, entry_digests[s]));
-        if (hit)
-            ++from_cache;
-    }
-
-    aggregateMetrics().cached.add(from_cache);
-    aggregateMetrics().recomputed.add(sessions_per_app - from_cache);
-    return finishApp(app_name, borrowAll(sessions), entry_digests);
 }
 
 core::AppFigureData

@@ -44,7 +44,8 @@ namespace lag::engine
 
 /**
  * Produces one session on a cache miss (decode its trace, or
- * re-simulate when the trace itself is gone). Called from pool
+ * re-simulate when the trace itself is gone); @c app_index indexes
+ * the app names handed to aggregateFromCache(). Called from pool
  * workers; must be safe for concurrent distinct (app, session)
  * pairs — app::Study::loadSession satisfies this.
  */
@@ -91,9 +92,10 @@ struct StudyAggregate
  * their entry digests, both in session order: the cross-session
  * merge (core::mergeAnalyses), the figure inputs
  * (averageSessionAnalyses) and the app digest (appDigestOf). The one
- * per-app finish of the batch aggregation, the per-app refresh and
- * live ingest — which is what makes their bytes agree. Live ingest
- * has no cache entries and passes no digests.
+ * per-app finish of the batch aggregation (which lagd's load and
+ * refresh both run) and of live ingest — which is what makes their
+ * bytes agree. Live ingest has no cache entries and passes no
+ * digests.
  */
 AppAggregate
 finishApp(std::string name,
@@ -108,8 +110,10 @@ finishApp(std::string name,
  * cache loads and recomputations fan out over @p pool, one
  * parallelFor task (span `aggregate`) per session; then one
  * parallelFor task per app (span `cache.aggregate.merge` around
- * them all) finishes each app with finishApp(). Instrumented with
- * the `cache.aggregate` span and the `cache.aggregate.cached` /
+ * them all) finishes each app with finishApp(). Called from a worker
+ * of @p pool (lagd's `/v1/refresh` handler), both loops run inline
+ * on that worker (parallelFor). Instrumented with the
+ * `cache.aggregate` span and the `cache.aggregate.cached` /
  * `cache.aggregate.recomputed` counters.
  */
 StudyAggregate
@@ -118,25 +122,6 @@ aggregateFromCache(const ResultCache &cache,
                    std::uint32_t sessions_per_app,
                    DurationNs perceptible_threshold, ThreadPool &pool,
                    const SessionLoader &load_session);
-
-/**
- * The per-app form of aggregateFromCache(): rebuild one app's
- * sessions (cache hit, or load + analyze + store back), then finish
- * the app with finishApp(). Deliberately serial — the serve layer
- * calls this from a pool worker during `/v1/refresh`, where fanning
- * sub-tasks onto the same pool and waiting would deadlock. The
- * engine's determinism contract makes the result byte-identical
- * to the corresponding slice of a full aggregateFromCache() at any
- * worker count. Bumps the same `cache.aggregate.cached` /
- * `.recomputed` counters.
- */
-AppAggregate
-aggregateAppFromCache(const ResultCache &cache,
-                      const std::string &app_name,
-                      std::size_t app_index,
-                      std::uint32_t sessions_per_app,
-                      DurationNs perceptible_threshold,
-                      const SessionLoader &load_session);
 
 /**
  * Session-average one app's analyses into the figure inputs

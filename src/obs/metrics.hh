@@ -12,7 +12,7 @@
  * function-local statics and then touches only the atomics.
  *
  * Naming convention: dotted lowercase paths grouped by subsystem —
- * `pool.steal.success`, `cache.hit`, `trace.decode.bytes`. The text
+ * `pool.task.count`, `cache.hit`, `trace.decode.bytes`. The text
  * and JSON dumps (`--metrics-out`) emit instruments sorted by name,
  * so diffs of two runs line up.
  *

@@ -13,7 +13,7 @@
  *  - writes the metrics dump (JSON when the path ends in ".json",
  *    text otherwise), and
  *  - informs a one-line metrics summary so batch logs show the
- *    steal/cache/decode counters without opening any file.
+ *    pool/cache/decode counters without opening any file.
  *
  * When neither path is set install() is a no-op: spans stay
  * disabled, nothing is registered, and output is byte-identical to

@@ -3,7 +3,7 @@
  * Lock-free per-thread span recorder — the engine observing itself.
  *
  * A span is one timed region of real (wall-clock) work: a task run,
- * a steal victim scan, a trace-decode section, a session build.
+ * a worker's idle wait, a trace-decode section, a session build.
  * The `LAG_SPAN("name")` RAII macro opens a span at construction and
  * records {name, thread, start, duration, optional numeric arg} at
  * destruction. Recording is designed to disappear when disabled and

@@ -198,28 +198,37 @@ HotStore::refresh()
         result.unchanged = current->apps.size();
         return result;
     }
-    std::vector<std::shared_ptr<const engine::AppAggregate>> apps =
-        current->apps;
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        const std::string &name = current->apps[a]->figures.name;
-        const std::uint64_t digest =
-            cache_.appDigest(name, study_.config().sessionsPerApp);
-        if (digest == current->apps[a]->digest) {
+    const app::StudyConfig &config = study_.config();
+    // Served apps are in study order (load() publishes them so).
+    std::vector<std::size_t> changed;
+    for (std::size_t a = 0; a < current->apps.size(); ++a) {
+        const engine::AppAggregate &app = *current->apps[a];
+        if (cache_.appDigest(app.figures.name, config.sessionsPerApp) ==
+            app.digest) {
             ++result.unchanged;
             continue;
         }
-        apps[a] = std::make_shared<const engine::AppAggregate>(
-            engine::aggregateAppFromCache(
-                cache_, name, a, study_.config().sessionsPerApp,
-                study_.config().perceptibleThreshold,
-                [this](std::size_t app, std::uint32_t s) {
-                    return study_.loadSession(app, s);
-                }));
-        refreshRecomputedCounter().add(1);
-        result.recomputedApps.push_back(name);
+        changed.push_back(a);
+        result.recomputedApps.push_back(app.figures.name);
     }
-    if (!result.recomputedApps.empty())
-        publish(std::move(apps));
+    if (changed.empty())
+        return result;
+
+    // The batch aggregation over the changed apps alone; its loader
+    // maps an index into their names back to the study's.
+    engine::StudyAggregate aggregate = engine::aggregateFromCache(
+        cache_, result.recomputedApps, config.sessionsPerApp,
+        config.perceptibleThreshold, pool_,
+        [this, &changed](std::size_t local, std::uint32_t s) {
+            return study_.loadSession(changed[local], s);
+        });
+    std::vector<std::shared_ptr<const engine::AppAggregate>> apps =
+        current->apps;
+    for (std::size_t i = 0; i < changed.size(); ++i)
+        apps[changed[i]] = std::make_shared<const engine::AppAggregate>(
+            std::move(aggregate.apps[i]));
+    refreshRecomputedCounter().add(changed.size());
+    publish(std::move(apps));
     return result;
 }
 

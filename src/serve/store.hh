@@ -13,8 +13,10 @@
  *  - refresh() re-reads only the digests from disk
  *    (ResultCache::appDigest: entry headers, one checksum pass, no
  *    decode) and re-aggregates only the apps whose digest moved,
- *    through engine::aggregateAppFromCache, so a `POST /v1/refresh`
- *    after one app's entries changed touches exactly that app,
+ *    through one engine::aggregateFromCache over their names (inline
+ *    on the pool worker serving the request), so a
+ *    `POST /v1/refresh` after one app's entries changed touches
+ *    exactly that app,
  *    provable via the `serve.refresh.recomputed` counter and the
  *    engine's `cache.aggregate.*` counters;
  *  - applyIngest() (follow mode) re-finishes each app an ingest
@@ -93,7 +95,7 @@ class HotStore
 {
   public:
     /** @param config the study to serve; @param pool the engine
-     * pool used by the initial full load (refresh is serial). */
+     * pool that load() and refresh() aggregate on. */
     HotStore(app::StudyConfig config, engine::ThreadPool &pool);
 
     /**
@@ -104,11 +106,12 @@ class HotStore
     void load();
 
     /**
-     * Re-check every app's digest; re-aggregate the changed ones
-     * serially (safe from a pool worker — see
-     * engine::aggregateAppFromCache). Bumps
-     * `serve.refresh.recomputed` once per recomputed app. No-op in
-     * follow mode (there is no batch cache to diff against).
+     * Re-check every app's digest; re-aggregate the changed ones in
+     * one engine::aggregateFromCache (which runs inline when called
+     * from a worker of the pool, as the `/v1/refresh` handler is).
+     * Bumps `serve.refresh.recomputed` once per recomputed app.
+     * No-op in follow mode (there is no batch cache to diff
+     * against).
      */
     RefreshResult refresh();
 

@@ -41,8 +41,7 @@ namespace lag
  * Global lock order, one rank per mutex role. Acquisition must be
  * strictly descending per thread: while holding a rank-r lock, only
  * locks with rank < r may be taken. Two locks of the same rank can
- * therefore never be held together (which is why each worker deque
- * shares kPoolWorker: stealing must never nest two deque locks).
+ * therefore never be held together.
  *
  * Keep this the single registry of ranks; a new mutex gets a new
  * named rank here, slotted into the documented order.
@@ -53,8 +52,9 @@ enum class LockRank : int
      * follow-mode live sessions) and HttpServer bookkeeping.
      * HotStore readers never take it: they copy the published
      * generation's pointer under ServeSnapshot. A refresh holds it
-     * while a whole engine aggregation runs underneath, so it sits
-     * above every other rank. */
+     * while engine::aggregateFromCache runs underneath (inline, on
+     * the pool worker serving the request), so it sits above every
+     * other rank. */
     Serve = 1100,
 
     /** Ad-hoc client/test state built on top of the engine. */
@@ -72,21 +72,14 @@ enum class LockRank : int
      * returned, so it never nests around a pool lock. */
     ForkJoin = 500,
 
-    /** ThreadPool idle/error accounting (engine/pool). */
-    PoolIdle = 200,
-
-    /** One worker's deque (engine/pool); shared by all workers so
-     * two deques can never be locked at once. */
-    PoolWorker = 120,
-
-    /** ThreadPool injector queue + shutdown flag (engine/pool). */
-    PoolInjector = 110,
+    /** ThreadPool task queue + shutdown flag (engine/pool). */
+    Pool = 110,
 
     /**
      * Observability bookkeeping (src/obs): metric registry,
      * span-name intern table, flight-recorder request ring. Below
      * every engine rank because instrumented code may register a
-     * metric while holding pool locks; span recording and the span
+     * metric while holding the pool lock; span recording and the span
      * rings' list are lock-free and take no rank at all.
      */
     Obs = 50,

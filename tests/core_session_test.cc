@@ -125,7 +125,8 @@ TEST(SessionTest, GcBetweenEpisodesBecomesRoot)
     builder.gc(msToNs(10), msToNs(20));
     builder.dispatchBegin(msToNs(30)).dispatchEnd(msToNs(35));
     const Session session = builder.buildSession(secToNs(1));
-    const FlatTree &tree = session.threadTree(0);
+    const FlatTree &tree = session.threads()[0];
+    ASSERT_EQ(tree.id, 0u);
     ASSERT_EQ(tree.roots.size(), 3u);
     EXPECT_EQ(tree.typeOf(tree.roots[0]), IntervalType::Dispatch);
     EXPECT_EQ(tree.typeOf(tree.roots[1]), IntervalType::Gc);
@@ -404,7 +405,6 @@ TEST(SessionTest, GuiThreadLookup)
     builder.addThread("W");
     const Session session = builder.buildSession(secToNs(1));
     EXPECT_EQ(session.guiThread(), 0u);
-    EXPECT_THROW(session.threadTree(99), TraceError);
 }
 
 TEST(SessionTest, EpisodesSortedByBeginAcrossSamples)

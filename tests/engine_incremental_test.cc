@@ -219,10 +219,26 @@ TEST(EngineIncremental, FinishedAppsIdenticalAtAnyJobsAndPerApp)
     ASSERT_EQ(serial.apps.size(), names.size());
     ASSERT_EQ(parallel.apps.size(), names.size());
 
+    // Each app alone, aggregated from inside a pool task (as lagd's
+    // `/v1/refresh` does, inline on its HTTP worker), its loader
+    // mapping the one local app index back to the study's.
+    std::vector<AppAggregate> perApp(names.size());
+    {
+        ThreadPool pool(2);
+        parallelFor(pool, names.size(), [&](std::size_t a) {
+            perApp[a] = std::move(
+                aggregateFromCache(
+                    cache, {names[a]}, config.sessionsPerApp,
+                    config.perceptibleThreshold, pool,
+                    [&study, a](std::size_t, std::uint32_t s) {
+                        return study.loadSession(a, s);
+                    })
+                    .apps.at(0));
+        });
+    }
+
     for (std::size_t a = 0; a < names.size(); ++a) {
-        const AppAggregate app = aggregateAppFromCache(
-            cache, names[a], a, config.sessionsPerApp,
-            config.perceptibleThreshold, loader);
+        const AppAggregate &app = perApp[a];
         for (const StudyAggregate *study_aggregate :
              {&serial, &parallel}) {
             const AppAggregate &finished = study_aggregate->apps[a];

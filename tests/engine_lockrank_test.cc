@@ -29,7 +29,7 @@ namespace
 TEST(LockRankDeathTest, OutOfRankAcquisitionAborts)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    Mutex inner(LockRank::PoolInjector, "inner");
+    Mutex inner(LockRank::Pool, "inner");
     Mutex outer(LockRank::Ingest, "outer");
     // Taking the higher-ranked lock while holding the lower one
     // inverts the global order and must abort, printing both the
@@ -45,10 +45,10 @@ TEST(LockRankDeathTest, OutOfRankAcquisitionAborts)
 TEST(LockRankDeathTest, SameRankAcquisitionAborts)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    // Equal ranks can never nest (this is what proves the pool
-    // steal loop can't hold two worker deques at once).
-    Mutex first(LockRank::PoolWorker, "worker-a");
-    Mutex second(LockRank::PoolWorker, "worker-b");
+    // Equal ranks can never nest: no thread ever holds two pools'
+    // queue locks at once.
+    Mutex first(LockRank::Pool, "pool-a");
+    Mutex second(LockRank::Pool, "pool-b");
     EXPECT_DEATH(
         {
             MutexLock a(first);

@@ -1,9 +1,11 @@
 /**
  * @file
- * Tests for the work-stealing thread pool: completion guarantees,
- * nested submission, stealing under contention, exception capture
- * and lifecycle; and for parallelFor, the engine's fork-join
- * primitive, which joins only its own tasks. Run these under
+ * Tests for the thread pool: completion guarantees, nested
+ * submission, a busy worker's submissions running elsewhere, failing
+ * tasks and lifecycle; and for parallelFor, the engine's fork-join
+ * primitive and only join, which joins only its own tasks and runs
+ * inline on a worker of its own pool. The destructor, which drains
+ * the queue, is the join for bare submissions. Run these under
  * -DLAG_SANITIZE=thread (`ctest -L engine` in such a build) to
  * audit the locking discipline.
  */
@@ -26,102 +28,127 @@ namespace lag::engine
 namespace
 {
 
+/** Spin until @p flag holds or 30 s pass; returns whether it held. */
+template <typename Pred>
+bool
+waitFor(Pred flag)
+{
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::seconds(30);
+    while (!flag()) {
+        if (std::chrono::steady_clock::now() >= deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
 TEST(EnginePool, RunsEveryTask)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.workerCount(), 4u);
-
     std::atomic<int> count{0};
     constexpr int kTasks = 2000;
-    for (int i = 0; i < kTasks; ++i)
-        pool.submit([&count] { ++count; });
-    pool.waitIdle();
+    {
+        ThreadPool pool(4);
+        for (int i = 0; i < kTasks; ++i)
+            pool.submit([&count] { ++count; });
+    }
     EXPECT_EQ(count.load(), kTasks);
 }
 
 TEST(EnginePool, DefaultConcurrencyAtLeastOne)
 {
-    EXPECT_GE(ThreadPool::defaultConcurrency(), 1u);
-    ThreadPool pool; // workers = defaultConcurrency()
-    EXPECT_EQ(pool.workerCount(), ThreadPool::defaultConcurrency());
+    const std::size_t workers = ThreadPool::defaultConcurrency();
+    EXPECT_GE(workers, 1u);
+    // A default pool runs that many tasks at once: each one waits
+    // until all of them have started.
+    std::atomic<std::size_t> started{0};
+    std::atomic<std::size_t> metAll{0};
+    {
+        ThreadPool pool; // workers = defaultConcurrency()
+        for (std::size_t i = 0; i < workers; ++i) {
+            pool.submit([&started, &metAll, workers] {
+                ++started;
+                if (waitFor([&] { return started.load() == workers; }))
+                    ++metAll;
+            });
+        }
+    }
+    EXPECT_EQ(metAll.load(), workers);
 }
 
 TEST(EnginePool, SingleWorkerStillCompletes)
 {
-    ThreadPool pool(1);
     std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { ++count; });
-    pool.waitIdle();
+    {
+        ThreadPool pool(1);
+        for (int i = 0; i < 100; ++i)
+            pool.submit([&count] { ++count; });
+    }
     EXPECT_EQ(count.load(), 100);
 }
 
 TEST(EnginePool, TasksCanSubmitTasks)
 {
-    // waitIdle must cover work submitted from inside workers.
-    ThreadPool pool(3);
+    // The destructor's drain must cover work submitted from inside
+    // workers, even after it has begun.
     std::atomic<int> count{0};
-    for (int i = 0; i < 50; ++i) {
-        pool.submit([&pool, &count] {
-            ++count;
+    {
+        ThreadPool pool(3);
+        for (int i = 0; i < 50; ++i) {
             pool.submit([&pool, &count] {
                 ++count;
-                pool.submit([&count] { ++count; });
+                pool.submit([&pool, &count] {
+                    ++count;
+                    pool.submit([&count] { ++count; });
+                });
             });
-        });
+        }
     }
-    pool.waitIdle();
     EXPECT_EQ(count.load(), 150);
 }
 
-TEST(EnginePool, StealsUnderContention)
+TEST(EnginePool, BusyWorkerSubmissionsRunOnOtherWorkers)
 {
-    // One long task occupies a worker while short ones pile up
-    // behind it; with stealing, the other workers drain them long
-    // before the sleeper finishes.
-    ThreadPool pool(4);
+    // One long task occupies a worker after submitting short ones;
+    // the other workers drain them long before it finishes.
     std::atomic<int> shortDone{0};
+    std::atomic<int> ranElsewhere{0};
     std::atomic<bool> release{false};
-
-    pool.submit([&pool, &shortDone, &release] {
-        // Submitted from a worker → lands on its own deque; the
-        // other workers must steal these to make progress.
-        for (int i = 0; i < 200; ++i)
-            pool.submit([&shortDone] { ++shortDone; });
-        while (!release.load())
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    });
-
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::seconds(30);
-    while (shortDone.load() < 200 &&
-           std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    {
+        ThreadPool pool(4);
+        pool.submit([&] {
+            const std::thread::id busy = std::this_thread::get_id();
+            for (int i = 0; i < 200; ++i) {
+                pool.submit([&, busy] {
+                    if (std::this_thread::get_id() != busy)
+                        ++ranElsewhere;
+                    ++shortDone;
+                });
+            }
+            while (!release.load())
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+        });
+        EXPECT_TRUE(waitFor([&] { return shortDone.load() == 200; }))
+            << "short tasks waited for the busy worker";
+        release.store(true);
     }
-    EXPECT_EQ(shortDone.load(), 200)
-        << "short tasks were not stolen while a worker was busy";
-    release.store(true);
-    pool.waitIdle();
+    EXPECT_EQ(ranElsewhere.load(), 200);
 }
 
-TEST(EnginePool, WaitIdleRethrowsFirstTaskException)
+TEST(EnginePool, ThrowingTaskDoesNotStopThePool)
 {
-    ThreadPool pool(2);
+    // One worker: everything after the failures runs on the very
+    // thread that caught them.
     std::atomic<int> ran{0};
-    for (int i = 0; i < 20; ++i) {
-        pool.submit([&ran, i] {
-            ++ran;
-            if (i == 7)
-                throw std::runtime_error("task 7 failed");
-        });
+    {
+        ThreadPool pool(1);
+        pool.submit([] { throw std::runtime_error("task failed"); });
+        pool.submit([] { throw 42; });
+        for (int i = 0; i < 20; ++i)
+            pool.submit([&ran] { ++ran; });
     }
-    EXPECT_THROW(pool.waitIdle(), std::runtime_error);
-    EXPECT_EQ(ran.load(), 20) << "one failure must not stop the rest";
-
-    // The error was consumed; the pool stays usable.
-    pool.submit([&ran] { ++ran; });
-    pool.waitIdle();
-    EXPECT_EQ(ran.load(), 21);
+    EXPECT_EQ(ran.load(), 20);
 }
 
 TEST(EnginePool, DestructorDrainsOutstandingWork)
@@ -131,7 +158,7 @@ TEST(EnginePool, DestructorDrainsOutstandingWork)
         ThreadPool pool(2);
         for (int i = 0; i < 500; ++i)
             pool.submit([&count] { ++count; });
-        // No waitIdle: the destructor must drain before joining.
+        // No other join: the destructor must drain before joining.
     }
     EXPECT_EQ(count.load(), 500);
 }
@@ -139,30 +166,32 @@ TEST(EnginePool, DestructorDrainsOutstandingWork)
 TEST(EnginePool, RepeatedConstructDestruct)
 {
     for (int round = 0; round < 20; ++round) {
-        ThreadPool pool(2);
         std::atomic<int> count{0};
-        for (int i = 0; i < 20; ++i)
-            pool.submit([&count] { ++count; });
-        pool.waitIdle();
+        {
+            ThreadPool pool(2);
+            for (int i = 0; i < 20; ++i)
+                pool.submit([&count] { ++count; });
+        }
         EXPECT_EQ(count.load(), 20);
     }
 }
 
 TEST(EnginePool, ManyExternalSubmitters)
 {
-    // Several non-worker threads hammer the injector queue at once.
-    ThreadPool pool(3);
+    // Several non-worker threads hammer the queue at once.
     std::atomic<int> count{0};
-    std::vector<std::thread> submitters;
-    for (int t = 0; t < 4; ++t) {
-        submitters.emplace_back([&pool, &count] {
-            for (int i = 0; i < 250; ++i)
-                pool.submit([&count] { ++count; });
-        });
+    {
+        ThreadPool pool(3);
+        std::vector<std::thread> submitters;
+        for (int t = 0; t < 4; ++t) {
+            submitters.emplace_back([&pool, &count] {
+                for (int i = 0; i < 250; ++i)
+                    pool.submit([&count] { ++count; });
+            });
+        }
+        for (auto &thread : submitters)
+            thread.join();
     }
-    for (auto &thread : submitters)
-        thread.join();
-    pool.waitIdle();
     EXPECT_EQ(count.load(), 1000);
 }
 
@@ -214,6 +243,47 @@ TEST(EngineParallelFor, ThrowingIndexDoesNotStopTheOthers)
         EXPECT_EQ(ran[i], 1) << "index " << i << " did not run";
 }
 
+TEST(EngineParallelFor, RunsInlineOnAWorkerOfItsPool)
+{
+    // lagd's `/v1/refresh` aggregates on the HTTP worker serving it.
+    // With one worker, a fan-out that waited for the pool would wait
+    // for itself.
+    constexpr std::size_t kCount = 8;
+    std::vector<int> hits(kCount, 0);
+    std::vector<std::thread::id> ranOn(kCount);
+    std::vector<int> ranDespiteErrors(kCount, 0);
+    std::thread::id worker;
+    std::string firstError;
+    {
+        ThreadPool pool(1);
+        pool.submit([&] {
+            worker = std::this_thread::get_id();
+            parallelFor(pool, kCount, [&](std::size_t i) {
+                ++hits[i];
+                ranOn[i] = std::this_thread::get_id();
+            });
+            // Inline, the join's contract holds too: every index
+            // runs, and the first error (in index order) comes back.
+            try {
+                parallelFor(pool, kCount, [&](std::size_t i) {
+                    ranDespiteErrors[i] = 1;
+                    if (i == 2 || i == 5)
+                        throw std::runtime_error("index " +
+                                                 std::to_string(i));
+                });
+            } catch (const std::runtime_error &e) {
+                firstError = e.what();
+            }
+        });
+    }
+    for (std::size_t i = 0; i < kCount; ++i) {
+        EXPECT_EQ(hits[i], 1) << "index " << i;
+        EXPECT_EQ(ranOn[i], worker) << "index " << i;
+    }
+    EXPECT_EQ(ranDespiteErrors, std::vector<int>(kCount, 1));
+    EXPECT_EQ(firstError, "index 2");
+}
+
 TEST(EngineParallelFor, ReturnsWhileAnUnrelatedTaskIsParked)
 {
     // lagd runs HTTP connections and ingest epochs on one pool; an
@@ -238,16 +308,16 @@ TEST(EngineParallelFor, ReturnsWhileAnUnrelatedTaskIsParked)
     // Release either way, so a failure reports instead of hanging.
     release.set_value();
     fanout.get();
-    pool.waitIdle();
     EXPECT_TRUE(returned)
         << "parallelFor waited for a task it did not submit";
     EXPECT_EQ(hits, std::vector<int>(4, 1));
 }
 
-TEST(EngineParallelFor, LeavesUnrelatedExceptionsToWaitIdle)
+TEST(EngineParallelFor, ReturnsNormallyWhileAnUnrelatedTaskThrows)
 {
     // One worker runs tasks in submission order, so the unrelated
-    // failure is captured before any of the fan-out's tasks runs.
+    // task has thrown before any of the fan-out's tasks runs; its
+    // error stays with the worker that caught it.
     ThreadPool pool(1);
     pool.submit([] { throw std::runtime_error("unrelated"); });
 
@@ -257,7 +327,6 @@ TEST(EngineParallelFor, LeavesUnrelatedExceptionsToWaitIdle)
                                     hits[i] = 1;
                                 }));
     EXPECT_EQ(hits, std::vector<int>(6, 1));
-    EXPECT_THROW(pool.waitIdle(), std::runtime_error);
 }
 
 } // namespace

@@ -114,18 +114,12 @@ TEST(EngineStudy, ParallelOutputMatchesSerialByteForByte)
     }
 
     // The decoded sessions analyze to bit-identical results too.
-    const auto serialApps = serial.loadAll();
-    const auto parallelApps = parallel.loadAll();
-    ASSERT_EQ(serialApps.size(), parallelApps.size());
-    for (std::size_t a = 0; a < serialApps.size(); ++a) {
-        ASSERT_EQ(serialApps[a].sessions.size(),
-                  parallelApps[a].sessions.size());
-        for (std::size_t s = 0; s < serialApps[a].sessions.size();
-             ++s) {
+    for (std::size_t a = 0; a < serialPaths.size(); ++a) {
+        for (std::uint32_t s = 0; s < serialPaths[a].size(); ++s) {
             EXPECT_EQ(serializeSessionAnalysis(analyzeSession(
-                          serialApps[a].sessions[s], threshold)),
+                          serial.loadSession(a, s), threshold)),
                       serializeSessionAnalysis(analyzeSession(
-                          parallelApps[a].sessions[s], threshold)))
+                          parallel.loadSession(a, s), threshold)))
                 << "analysis diverges at app " << a << " session "
                 << s;
         }

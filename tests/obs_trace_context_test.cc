@@ -102,24 +102,23 @@ TEST(TraceContext, ScopeInstallsAndRestores)
 
 TEST(TraceContext, SubmitPropagatesContextToWorkers)
 {
-    engine::ThreadPool pool(2);
     const obs::TraceContext ctx = obs::mintTraceContext();
     std::atomic<bool> matched{false};
-    {
-        obs::TraceContextScope scope(ctx);
-        pool.submit([&matched, ctx] {
-            matched.store(obs::currentTraceContext() == ctx);
-        });
-    }
-    pool.waitIdle();
-    EXPECT_TRUE(matched.load());
-
-    // Without a context at submit time the worker sees none.
     std::atomic<bool> inactive{false};
-    pool.submit([&inactive] {
-        inactive.store(!obs::currentTraceContext().active());
-    });
-    pool.waitIdle();
+    {
+        engine::ThreadPool pool(2);
+        {
+            obs::TraceContextScope scope(ctx);
+            pool.submit([&matched, ctx] {
+                matched.store(obs::currentTraceContext() == ctx);
+            });
+        }
+        // Without a context at submit time the worker sees none.
+        pool.submit([&inactive] {
+            inactive.store(!obs::currentTraceContext().active());
+        });
+    } // the destructor drains both tasks
+    EXPECT_TRUE(matched.load());
     EXPECT_TRUE(inactive.load());
 }
 
@@ -144,7 +143,6 @@ TEST(TraceContext, ParallelForInheritsContext)
 
 TEST(TraceContext, NestedSubmitInheritsContextTransitively)
 {
-    engine::ThreadPool pool(2);
     const obs::TraceContext ctx = obs::mintTraceContext();
     std::atomic<int> matched{0};
     const auto probe = [&matched, ctx] {
@@ -156,6 +154,7 @@ TEST(TraceContext, NestedSubmitInheritsContextTransitively)
     // the outer one, after the submitting scope has closed, so the
     // context must flow through that second-generation submit too.
     {
+        engine::ThreadPool pool(2);
         obs::TraceContextScope scope(ctx);
         pool.submit([&pool, probe] {
             probe();
@@ -165,8 +164,7 @@ TEST(TraceContext, NestedSubmitInheritsContextTransitively)
                 pool.submit(probe);
             });
         });
-    }
-    pool.waitIdle();
+    } // the destructor drains the nested submissions too
     EXPECT_EQ(matched.load(), 4);
 }
 
@@ -198,13 +196,12 @@ TEST(TraceContext, SpansStampTheActiveContext)
 TEST(TraceContext, ChromeTraceExportCarriesTraceIds)
 {
     const SpansOn on;
-    engine::ThreadPool pool(2);
     const obs::TraceContext ctx = obs::mintTraceContext();
     {
         obs::TraceContextScope scope(ctx);
         LAG_SPAN("test.trace_context.export");
+        engine::ThreadPool pool(2);
         pool.submit([] { LAG_SPAN("test.trace_context.pooled"); });
-        pool.waitIdle();
     }
 
     const std::string json = obs::chromeTraceJson();
