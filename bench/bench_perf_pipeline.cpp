@@ -21,7 +21,9 @@
  * per-decode allocation counts and bytes), `session_build_ms`
  * (the one-pass flat build, with its allocations), `render` (the
  * fixture's full /v1/patterns body: MB/s and allocations per
- * render), `ingest` (live-ingest throughput and per-epoch cost),
+ * render), `cache_load` (verify + deserialize MB/s of the fixture's
+ * `.ares` entry and the merge of four copies of its summary),
+ * `ingest` (live-ingest throughput and per-epoch cost),
  * plus `obs_pipeline` (pool task count, cache hit rate, queue-depth
  * high-water mark from the always-on metrics registry). `--smoke`
  * prints only those lines with few iterations — that mode backs the
@@ -446,6 +448,45 @@ reportRender(const Fixture &f, int iterations)
     std::fflush(stdout);
 }
 
+/**
+ * Warm-start cost of one `.ares` entry as one JSON line: the smoke
+ * fixture's analysis serialized once, then verified (payload CRC32C)
+ * and deserialized per iteration (`load_mb_per_s`, no file I/O), and
+ * core::mergeAnalyses over four copies of its pattern summary — the
+ * merge of a four-session app (`merge_ms`).
+ */
+void
+reportCacheLoad(const Fixture &f, int iterations)
+{
+    const engine::SessionAnalysis analysis =
+        engine::analyzeSession(f.session, msToNs(100));
+    const std::string entry = engine::serializeSessionAnalysis(analysis);
+    const double load_ms = timedMs([&] {
+        for (int i = 0; i < iterations; ++i) {
+            const engine::SessionAnalysis loaded =
+                engine::deserializeSessionAnalysis(entry);
+            benchmark::DoNotOptimize(loaded.patternKeys.data());
+        }
+    }) / iterations;
+    const std::vector<const core::PatternSetSummary *> four(
+        4, &analysis.patternSummary);
+    const double merge_ms = timedMs([&] {
+        for (int i = 0; i < iterations; ++i) {
+            const core::MergedPatternSet merged = core::mergeAnalyses(four);
+            benchmark::DoNotOptimize(merged.patterns.data());
+        }
+    }) / iterations;
+
+    const double mb = static_cast<double>(entry.size()) / (1024.0 * 1024.0);
+    std::printf("{\"bench\":\"cache_load\",\"entry_bytes\":%zu,"
+                "\"patterns\":%zu,\"load_ms\":%.4f,"
+                "\"load_mb_per_s\":%.1f,\"merge_ms\":%.4f}\n",
+                entry.size(), analysis.patternSummary.patterns.size(),
+                load_ms, load_ms > 0.0 ? mb / (load_ms / 1000.0) : 0.0,
+                merge_ms);
+    std::fflush(stdout);
+}
+
 /** One full study pass (simulate + analyze) on @p jobs workers. */
 double
 timedStudyPass(app::StudyConfig config, std::uint32_t jobs)
@@ -836,6 +877,7 @@ main(int argc, char **argv)
         reportDecodeThroughput(f, 3);
         reportSessionBuild(f, 3);
         reportRender(f, 20);
+        reportCacheLoad(f, 20);
         reportIngestThroughput(f, jobs, 16);
         reportQueryLatency(jobs, 40);
         reportObsMetrics();
@@ -852,6 +894,7 @@ main(int argc, char **argv)
     reportDecodeThroughput(f, 10);
     reportSessionBuild(f, 10);
     reportRender(f, 100);
+    reportCacheLoad(f, 100);
     reportIngestThroughput(f, jobs, 64);
     reportQueryLatency(jobs, 200);
     reportObsMetrics();

@@ -6,7 +6,8 @@
 # bytes), then an obs smoke run that records a session, analyzes it
 # with --self-trace / --metrics-out, and strict-validates both files
 # with trace_check. The bench smokes are collected into a
-# schema-checked bench/BENCH_smoke.json artifact, the smoke decode
+# schema-checked bench/BENCH_smoke.json artifact (which must hold
+# the `.ares` cache_load line), the smoke decode
 # and the smoke /v1/patterns render must stay under their allocation
 # gates, and stages more
 # than 10 % slower than the newest committed BENCH_<n>.json are
@@ -123,6 +124,25 @@ for line in open(sys.argv[1]):
         print(f"render allocs {allocs}, half_allocs {half} (gate {limit})")
         sys.exit(0 if allocs <= limit and half <= limit else 1)
 print("no render line in the smoke output", file=sys.stderr)
+sys.exit(1)
+PY
+
+echo "== cache-load line (the .ares warm-start cost is in the artifact)"
+# bench_diff.py reports its load_mb_per_s and merge_ms against the
+# committed trajectory; a smoke run without the line would drop the
+# warm-start stages from that report without a word.
+python3 - "$bench_art" <<'PY'
+import json
+import sys
+
+for line in open(sys.argv[1]):
+    record = json.loads(line)
+    if record.get("bench") == "cache_load":
+        print(f"cache_load {record['entry_bytes']} bytes, "
+              f"{record['load_mb_per_s']} MB/s, "
+              f"merge {record['merge_ms']} ms")
+        sys.exit(0)
+print("no cache_load line in the smoke output", file=sys.stderr)
 sys.exit(1)
 PY
 

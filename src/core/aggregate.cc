@@ -1,13 +1,24 @@
 #include "aggregate.hh"
 
 #include <algorithm>
-#include <string_view>
-#include <unordered_map>
+#include <bit>
+#include <cstdint>
 
 #include "util/logging.hh"
 
 namespace lag::core
 {
+
+namespace
+{
+
+/** An unused slot of mergeAnalyses' key index. */
+constexpr std::uint32_t kEmptySlot = UINT32_MAX;
+
+/** 2^64 over the golden ratio, the Fibonacci-hashing multiplier. */
+constexpr std::uint64_t kFibonacci = 0x9e3779b97f4a7c15ULL;
+
+} // namespace
 
 std::size_t
 MergedPatternSet::recurringCount() const
@@ -61,15 +72,35 @@ mergeAnalyses(const std::vector<const PatternSetSummary *> &sets)
     for (const PatternSetSummary *set : sets)
         totalPatterns += set->patterns.size();
 
-    // Keys borrow the input signatures, which outlive the merge.
-    std::unordered_map<std::string_view, std::size_t> index;
-    index.reserve(totalPatterns);
+    // Open addressing over the pattern keys (the signatures' FNV-1a),
+    // so no signature is hashed again: a slot holds an index into
+    // result.patterns, and a key hit counts only when the signature
+    // text matches too, so two texts that share a key stay two
+    // patterns. At most half full, linear probing.
+    lag_assert(totalPatterns < kEmptySlot, "too many patterns to merge");
+    const std::size_t capacity =
+        std::bit_ceil(2 * std::max<std::size_t>(totalPatterns, 8));
+    const int shift = 64 - std::countr_zero(capacity);
+    const std::size_t mask = capacity - 1;
+    std::vector<std::uint32_t> slots(capacity, kEmptySlot);
     result.patterns.reserve(totalPatterns);
     for (std::size_t s = 0; s < sets.size(); ++s) {
         for (const PatternSummary &pattern : sets[s]->patterns) {
-            const auto [it, inserted] = index.emplace(
-                pattern.signature, result.patterns.size());
-            if (inserted) {
+            // Fibonacci hashing spreads the key's high bits over the
+            // table; FNV-1a's low bits alone mix poorly.
+            std::size_t slot =
+                static_cast<std::size_t>((pattern.key * kFibonacci) >>
+                                         shift);
+            while (slots[slot] != kEmptySlot) {
+                const MergedPattern &seen = result.patterns[slots[slot]];
+                if (seen.key == pattern.key &&
+                    seen.signature == pattern.signature)
+                    break;
+                slot = (slot + 1) & mask;
+            }
+            if (slots[slot] == kEmptySlot) {
+                slots[slot] =
+                    static_cast<std::uint32_t>(result.patterns.size());
                 MergedPattern merged;
                 merged.signature = pattern.signature;
                 merged.key = pattern.key;
@@ -83,7 +114,7 @@ mergeAnalyses(const std::vector<const PatternSetSummary *> &sets)
                 merged.episodeCounts.reserve(sets.size());
                 result.patterns.push_back(std::move(merged));
             }
-            MergedPattern &merged = result.patterns[it->second];
+            MergedPattern &merged = result.patterns[slots[slot]];
             merged.sessions.push_back(s);
             merged.episodeCounts.push_back(pattern.episodeCount);
             merged.totalEpisodes += pattern.episodeCount;

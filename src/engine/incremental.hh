@@ -65,7 +65,9 @@ struct AppAggregate
 
     /** appDigestOf() over the entry digests the cache reported while
      * loading or storing each session — equal to
-     * ResultCache::appDigest() of the entries this state came from. */
+     * ResultCache::appDigest() of the entries this state came from.
+     * In follow mode, over each live session's path-and-epoch value
+     * (see finishApp). */
     std::uint64_t digest = 0;
 };
 
@@ -94,8 +96,9 @@ struct StudyAggregate
  * (averageSessionAnalyses) and the app digest (appDigestOf). The one
  * per-app finish of the batch aggregation (which lagd's load and
  * refresh both run) and of live ingest — which is what makes their
- * bytes agree. Live ingest has no cache entries and passes no
- * digests.
+ * bytes agree. Live ingest has no cache entries; it passes one
+ * value per session built from the source path and the epoch of the
+ * session's latest update.
  */
 AppAggregate
 finishApp(std::string name,

@@ -296,9 +296,9 @@ serializeSessionAnalysis(const SessionAnalysis &analysis)
     for (const char c : kMagic)
         w.u8(static_cast<std::uint8_t>(c));
     w.u32(kAnalysisVersion);
-    Fnv1aHasher hasher;
+    Crc32cHasher hasher;
     hasher.addBytes(payload.data(), payload.size());
-    w.u64(hasher.digest());
+    w.u64(hasher.digest()); // zero-extended into the u64 field
     std::string out = w.take();
     out.append(payload);
     return out;
@@ -332,8 +332,10 @@ verifyEntry(std::string_view data)
             std::to_string(version) + ", expected " +
             std::to_string(kAnalysisVersion));
     }
+    // Nonzero high bits cannot equal the zero-extended CRC32C, so
+    // they read as a mismatch.
     const std::uint64_t checksum = r.u64();
-    Fnv1aHasher hasher;
+    Crc32cHasher hasher;
     hasher.addBytes(data.data() + r.position(), r.remaining());
     if (hasher.digest() != checksum)
         throw trace::TraceError("analysis-cache checksum mismatch");

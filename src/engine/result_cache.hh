@@ -18,6 +18,9 @@
  * Files carry a magic, a version and a payload checksum and are
  * written via temp file + atomic rename; a truncated, corrupted or
  * stale entry reads as a miss, never as a crash or a wrong result.
+ * The checksum is CRC32C (util/hash.hh), the trace payload's
+ * checksum too, so verifying an entry costs about what reading it
+ * costs; FNV-1a names the entries and digests the apps.
  *
  * Serialization is bit-exact for doubles (IEEE-754 bytes), so a
  * cached result is byte-identical to a freshly computed one — the
@@ -56,8 +59,10 @@ namespace lag::engine
 /** Bumped whenever any analysis result changes meaning or any
  * serialized field changes, so stale entries miss.
  * v2: per-pattern aggregation summaries (patternSummary) joined the
- * payload, enabling cross-session merges straight from the cache. */
-constexpr std::uint32_t kAnalysisVersion = 2;
+ * payload, enabling cross-session merges straight from the cache.
+ * v3: the payload checksum is CRC32C (zero-extended into the same
+ * u64 header field) instead of FNV-1a; the payload is unchanged. */
+constexpr std::uint32_t kAnalysisVersion = 3;
 
 /** Everything the study pipeline derives from one session. */
 struct SessionAnalysis
@@ -149,8 +154,8 @@ class ResultCache
 
     /**
      * Content digest (FNV-1a) of one entry. A valid entry folds its
-     * header — magic, version and the payload checksum, which
-     * already stands for every payload byte — and its length, so
+     * header — magic, version and the payload's CRC32C, which
+     * stands for every payload byte with 32 bits — and its length, so
      * load() and store() report the same value from the bytes they
      * hold without hashing the payload again. An entry whose header
      * or checksum does not verify folds every byte of the file

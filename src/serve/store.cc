@@ -8,6 +8,7 @@
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "obs/trace_context.hh"
+#include "util/hash.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
 
@@ -159,7 +160,11 @@ HotStore::applyIngest(std::vector<engine::IngestUpdate> updates)
             static_cast<std::size_t>(found - liveApps_.begin());
         if (found == liveApps_.end())
             liveApps_.push_back(LiveApp{update.appName, {}});
-        liveApps_[a].sessions[update.path] = std::move(update.analysis);
+        Fnv1aHasher digest;
+        digest.addString(update.path);
+        digest.addValue(update.epoch);
+        liveApps_[a].sessions[update.path] =
+            LiveSession{std::move(update.analysis), digest.digest()};
         if (std::find(touched.begin(), touched.end(), a) ==
             touched.end())
             touched.push_back(a);
@@ -167,17 +172,23 @@ HotStore::applyIngest(std::vector<engine::IngestUpdate> updates)
     // Finish each touched app once, from every live session's v2
     // summary — the batch path's finish, so completion implies
     // byte-equal query responses. The live analyses are borrowed,
-    // not copied; untouched apps keep their published pointer.
+    // not copied; untouched apps keep their published pointer (and
+    // so their digest), while a touched app's digest moves with the
+    // epoch of its updated session.
     std::vector<std::shared_ptr<const engine::AppAggregate>> apps =
         snapshot()->apps;
     apps.resize(liveApps_.size());
     for (const std::size_t a : touched) {
         std::vector<const engine::SessionAnalysis *> sessions;
+        std::vector<std::uint64_t> digests;
         sessions.reserve(liveApps_[a].sessions.size());
-        for (const auto &[path, analysis] : liveApps_[a].sessions)
-            sessions.push_back(&analysis);
+        digests.reserve(liveApps_[a].sessions.size());
+        for (const auto &[path, live] : liveApps_[a].sessions) {
+            sessions.push_back(&live.analysis);
+            digests.push_back(live.digest);
+        }
         apps[a] = std::make_shared<const engine::AppAggregate>(
-            engine::finishApp(liveApps_[a].name, sessions, {}));
+            engine::finishApp(liveApps_[a].name, sessions, digests));
     }
     publish(std::move(apps));
     applied.add(updates.size());
@@ -237,6 +248,19 @@ HotStore::appCount() const
 {
     const std::shared_ptr<const Served> served = snapshot();
     return served ? served->apps.size() : study_.config().apps.size();
+}
+
+std::optional<std::uint64_t>
+HotStore::appDigest(std::string_view name) const
+{
+    const std::shared_ptr<const Served> served = snapshot();
+    if (served == nullptr)
+        return std::nullopt;
+    for (const auto &app : served->apps) {
+        if (app->figures.name == name)
+            return app->digest;
+    }
+    return std::nullopt;
 }
 
 HotStore::View

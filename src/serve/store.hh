@@ -52,6 +52,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/study.hh"
@@ -148,6 +149,10 @@ class HotStore
      * startup logging). */
     std::size_t appCount() const;
 
+    /** The published AppAggregate::digest of app @p name; nullopt
+     * when no such app is served. */
+    std::optional<std::uint64_t> appDigest(std::string_view name) const;
+
   private:
     /** One published generation: every app's finished state, in app
      * order (an app's name is its `figures.name`). Never mutated
@@ -191,13 +196,22 @@ class HotStore
     HttpResponse handleDebugRequests(const HttpRequest &request);
     HttpResponse handleDebugFlightrec(const HttpRequest &request);
 
-    /** Follow mode: one app's followed trace files, each file's
-     * latest analysis keyed by path — ordered, so the finish order
-     * and thus the served bytes are deterministic. */
+    /** Follow mode: one followed trace file's latest analysis, and
+     * the value it folds into its app's digest in place of an entry
+     * digest: its path and the epoch of that analysis. */
+    struct LiveSession
+    {
+        engine::SessionAnalysis analysis;
+        std::uint64_t digest = 0;
+    };
+
+    /** Follow mode: one app's followed trace files keyed by path —
+     * ordered, so the finish order and thus the served bytes are
+     * deterministic. */
     struct LiveApp
     {
         std::string name;
-        std::map<std::string, engine::SessionAnalysis> sessions;
+        std::map<std::string, LiveSession> sessions;
     };
 
     app::Study study_;

@@ -33,6 +33,7 @@ std::size_t
 TraceDecoder::feed(std::string_view bytes, bool whole)
 {
     ByteReader r(bytes);
+    const std::uint64_t fedEnd = consumed_ + bytes.size();
     const std::size_t firstEvent = events_.size();
     std::size_t used = 0;    // end of the last whole record
     std::size_t payload = 0; // first consumed byte not yet folded
@@ -53,6 +54,7 @@ TraceDecoder::feed(std::string_view bytes, bool whole)
             if (whole)
                 checkCounts(r.remaining());
             used = r.position();
+            countsEnd_ = consumed_ + used;
             stage_ = Stage::Meta;
         }
         if (stage_ == Stage::Meta) {
@@ -90,6 +92,16 @@ TraceDecoder::feed(std::string_view bytes, bool whole)
         // as consumed, so a caller's carry stays in step.
         if (e.kind() != TraceErrorKind::Truncated) {
             consumed_ += used;
+            // A partial feed never judged the counts, so a count too
+            // large for the file reads on into the next section and
+            // fails on its bytes. Judge them now against every byte
+            // fed after the section header, so the count is named
+            // (as a whole feed names it) rather than the record.
+            if (!whole && stage_ >= Stage::Threads &&
+                stage_ <= Stage::Samples) {
+                checkCounts(
+                    static_cast<std::size_t>(fedEnd - countsEnd_));
+            }
             throw;
         }
     }

@@ -19,7 +19,15 @@
  * (wire::checkSectionCount, SampleBounds::completeBuffer) and the
  * sections reserve exactly their declared counts; otherwise the
  * counts come from a file that may be mid-write (or hostile), and
- * pre-sizing trusts them only up to kReserveCap records.
+ * pre-sizing trusts them only up to kReserveCap records. A partial
+ * feed that hits a damaged record inside a counted section judges
+ * the counts then, against every byte fed after the section header:
+ * a count too large for the file reads on into the next section, and
+ * the error must name the count, as a whole feed does, not the
+ * foreign bytes it found there. (In a file still being written, a
+ * damaged record ahead of honest counts the written bytes cannot
+ * hold yet reads as a count error too; the file is rejected either
+ * way.)
  *
  * Samples decode straight into the flat SampleColumns (trace.hh):
  * three appends per sampled thread and one copy of its frames, with
@@ -171,6 +179,7 @@ class TraceDecoder
     Crc32cHasher hasher_; ///< CRC32C over consumed payload bytes
     std::uint64_t declaredChecksum_ = 0;
     wire::SectionHeader counts_;
+    std::uint64_t countsEnd_ = 0; ///< file offset after the counts
 
     TraceMeta meta_;
     std::vector<TraceThread> threads_;

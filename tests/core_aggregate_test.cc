@@ -167,6 +167,43 @@ TEST(AggregateTest, MergeAnalysesMatchesMergePatternSets)
     }
 }
 
+TEST(AggregateTest, TextsSharingAKeyStayTwoPatterns)
+{
+    // Every summary below carries one key, so each lookup probes
+    // past the others; only the signature text tells them apart.
+    const auto summary = [](const char *signature, std::size_t count) {
+        PatternSummary p;
+        p.signature = signature;
+        p.key = 0x5eed;
+        p.episodeCount = count;
+        p.minLag = msToNs(1);
+        p.maxLag = msToNs(1);
+        p.totalLag = msToNs(static_cast<std::int64_t>(count));
+        return p;
+    };
+    std::vector<PatternSetSummary> sets(2);
+    for (PatternSetSummary &set : sets)
+        set.perceptibleThreshold = msToNs(100);
+    sets[0].patterns = {summary("L a", 3), summary("L b", 2)};
+    sets[1].patterns = {summary("L b", 4), summary("L c", 1),
+                        summary("L a", 1)};
+
+    const MergedPatternSet merged = mergeAnalyses(sets);
+    ASSERT_EQ(merged.patterns.size(), 3u);
+    EXPECT_EQ(merged.patterns[0].signature, "L b");
+    EXPECT_EQ(merged.patterns[0].sessions,
+              (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(merged.patterns[0].totalEpisodes, 6u);
+    EXPECT_EQ(merged.patterns[1].signature, "L a");
+    EXPECT_EQ(merged.patterns[1].episodeCounts,
+              (std::vector<std::size_t>{3, 1}));
+    EXPECT_EQ(merged.patterns[2].signature, "L c");
+    EXPECT_EQ(merged.patterns[2].sessions,
+              (std::vector<std::size_t>{1}));
+    for (const MergedPattern &p : merged.patterns)
+        EXPECT_EQ(p.key, 0x5eedu);
+}
+
 TEST(AggregateTest, RealSessionsSharePatterns)
 {
     // With app-stable template seeding, two sessions of one app must

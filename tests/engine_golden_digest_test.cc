@@ -44,20 +44,20 @@ struct AppDigests
 
 // clang-format off
 constexpr AppDigests kGolden[] = {
-    {"Arabeske", 0x27d8494bc2edc251, 0x15edd4fdba6d6417, 0x64f0e2f6a71df336},
-    {"ArgoUML", 0xb0bf57fa0c16608e, 0x7f1c70b6fc0edfc2, 0x7f4a0ded401fa2e7},
-    {"CrosswordSage", 0x7ae6b8ad4d3a567f, 0x4eb3753c734b57fc, 0x0d01ab168025bca4},
-    {"Euclide", 0x3e25ccb4a922d6d3, 0x4055801c57215c50, 0x7805ccb2dfefc3a2},
-    {"FindBugs", 0x395d9dd774d31da2, 0xc49a0b034af7bc00, 0x12a92f1c4548e2af},
-    {"FreeMind", 0x420e7d8345cad94f, 0xcd55e23140095451, 0xc663fe6c1ca77ced},
-    {"GanttProject", 0x50b2655a7e37c52e, 0x2d1c329d2b9dea27, 0xa9dda1d27a53a0d7},
-    {"JEdit", 0x77f2c7dcb3368816, 0xb4cb1701158a4500, 0x73f9bab941f9c65c},
-    {"JFreeChart", 0x5e44516ac4f486e3, 0xbfd9731c0dd60432, 0xbcb0e6d0188cd788},
-    {"JHotDraw", 0xb32d534a2bba11d6, 0x405878ad253ee04d, 0x90fcbd1ba2819b36},
-    {"Jmol", 0x7f32a566c9fb63bf, 0xb76db2d9297e412a, 0x56e20f1a3f349d68},
-    {"Laoe", 0x16a9187ad8cf4cbe, 0x85cb30d8854e5b35, 0x3fe71eaaad89acb9},
-    {"NetBeans", 0xe0867d9d523c195c, 0x1e5fc4052cbcf5d7, 0x0e09c6d533a5be50},
-    {"SwingSet", 0x5ef7dc3b0ee9353d, 0xc464e748a3fbb451, 0xfc6ee6241a3620d1},
+    {"Arabeske", 0x94eb9bc72af0dae6, 0x15edd4fdba6d6417, 0x64f0e2f6a71df336},
+    {"ArgoUML", 0x8d50670eec629b4c, 0x7f1c70b6fc0edfc2, 0x7f4a0ded401fa2e7},
+    {"CrosswordSage", 0x99c8d399fe639313, 0x4eb3753c734b57fc, 0x0d01ab168025bca4},
+    {"Euclide", 0xca36df4e4baad3f3, 0x4055801c57215c50, 0x7805ccb2dfefc3a2},
+    {"FindBugs", 0xb9a1f9a27be8028c, 0xc49a0b034af7bc00, 0x12a92f1c4548e2af},
+    {"FreeMind", 0xb42cfc002ce61e13, 0xcd55e23140095451, 0xc663fe6c1ca77ced},
+    {"GanttProject", 0x4b065303d17ce9e3, 0x2d1c329d2b9dea27, 0xa9dda1d27a53a0d7},
+    {"JEdit", 0xbcdbecb4d63b3aa1, 0xb4cb1701158a4500, 0x73f9bab941f9c65c},
+    {"JFreeChart", 0x1ca6170c6053e4ec, 0xbfd9731c0dd60432, 0xbcb0e6d0188cd788},
+    {"JHotDraw", 0x33ab62dd9fac33ba, 0x405878ad253ee04d, 0x90fcbd1ba2819b36},
+    {"Jmol", 0x2f0f30be53fcb61c, 0xb76db2d9297e412a, 0x56e20f1a3f349d68},
+    {"Laoe", 0x101f4e3b50006539, 0x85cb30d8854e5b35, 0x3fe71eaaad89acb9},
+    {"NetBeans", 0x8988a610f61547b6, 0x1e5fc4052cbcf5d7, 0x0e09c6d533a5be50},
+    {"SwingSet", 0x7a102756059d1a81, 0xc464e748a3fbb451, 0xfc6ee6241a3620d1},
 };
 // clang-format on
 

@@ -4,7 +4,8 @@
  * cache: aggregateFromCache must be byte-identical to the direct
  * decode-and-mine path at any worker count on any mix of cache hits
  * and misses, every app must finish (merge, figures, digest) the
- * same at any worker count and per app, the digests load() and
+ * same at any worker count and per app, the keyed merge must equal a
+ * merge indexed by signature text, the digests load() and
  * store() report must equal the file digests, a fully warm cache
  * must never touch the trace decoder, old-version entries must read
  * as misses, hostile app names must stay inside the analysis
@@ -14,9 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -91,6 +94,86 @@ dumpMerged(const core::MergedPatternSet &set)
             << p.descendants << '|' << p.depth << '\n';
     }
     return out.str();
+}
+
+/** The merge as it was indexed before pattern keys, by signature
+ * text: the reference the keyed merge must reproduce. */
+core::MergedPatternSet
+mergeBySignatureText(const std::vector<core::PatternSetSummary> &sets)
+{
+    core::MergedPatternSet result;
+    result.sessionCount = sets.size();
+    result.perceptibleThreshold = sets.front().perceptibleThreshold;
+    std::map<std::string, std::size_t> index;
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+        for (const core::PatternSummary &pattern : sets[s].patterns) {
+            const auto [it, inserted] =
+                index.emplace(pattern.signature, result.patterns.size());
+            if (inserted) {
+                core::MergedPattern merged;
+                merged.signature = pattern.signature;
+                merged.key = pattern.key;
+                merged.descendants = pattern.descendants;
+                merged.depth = pattern.depth;
+                merged.minLag = pattern.minLag;
+                merged.maxLag = pattern.maxLag;
+                result.patterns.push_back(std::move(merged));
+            }
+            core::MergedPattern &merged = result.patterns[it->second];
+            merged.sessions.push_back(s);
+            merged.episodeCounts.push_back(pattern.episodeCount);
+            merged.totalEpisodes += pattern.episodeCount;
+            merged.totalPerceptible += pattern.perceptibleCount;
+            merged.totalLag += pattern.totalLag;
+            merged.minLag = std::min(merged.minLag, pattern.minLag);
+            merged.maxLag = std::max(merged.maxLag, pattern.maxLag);
+        }
+    }
+    for (core::MergedPattern &merged : result.patterns) {
+        if (merged.totalPerceptible == 0)
+            merged.occurrence = core::OccurrenceClass::Never;
+        else if (merged.totalPerceptible == merged.totalEpisodes)
+            merged.occurrence = core::OccurrenceClass::Always;
+        else if (merged.totalPerceptible == 1)
+            merged.occurrence = core::OccurrenceClass::Once;
+        else
+            merged.occurrence = core::OccurrenceClass::Sometimes;
+    }
+    std::stable_sort(result.patterns.begin(), result.patterns.end(),
+                     [](const core::MergedPattern &a,
+                        const core::MergedPattern &b) {
+                         return a.totalEpisodes > b.totalEpisodes;
+                     });
+    return result;
+}
+
+TEST(EngineIncremental, KeyedMergeMatchesTextKeyedMerge)
+{
+    // Every app of the quick study, merged per app and then all of
+    // its sessions at once (one large index).
+    const ScratchDir dir("lagalyzer-cache-test-incr-keyed");
+    app::StudyConfig config = app::StudyConfig::quickStudy(5);
+    config.cacheDir = dir.path;
+    config.jobs = 4;
+    app::Study study(config);
+    study.ensureTraces();
+
+    std::vector<core::PatternSetSummary> all;
+    for (std::size_t a = 0; a < config.apps.size(); ++a) {
+        std::vector<core::PatternSetSummary> app;
+        for (std::uint32_t s = 0; s < config.sessionsPerApp; ++s) {
+            app.push_back(analyzeSession(study.loadSession(a, s),
+                                         config.perceptibleThreshold)
+                              .patternSummary);
+        }
+        EXPECT_EQ(dumpMerged(core::mergeAnalyses(app)),
+                  dumpMerged(mergeBySignatureText(app)))
+            << config.apps[a].name;
+        all.insert(all.end(), app.begin(), app.end());
+    }
+    const core::MergedPatternSet merged = core::mergeAnalyses(all);
+    EXPECT_GT(merged.patterns.size(), 500u);
+    EXPECT_EQ(dumpMerged(merged), dumpMerged(mergeBySignatureText(all)));
 }
 
 TEST(EngineIncremental, MatchesDirectAnalysisAcrossCacheStates)

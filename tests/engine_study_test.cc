@@ -1,8 +1,9 @@
 /**
  * @file
  * End-to-end tests of the parallel study pipeline: parallel output
- * is byte-identical to serial, the result cache round-trips and
- * rejects damage, truncated and old-format traces are regenerated,
+ * is byte-identical to serial, the result cache round-trips, rejects
+ * damage and recomputes old-version entries, truncated and
+ * old-format traces are regenerated,
  * and manifest writes never leave a torn file behind.
  */
 
@@ -19,6 +20,8 @@
 #include <vector>
 
 #include "app/study.hh"
+#include "engine/incremental.hh"
+#include "engine/pool.hh"
 #include "engine/result_cache.hh"
 #include "trace/io.hh"
 #include "trace/tailer.hh"
@@ -196,6 +199,76 @@ TEST(EngineStudy, DamagedCacheEntryReadsAsMiss)
                   static_cast<std::streamsize>(bytes.size()));
     }
     EXPECT_TRUE(cache.load("App", 3).has_value());
+}
+
+TEST(EngineStudy, EntryHeaderCarriesZeroExtendedPayloadCrc32c)
+{
+    const std::string bytes = serializeSessionAnalysis(sampleAnalysis());
+    constexpr std::size_t kPayload = 20;
+    ASSERT_GT(bytes.size(), kPayload);
+    std::uint32_t version = 0;
+    std::memcpy(&version, bytes.data() + 8, sizeof(version));
+    EXPECT_EQ(version, kAnalysisVersion);
+    Crc32cHasher crc;
+    crc.addBytes(bytes.data() + kPayload, bytes.size() - kPayload);
+    std::uint64_t checksum = 0;
+    std::memcpy(&checksum, bytes.data() + 12, sizeof(checksum));
+    EXPECT_EQ(checksum, std::uint64_t{crc.digest()});
+
+    // A set high bit cannot match the zero-extended CRC32C.
+    std::string high = bytes;
+    high[19] = static_cast<char>(high[19] ^ 0x80);
+    EXPECT_THROW(deserializeSessionAnalysis(high), trace::TraceError);
+}
+
+TEST(EngineStudy, VersionTwoEntryIsRecomputedAsVersionThree)
+{
+    const ScratchDir dir("lagalyzer-cache-test-ares-v2");
+    app::StudyConfig config = testStudy(dir.path, 2);
+    config.apps.resize(1);
+    config.sessionsPerApp = 1;
+    app::Study study(config);
+    study.ensureTraces();
+    const ResultCache cache(config.cacheDir, config.fingerprint());
+    const std::vector<std::string> names{config.apps[0].name};
+    const SessionLoader loader = [&study](std::size_t a,
+                                          std::uint32_t s) {
+        return study.loadSession(a, s);
+    };
+    ThreadPool pool(2);
+    const auto aggregate = [&] {
+        return aggregateFromCache(cache, names, config.sessionsPerApp,
+                                  config.perceptibleThreshold, pool,
+                                  loader);
+    };
+    EXPECT_EQ(aggregate().sessionsRecomputed, 1u);
+    const std::string path = cache.entryPath(names[0], 0);
+    const std::string fresh = readFileBytes(path);
+
+    // The same payload under a v2 header, as a build from before the
+    // CRC32C checksum wrote it: version 2 and the payload's FNV-1a
+    // 64 in the checksum field.
+    constexpr std::size_t kPayload = 20;
+    std::string old = fresh;
+    const std::uint32_t version = 2;
+    std::memcpy(old.data() + 8, &version, sizeof(version));
+    Fnv1aHasher fnv;
+    fnv.addBytes(old.data() + kPayload, old.size() - kPayload);
+    const std::uint64_t checksum = fnv.digest();
+    std::memcpy(old.data() + 12, &checksum, sizeof(checksum));
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(old.data(), static_cast<std::streamsize>(old.size()));
+    }
+    EXPECT_FALSE(cache.load(names[0], 0).has_value());
+
+    // The miss path recomputes the session and rewrites the entry in
+    // the current format, byte for byte what a cold store wrote.
+    const StudyAggregate again = aggregate();
+    EXPECT_EQ(again.sessionsFromCache, 0u);
+    EXPECT_EQ(again.sessionsRecomputed, 1u);
+    EXPECT_EQ(readFileBytes(path), fresh);
+    EXPECT_TRUE(cache.load(names[0], 0).has_value());
 }
 
 TEST(EngineStudy, EvictDropsStaleFingerprintEntries)

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -291,6 +292,59 @@ TEST(ServeIngest, OneEpochRebuildsEachTouchedAppOnce)
     EXPECT_EQ(batches, 1u);
     EXPECT_EQ(counter("serve.ingest.app_rebuilds") - rebuildsBefore,
               1u);
+}
+
+TEST(ServeIngest, AppDigestMovesOnlyWhenAPublishChangesTheApp)
+{
+    const ScratchDir cache("lagalyzer-cache-test-serve-digest");
+    const ScratchDir live("lagalyzer-serve-ingest-digest");
+
+    app::StudyConfig config = app::StudyConfig::quickStudy(3);
+    config.apps.resize(2);
+    config.sessionsPerApp = 1;
+    config.cacheDir = cache.path;
+    config.jobs = 2;
+    app::Study study(config);
+    const auto tracePaths = study.ensureTraces();
+    std::vector<std::string> names;
+    for (std::size_t a = 0; a < config.apps.size(); ++a)
+        names.push_back(study.loadSession(a, 0).meta().appName);
+
+    engine::ThreadPool pool(config.jobs);
+    HotStore store(config, pool);
+    store.startFollow();
+    engine::IngestOptions options;
+    options.perceptibleThreshold = config.perceptibleThreshold;
+    engine::IngestPipeline pipeline(
+        pool, options,
+        [&store](std::vector<engine::IngestUpdate> updates) {
+            store.applyIngest(std::move(updates));
+        });
+
+    // App 0 streams in two halves, app 1 at once.
+    const std::string bytes0 = slurp(tracePaths[0][0]);
+    const std::string bytes1 = slurp(tracePaths[1][0]);
+    const std::string dest0 = live.path + "/session0.lag";
+    writeBytes(dest0, bytes0, bytes0.size() / 2);
+    writeBytes(live.path + "/session1.lag", bytes1, bytes1.size());
+    EXPECT_EQ(pipeline.scanDirectory(live.path), 2u);
+    EXPECT_EQ(pipeline.runEpoch(), 2u);
+    const std::optional<std::uint64_t> half0 = store.appDigest(names[0]);
+    const std::optional<std::uint64_t> whole1 =
+        store.appDigest(names[1]);
+    ASSERT_TRUE(half0.has_value());
+    ASSERT_TRUE(whole1.has_value());
+    EXPECT_NE(*half0, engine::appDigestOf(names[0], {}))
+        << "a live app must not carry the empty digest";
+
+    // A publish that changes app 0 moves its digest; app 1, which no
+    // update touched, keeps its own.
+    writeBytes(dest0, bytes0, bytes0.size());
+    EXPECT_EQ(pipeline.runEpoch(), 1u);
+    ASSERT_TRUE(pipeline.allComplete());
+    EXPECT_NE(store.appDigest(names[0]), half0);
+    EXPECT_EQ(store.appDigest(names[1]), whole1);
+    EXPECT_FALSE(store.appDigest("no such app").has_value());
 }
 
 TEST(ServeIngest, ReadersAndRefreshRaceEpochPublishes)

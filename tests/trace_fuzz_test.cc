@@ -233,9 +233,9 @@ TEST(TraceFuzz, BatchAndTailDecodersAgreeOnEveryBitFlip)
     // same bytes must decode the same Trace or throw the same error.
     // Only a whole buffer can show a record to be cut short for good
     // or a count to be implausible. Where the batch reader rejects on
-    // those grounds, the tailer may wait for more bytes, or read on
-    // past the count into the next section and reject what it finds
-    // there; it must not complete.
+    // those grounds, the tailer may wait for more bytes, but it must
+    // not complete, and if it rejects the file it must name the same
+    // damage.
     const std::string bytes = serializeTrace(sampleTrace());
     const test::ScratchDir dir("lagalyzer-test-fuzz-flip");
     const std::string path = dir.path + "/flip.lag";
@@ -277,6 +277,9 @@ TEST(TraceFuzz, BatchAndTailDecodersAgreeOnEveryBitFlip)
                 EXPECT_FALSE(tailer.decoded().complete())
                     << where << ": the tailer completes where the "
                     << "batch reader says: " << batchError;
+                if (!tailError.empty()) {
+                    EXPECT_EQ(tailError, batchError) << where;
+                }
             } else if (batch) {
                 EXPECT_EQ(tailError, "") << where;
                 EXPECT_EQ(serializeTrace(tailer.decoded().snapshot()),
